@@ -1,15 +1,16 @@
-"""CSR matrix kernels: numba-accelerated with a pure-numpy fallback.
+"""CSR matrix kernels: scipy.sparse in production, pure numpy as the oracle.
 
 The hot loops of structure evaluation are sparse matrix products (chains of
 per-relation adjacency matrices) and elementwise products of the per-path
-score matrices.  Both carry two implementations:
+score matrices.  ``spgemm`` and ``hadamard`` hand both to ``scipy.sparse``;
+``spgemm_numpy`` and ``hadamard_numpy`` are a vectorized expand/sort/reduce
+reference that the tests check the production kernels against.  ``BACKEND``
+names the production path.
 
-* ``numba`` -- Gustavson-style row accumulation compiled with ``@njit``
-* ``numpy`` -- vectorized expand/sort/reduce, no compiled extension needed
-
-The numba backend is used when importable unless ``HINSTRUCT_DISABLE_NUMBA``
-is set to a truthy value (``1``/``true``/``yes``/``on``).  The active choice
-is exposed as ``BACKEND``; ``benchmarks/bench_kernels.py`` compares the two.
+``scipy.sparse`` is imported on the first product, not with this module:
+ingest (``SparseMatrix.from_triplets``, ``transpose``), the split and the
+``translate`` and ``neighbors`` subcommands run on numpy alone, and loading
+scipy would add about a tenth of a second to each of them.
 
 All kernels take raw CSR components (indptr/indices/data with int64 indices
 and float64 values, column indices sorted within each row) and return the
@@ -18,26 +19,9 @@ same. ``sparse.SparseMatrix`` is the friendly wrapper.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_TRUTHY = {"1", "true", "yes", "on"}
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("HINSTRUCT_DISABLE_NUMBA", "").strip().lower() in _TRUTHY
-
-
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        BACKEND = "numba"
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        BACKEND = "numpy"
-else:
-    BACKEND = "numpy"
+BACKEND = "scipy"
 
 
 def _empty_csr(n_rows: int):
@@ -121,106 +105,35 @@ def hadamard_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_r
 
 
 # ---------------------------------------------------------------------------
-# numba implementations
+# scipy implementations
 # ---------------------------------------------------------------------------
 
-if BACKEND == "numba":
 
-    @njit(cache=True)
-    def _spgemm_jit(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
-        marker = np.full(n_cols, -1, dtype=np.int64)
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        for i in range(n_rows):
-            count = 0
-            for pa in range(a_indptr[i], a_indptr[i + 1]):
-                k = a_indices[pa]
-                for pb in range(b_indptr[k], b_indptr[k + 1]):
-                    j = b_indices[pb]
-                    if marker[j] != i:
-                        marker[j] = i
-                        count += 1
-            indptr[i + 1] = indptr[i] + count
+def _to_scipy(indptr, indices, data, n_rows, n_cols):
+    from scipy import sparse
 
-        nnz = indptr[n_rows]
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        acc = np.zeros(n_cols, dtype=np.float64)
-        seen = np.full(n_cols, -1, dtype=np.int64)
-        touched = np.empty(n_cols, dtype=np.int64)
-        for i in range(n_rows):
-            n_touched = 0
-            for pa in range(a_indptr[i], a_indptr[i + 1]):
-                k = a_indices[pa]
-                va = a_data[pa]
-                for pb in range(b_indptr[k], b_indptr[k + 1]):
-                    j = b_indices[pb]
-                    if seen[j] != i:
-                        seen[j] = i
-                        acc[j] = va * b_data[pb]
-                        touched[n_touched] = j
-                        n_touched += 1
-                    else:
-                        acc[j] += va * b_data[pb]
-            cols = np.sort(touched[:n_touched])
-            base = indptr[i]
-            for t in range(n_touched):
-                indices[base + t] = cols[t]
-                data[base + t] = acc[cols[t]]
-        return indptr, indices, data
+    return sparse.csr_array((data, indices, indptr), shape=(n_rows, n_cols))
 
-    @njit(cache=True)
-    def _hadamard_jit(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
-        nnz = 0
-        for i in range(n_rows):
-            pa = a_indptr[i]
-            pb = b_indptr[i]
-            ea = a_indptr[i + 1]
-            eb = b_indptr[i + 1]
-            while pa < ea and pb < eb:
-                ja = a_indices[pa]
-                jb = b_indices[pb]
-                if ja == jb:
-                    nnz += 1
-                    pa += 1
-                    pb += 1
-                elif ja < jb:
-                    pa += 1
-                else:
-                    pb += 1
 
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        indices = np.empty(nnz, dtype=np.int64)
-        data = np.empty(nnz, dtype=np.float64)
-        out = 0
-        for i in range(n_rows):
-            pa = a_indptr[i]
-            pb = b_indptr[i]
-            ea = a_indptr[i + 1]
-            eb = b_indptr[i + 1]
-            while pa < ea and pb < eb:
-                ja = a_indices[pa]
-                jb = b_indices[pb]
-                if ja == jb:
-                    indices[out] = ja
-                    data[out] = a_data[pa] * b_data[pb]
-                    out += 1
-                    pa += 1
-                    pb += 1
-                elif ja < jb:
-                    pa += 1
-                else:
-                    pb += 1
-            indptr[i + 1] = out
-        return indptr, indices, data
+def _from_scipy(matrix):
+    # scipy keeps int32 indices when they fit and may leave columns unsorted
+    matrix.sort_indices()
+    return (
+        matrix.indptr.astype(np.int64),
+        matrix.indices.astype(np.int64),
+        matrix.data.astype(np.float64, copy=False),
+    )
 
-    def spgemm_numba(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
-        return _spgemm_jit(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols)
 
-    def hadamard_numba(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
-        return _hadamard_jit(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols)
+def spgemm(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
+    """CSR product via ``scipy.sparse``."""
+    a = _to_scipy(a_indptr, a_indices, a_data, n_rows, b_indptr.shape[0] - 1)
+    b = _to_scipy(b_indptr, b_indices, b_data, b_indptr.shape[0] - 1, n_cols)
+    return _from_scipy(a @ b)
 
-    spgemm = spgemm_numba
-    hadamard = hadamard_numba
-else:
-    spgemm = spgemm_numpy
-    hadamard = hadamard_numpy
+
+def hadamard(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
+    """Elementwise product of two same-shape CSR matrices via ``scipy.sparse``."""
+    a = _to_scipy(a_indptr, a_indices, a_data, n_rows, n_cols)
+    b = _to_scipy(b_indptr, b_indices, b_data, n_rows, n_cols)
+    return _from_scipy(a.multiply(b))

@@ -2,7 +2,7 @@
 
 Values are nonnegative float64; indices int64. Matrices are immutable after
 construction and safe to share between threads. Heavy operations dispatch to
-:mod:`hinstruct.kernels`, which picks the numba or pure-numpy backend.
+:mod:`hinstruct.kernels`, which runs them on ``scipy.sparse``.
 """
 
 from __future__ import annotations
@@ -108,12 +108,19 @@ class SparseMatrix:
 
     def pick(self, pairs):
         """Values at the given (row, col) pairs; absent cells read 0."""
-        out = np.zeros(len(pairs), dtype=np.float64)
-        for q, (r, c) in enumerate(pairs):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            pos = lo + np.searchsorted(self.indices[lo:hi], c)
-            if pos < hi and self.indices[pos] == c:
-                out[q] = self.data[pos]
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        # an out-of-range column would alias a cell of the next row
+        if pairs.size and (pairs.min() < 0 or pairs[:, 0].max() >= self.rows or pairs[:, 1].max() >= self.cols):
+            raise ValueError(f"pair index out of range for {self.rows}x{self.cols} matrix")
+        out = np.zeros(pairs.shape[0], dtype=np.float64)
+        if self.nnz == 0:
+            return out
+        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+        keys = row_ids * self.cols + self.indices
+        wanted = pairs[:, 0] * self.cols + pairs[:, 1]
+        pos = np.minimum(np.searchsorted(keys, wanted), self.nnz - 1)
+        hit = keys[pos] == wanted
+        out[hit] = self.data[pos[hit]]
         return out
 
     # -- algebra ---------------------------------------------------------

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hinstruct
 from hinstruct import kernels
 from hinstruct.sparse import DEFAULT_FLOP_BUDGET, MatrixBlowupError, SparseMatrix
 
@@ -8,6 +14,33 @@ from hinstruct.sparse import DEFAULT_FLOP_BUDGET, MatrixBlowupError, SparseMatri
 def random_sparse(rng, rows, cols, density=0.25):
     dense = (rng.random((rows, cols)) < density) * rng.random((rows, cols))
     return SparseMatrix.from_dense(dense), dense
+
+
+def with_empty_rows(rng, rows, cols):
+    """Random matrix whose even rows are all zero."""
+    dense = (rng.random((rows, cols)) < 0.5) * rng.random((rows, cols))
+    dense[::2] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+def kernel_args(a, b):
+    return (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, a.rows, b.cols)
+
+
+def assert_canonical_csr(indptr, indices, data):
+    """int64 indices, float64 values, columns strictly increasing within each row."""
+    assert indptr.dtype == np.int64
+    assert indices.dtype == np.int64
+    assert data.dtype == np.float64
+    row_ids = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+    same_row = row_ids[1:] == row_ids[:-1]
+    assert np.all(np.diff(indices)[same_row] > 0)
+
+
+def assert_unchanged(args, before):
+    for now, then in zip(args[:6], before):
+        assert now.dtype == then.dtype
+        assert np.array_equal(now, then)
 
 
 class TestConstruction:
@@ -49,15 +82,19 @@ class TestMatmul:
 
     def test_backends_agree(self):
         rng = np.random.default_rng(7)
-        for _ in range(20):
-            a, _ = random_sparse(rng, 9, 11)
-            b, _ = random_sparse(rng, 11, 5)
-            args = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, a.rows, b.cols)
+        pairs = [(random_sparse(rng, 9, 11)[0], random_sparse(rng, 11, 5)[0]) for _ in range(20)]
+        pairs.append((with_empty_rows(rng, 9, 11), random_sparse(rng, 11, 5)[0]))
+        pairs.append((random_sparse(rng, 9, 11)[0], SparseMatrix.zeros(11, 5)))
+        for a, b in pairs:
+            args = kernel_args(a, b)
+            before = [x.copy() for x in args[:6]]
             ip1, ix1, d1 = kernels.spgemm_numpy(*args)
             ip2, ix2, d2 = kernels.spgemm(*args)
             assert np.array_equal(ip1, ip2)
             assert np.array_equal(ix1, ix2)
             assert np.allclose(d1, d2, rtol=1e-13)
+            assert_canonical_csr(ip2, ix2, d2)
+            assert_unchanged(args, before)
 
     def test_empty_operands(self):
         z = SparseMatrix.zeros(3, 4)
@@ -87,14 +124,19 @@ class TestElementwise:
 
     def test_backends_agree(self):
         rng = np.random.default_rng(11)
-        a, _ = random_sparse(rng, 10, 10)
-        b, _ = random_sparse(rng, 10, 10)
-        args = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, a.rows, a.cols)
-        ip1, ix1, d1 = kernels.hadamard_numpy(*args)
-        ip2, ix2, d2 = kernels.hadamard(*args)
-        assert np.array_equal(ip1, ip2)
-        assert np.array_equal(ix1, ix2)
-        assert np.allclose(d1, d2, rtol=1e-13)
+        pairs = [(random_sparse(rng, 10, 10)[0], random_sparse(rng, 10, 10)[0]) for _ in range(20)]
+        pairs.append((with_empty_rows(rng, 10, 10), random_sparse(rng, 10, 10)[0]))
+        pairs.append((random_sparse(rng, 10, 10)[0], SparseMatrix.zeros(10, 10)))
+        for a, b in pairs:
+            args = kernel_args(a, b)
+            before = [x.copy() for x in args[:6]]
+            ip1, ix1, d1 = kernels.hadamard_numpy(*args)
+            ip2, ix2, d2 = kernels.hadamard(*args)
+            assert np.array_equal(ip1, ip2)
+            assert np.array_equal(ix1, ix2)
+            assert np.allclose(d1, d2, rtol=1e-13)
+            assert_canonical_csr(ip2, ix2, d2)
+            assert_unchanged(args, before)
 
     def test_disjoint_patterns_empty(self):
         a = SparseMatrix.from_dense([[1.0, 0], [0, 0]])
@@ -125,8 +167,45 @@ class TestTransposePick:
         got = m.pick([(0, 1), (1, 0), (0, 0), (1, 1)])
         assert np.allclose(got, [2.0, 3.0, 0.0, 0.0])
 
+        rng = np.random.default_rng(17)
+        cases = [random_sparse(rng, 7, 5)[0] for _ in range(10)]
+        cases.append(SparseMatrix.zeros(7, 5))
+        for m in cases:
+            r = rng.integers(0, 7, size=30)
+            c = rng.integers(0, 5, size=30)
+            assert np.array_equal(m.pick(list(zip(r.tolist(), c.tolist()))), m.to_dense()[r, c])
+        assert m.pick([]).shape == (0,)
+        for bad in [(0, 5), (7, 0), (-1, 0)]:
+            with pytest.raises(ValueError, match="out of range"):
+                cases[0].pick([bad])
+
     def test_flop_estimate(self):
         a = SparseMatrix.from_dense([[1.0, 1.0], [0.0, 1.0]])
         # row products: a has 3 nonzeros; each hits the matching row of b
         b = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 1.0]])
         assert kernels.spgemm_flops(a.indptr, a.indices, b.indptr) == 1 + 2 + 2
+
+
+class TestDeferredScipyImport:
+    def test_setup_runs_without_scipy(self, planted_dir, tmp_path):
+        # setting up a search (imports, graph, split) must not load scipy.sparse;
+        # the first product does
+        from hinstruct.synth import write_demo_config
+
+        config = tmp_path / "config.json"
+        write_demo_config(config, planted_dir, tmp_path / "out")
+        script = f"""
+import sys
+from hinstruct import cli
+graph, split, _ = cli.build_task(cli.RunConfig.load({str(config)!r}))
+assert "scipy.sparse" not in sys.modules, "set-up imported scipy.sparse"
+adjacency = graph.adjacency_of(0)
+adjacency.matmul(adjacency.transpose())
+assert "scipy.sparse" in sys.modules, "matmul did not load scipy.sparse"
+"""
+        src = str(Path(hinstruct.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
