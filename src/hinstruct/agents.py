@@ -173,13 +173,15 @@ def metric_block(entries) -> str:
 
 
 class TranscriptLog:
-    """Append-only JSON-lines record of every prompt/response exchange."""
+    """Append-only JSON-lines file of every prompt/response exchange; without
+    a path nothing is recorded."""
 
     def __init__(self, path=None):
         self.path = Path(path) if path is not None else None
-        self.entries = []
 
     def record(self, agent: str, system: str, user: str, response: str, model: str):
+        if self.path is None:
+            return
         entry = {
             "agent": agent,
             "model": model,
@@ -187,10 +189,8 @@ class TranscriptLog:
             "user": user,
             "response": response,
         }
-        self.entries.append(entry)
-        if self.path is not None:
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +214,13 @@ def sentence_clauses(sentence: str) -> Counter:
 
 
 def clause_jaccard(a: str, b: str) -> float:
-    ca, cb = sentence_clauses(a), sentence_clauses(b)
-    inter = sum((ca & cb).values())
-    union = sum((ca | cb).values())
+    return _multiset_jaccard(sentence_clauses(a), sentence_clauses(b))
+
+
+def _multiset_jaccard(ca: Counter, cb: Counter) -> float:
+    """|ca & cb| / |ca | cb| over clause counts; 0 when both are empty."""
+    inter = sum(min(n, cb[clause]) for clause, n in ca.items() if clause in cb)
+    union = ca.total() + cb.total() - inter
     return inter / union if union else 0.0
 
 
@@ -270,12 +274,14 @@ class StubBackend:
             for m in _RE_CAND_PLAIN.finditer(user)
             if not m.group(2).startswith(("nodes=", "p="))
         ]
+        record_clauses = [sentence_clauses(rec_sentence) for rec_sentence, _ in records]
         lines = []
         for i, sentence in enumerate(candidates):
             if not records:
                 p, c = 0.5, 0.0
             else:
-                sims = [clause_jaccard(sentence, rec_sentence) for rec_sentence, _ in records]
+                clauses = sentence_clauses(sentence)
+                sims = [_multiset_jaccard(clauses, rec) for rec in record_clauses]
                 best = max(range(len(records)), key=lambda j: (sims[j], -j))
                 p, c = records[best][1], sims[best]
             lines.append(f"CANDIDATE {i}: p={p:.6f}, c={c:.6f}")

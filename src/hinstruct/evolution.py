@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import threading
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -108,7 +107,6 @@ class PerformancePool:
 
     def __init__(self):
         self._records: dict[str, PoolRecord] = {}
-        self._lock = threading.Lock()
         self.evaluator_calls = 0
 
     def __len__(self) -> int:
@@ -118,14 +116,12 @@ class PerformancePool:
         return key in self._records
 
     def get(self, key: str) -> PoolRecord | None:
-        with self._lock:
-            return self._records.get(key)
+        return self._records.get(key)
 
     def insert(self, record: PoolRecord):
-        with self._lock:
-            if record.key in self._records:
-                raise RuntimeError(f"pool already holds key {record.key}")
-            self._records[record.key] = record
+        if record.key in self._records:
+            raise RuntimeError(f"pool already holds key {record.key}")
+        self._records[record.key] = record
 
     def records(self) -> list[PoolRecord]:
         return list(self._records.values())

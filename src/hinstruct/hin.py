@@ -17,6 +17,7 @@ dataset ids is the preprocessor's concern.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -175,11 +176,66 @@ def load_schema(path) -> Schema:
     return schema_from_dict(payload)
 
 
+# Byte bound of each graph's path cache. On the 30-generation demo search an
+# unbounded cache grows to 37 MB and runs 75 products; this bound runs 348 of
+# the 1,679 an uncached search runs, for about 10 MB more peak memory.
+PATH_CACHE_BYTES = 8 << 20
+
+
+class PathCache:
+    """Least-recently-used map from a path key to a product, bounded by bytes.
+
+    A value is a :class:`SparseMatrix`, whose arrays count against the bound,
+    or the message of a product that exceeded its flop budget, which counts
+    nothing. A matrix larger than the whole bound is not kept. Single-threaded.
+    """
+
+    def __init__(self, max_bytes: int):
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def get(self, key):
+        """The value under ``key``, now the most recently used, or None."""
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key, value):
+        """Store ``value`` as the most recently used entry and evict the least
+        recently used ones until the byte total fits the bound."""
+        if key in self._entries:
+            self.nbytes -= _cached_bytes(self._entries.pop(key))
+        size = _cached_bytes(value)
+        if size > self.max_bytes:
+            return
+        self._entries[key] = value
+        self.nbytes += size
+        while self.nbytes > self.max_bytes:
+            self.nbytes -= _cached_bytes(self._entries.popitem(last=False)[1])
+
+
+def _cached_bytes(value) -> int:
+    return value.nbytes if isinstance(value, SparseMatrix) else 0
+
+
 @dataclass(frozen=True)
 class HinGraph:
     schema: Schema
     node_counts: tuple[int, ...]
     adjacency: dict  # edge type id -> SparseMatrix
+    # products along edge-type paths, see evaluator.path_commuting_matrix;
+    # every graph starts empty, so a swapped adjacency never meets stale products
+    path_cache: PathCache = field(
+        default_factory=lambda: PathCache(PATH_CACHE_BYTES), init=False, repr=False, compare=False
+    )
 
     def count(self, tid: int) -> int:
         return self.node_counts[tid]

@@ -98,7 +98,21 @@ def _dedup_edges(edges):
 
 def neighbors_insertion(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
                         max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    out = []
+    return _unkeyed(_validated(_insertions(ms, lib, max_nodes), ms, schema))
+
+
+def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
+                       max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
+    return _unkeyed(_validated(_graftings(ms, lib, max_nodes), ms, schema))
+
+
+def neighbors_deletion(ms: MetaStructure, schema: Schema,
+                       max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
+    return _unkeyed(_validated(_deletions(ms, schema), ms, schema))
+
+
+def _insertions(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
+    """Raw (candidate, descriptor) pairs of INSERTION, valid or not."""
     for idx, (u, v, e) in enumerate(ms.edges):
         for comp in lib.insertion:
             if comp.node_types[0] != ms.nodes[u] or comp.node_types[-1] != ms.nodes[v]:
@@ -123,13 +137,11 @@ def neighbors_insertion(ms: MetaStructure, lib: ComponentLibrary, schema: Schema
                 "edge": [u, v, e],
                 "component": list(comp.type_sequence()),
             }
-            out.append((cand, desc))
-    return _validated(out, ms, schema)
+            yield cand, desc
 
 
-def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
-                       max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    out = []
+def _graftings(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
+    """Raw (candidate, descriptor) pairs of GRAFTING, valid or not."""
     for comp in lib.grafting:
         first_t, last_t = comp.node_types[0], comp.node_types[-1]
         interior = comp.node_types[1:-1]
@@ -158,13 +170,11 @@ def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
                     "anchors": [u, w],
                     "component": list(comp.type_sequence()),
                 }
-                out.append((cand, desc))
-    return _validated(out, ms, schema)
+                yield cand, desc
 
 
-def neighbors_deletion(ms: MetaStructure, schema: Schema,
-                       max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    out = []
+def _deletions(ms: MetaStructure, schema: Schema):
+    """Raw (candidate, descriptor) pairs of DELETION, valid or not."""
     for v in range(ms.n_nodes):
         if v in (ms.source, ms.target):
             continue
@@ -195,14 +205,13 @@ def neighbors_deletion(ms: MetaStructure, schema: Schema,
                 "position": v,
                 "reconnect": [list(c) for c in combo],
             }
-            out.append((cand, desc))
-    return _validated(out, ms, schema)
+            yield cand, desc
 
 
 def _validated(raw, origin: MetaStructure, schema: Schema):
-    """Keep valid candidates, drop the origin, dedupe by canonical key."""
-    origin_key = canonical_key(origin)
-    seen = {origin_key}
+    """Valid candidates as (structure, key, descriptor), the origin dropped,
+    the first of each canonical key kept."""
+    seen = {canonical_key(origin)}
     out = []
     for cand, desc in raw:
         if validate(cand, schema):
@@ -211,8 +220,12 @@ def _validated(raw, origin: MetaStructure, schema: Schema):
         if key in seen:
             continue
         seen.add(key)
-        out.append((cand, desc))
+        out.append((cand, key, desc))
     return out
+
+
+def _unkeyed(keyed):
+    return [(cand, desc) for cand, _, desc in keyed]
 
 
 def one_step_neighbors(
@@ -224,18 +237,10 @@ def one_step_neighbors(
     max_nodes: int = 10,
 ) -> CandidateSet:
     """Union of the three operations, deduplicated, uniformly capped."""
-    union: list[Candidate] = []
-    seen = {canonical_key(ms)}
-    for cand, desc in itertools.chain(
-        neighbors_insertion(ms, lib, schema, max_nodes),
-        neighbors_grafting(ms, lib, schema, max_nodes),
-        neighbors_deletion(ms, schema, max_nodes),
-    ):
-        key = canonical_key(cand)
-        if key in seen:
-            continue
-        seen.add(key)
-        union.append(Candidate(cand, key, desc))
+    raw = itertools.chain(
+        _insertions(ms, lib, max_nodes), _graftings(ms, lib, max_nodes), _deletions(ms, schema)
+    )
+    union = [Candidate(cand, key, desc) for cand, key, desc in _validated(raw, ms, schema)]
 
     if not union:
         raise EmptyNeighborhoodError("structure has no valid one-step neighbors")

@@ -94,6 +94,10 @@ class SparseMatrix:
     def nnz(self) -> int:
         return int(self.indices.shape[0])
 
+    @property
+    def nbytes(self) -> int:
+        return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
+
     def triplets(self):
         """Yield (row, col, value) in row-major order."""
         row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))

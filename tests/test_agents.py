@@ -103,6 +103,30 @@ class TestStubPredictor:
         out = predict_candidates(backend, [cand], sample, prompts, backoff=0)
         assert out[0].p_hat == pytest.approx(0.4)
 
+    def test_matches_pairwise_clause_jaccard(self, prompts):
+        clauses = ["User rates Business", "is rated by User", "User is friend of User",
+                   "belongs to Category", "City hosts Business"]
+
+        def sentence(picks):
+            return " AND ".join(" THAT ".join(clauses[i] for i in sub) for sub in picks)
+
+        records = [
+            (sentence([[0, 1, 0], [2, 0]]), 0.3),
+            (sentence([[0]]), 0.8),
+            (sentence([[2, 0], [2, 0]]), 0.55),
+            (sentence([[4]]), 0.1),
+        ]
+        candidates = [sentence(p) for p in ([[0, 1, 0]], [[2, 0]], [[3]], [[2, 0], [0]], [[4], [4]])]
+        reply = StubBackend().complete(
+            "", predictor_prompt(prompts, candidates, PoolSample(tuple(records)))
+        )
+        expect = []
+        for i, cand in enumerate(candidates):
+            sims = [clause_jaccard(cand, rec) for rec, _ in records]
+            best = max(range(len(records)), key=lambda j: (sims[j], -j))
+            expect.append(f"CANDIDATE {i}: p={records[best][1]:.6f}, c={sims[best]:.6f}")
+        assert reply == "\n".join(expect)
+
     def test_batched_covers_all_candidates(self, prompts):
         backend = make_stub_backend()
         sentences = [f"User rates Business {'THAT belongs to Category ' * i}".strip() for i in range(5)]

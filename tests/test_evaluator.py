@@ -15,7 +15,8 @@ from hinstruct.evaluator import (
     path_commuting_matrix,
     structure_score_matrix,
 )
-from hinstruct.hin import HinGraph
+from hinstruct import hin
+from hinstruct.hin import HinGraph, PathCache
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 from hinstruct.splits import NodeLabelSplit, RecommendationSplit
 from hinstruct.structure import MetaPath, MetaStructure, enumerate_paths
@@ -156,6 +157,158 @@ class TestScoreMatrix:
         a = structure_score_matrix(graph, ms)
         b = structure_score_matrix(graph, ms)
         assert a.allclose(b, rtol=0)
+
+
+def same_arrays(a, b):
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+def cold_copy(graph):
+    """The same network with an empty path cache."""
+    return HinGraph(graph.schema, graph.node_counts, graph.adjacency)
+
+
+def dense_chain(graph, path):
+    out = graph.adjacency_of(path.edge_types[0]).to_dense()
+    for eid in path.edge_types[1:]:
+        out = out @ graph.adjacency_of(eid).to_dense()
+    return out
+
+
+def count_matmuls(monkeypatch):
+    calls = []
+    matmul = SparseMatrix.matmul
+
+    def counted(self, *args):
+        calls.append(1)
+        return matmul(self, *args)
+
+    monkeypatch.setattr(SparseMatrix, "matmul", counted)
+    return calls
+
+
+class TestPathCache:
+    def test_warm_matches_cold_bit_for_bit(self):
+        rng = np.random.default_rng(31)
+        warm = toy_graph(rng, n_users=12, n_biz=9)
+        structures = [random_structure(warm.schema, rng, max_nodes=7) for _ in range(60)]
+        for ms in structures + structures[::-1]:
+            got = structure_score_matrix(warm, ms)
+            assert same_arrays(got, structure_score_matrix(cold_copy(warm), ms))
+        assert len(warm.path_cache) > 0
+
+    def test_resumes_from_longest_prefix(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        graph = toy_graph(rng, n_users=8, n_biz=6)
+        calls = count_matmuls(monkeypatch)
+        path_commuting_matrix(graph, MetaPath((U, U, B, A), (FRIEND, RATES, BELONGS)))
+        assert len(calls) == 2
+        longer = MetaPath((U, U, B, A, B), (FRIEND, RATES, BELONGS, CONTAINS))
+        got = path_commuting_matrix(graph, longer)
+        assert len(calls) == 3
+        assert np.allclose(got.to_dense(), dense_chain(graph, longer))
+        path_commuting_matrix(graph, longer)
+        assert len(calls) == 3
+
+    def test_with_adjacency_starts_empty(self):
+        rng = np.random.default_rng(41)
+        graph = toy_graph(rng, n_users=8, n_biz=6)
+        path = MetaPath((U, U, B), (FRIEND, RATES))
+        before = path_commuting_matrix(graph, path)
+        rates = SparseMatrix.from_dense(np.ones((8, 6)))
+        swapped = graph.with_adjacency(RATES, rates)
+        assert len(swapped.path_cache) == 0 and len(graph.path_cache) > 0
+        after = path_commuting_matrix(swapped, path)
+        assert np.allclose(after.to_dense(), dense_chain(swapped, path))
+        assert not np.allclose(after.to_dense(), before.to_dense())
+        assert same_arrays(path_commuting_matrix(graph, path), before)
+
+    def test_cached_blowup_raises_every_time(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        graph = toy_graph(rng, n_users=30, n_biz=30)
+        path = MetaPath((U, U, U, B), (FRIEND, FRIEND, RATES))
+        ms = MetaStructure.from_path(path)
+        with pytest.raises(MatrixBlowupError) as first:
+            path_commuting_matrix(graph, path, flop_budget=5)
+        calls = count_matmuls(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(MatrixBlowupError) as again:
+                path_commuting_matrix(graph, path, flop_budget=5)
+            assert str(again.value) == str(first.value)
+            with pytest.raises(MatrixBlowupError):
+                structure_score_matrix(graph, ms, flop_budget=5)
+        assert calls == []
+        got = path_commuting_matrix(graph, path, flop_budget=None)
+        assert np.allclose(got.to_dense(), dense_chain(graph, path))
+        assert same_arrays(structure_score_matrix(graph, ms, flop_budget=10**9), got.row_normalize())
+        with pytest.raises(MatrixBlowupError):
+            path_commuting_matrix(graph, path, flop_budget=5)
+
+    def test_byte_total_within_bound(self, monkeypatch):
+        monkeypatch.setattr(hin, "PATH_CACHE_BYTES", 2_000)
+        rng = np.random.default_rng(43)
+        graph = toy_graph(rng, n_users=14, n_biz=10)
+        assert graph.path_cache.max_bytes == 2_000
+        for _ in range(80):
+            ms = random_structure(graph.schema, rng, max_nodes=7)
+            got = structure_score_matrix(graph, ms)
+            assert 0 <= graph.path_cache.nbytes <= 2_000
+            assert same_arrays(got, structure_score_matrix(cold_copy(graph), ms))
+
+    def test_least_recently_used_evicted_first(self):
+        def matrix(nnz):
+            return SparseMatrix.from_dense(np.eye(nnz))  # (nnz + 1) * 8 + nnz * 16 bytes
+
+        size = matrix(4).nbytes
+        cache = PathCache(max_bytes=3 * size)
+        for key in "abc":
+            cache.put(key, matrix(4))
+        assert cache.nbytes == 3 * size
+        cache.get("a")
+        cache.put("d", matrix(4))
+        assert "b" not in cache and all(k in cache for k in "acd")
+        cache.put("e", matrix(4))
+        assert "c" not in cache and all(k in cache for k in "ade")
+        assert cache.nbytes == 3 * size
+        cache.put("blowup", "matrix blowup: ...")
+        assert cache.nbytes == 3 * size and len(cache) == 4
+        cache.put("huge", matrix(40))
+        assert "huge" not in cache and cache.nbytes == 3 * size
+        cache.put("a", matrix(1))
+        assert cache.nbytes == 2 * size + matrix(1).nbytes
+
+    def test_cached_arrays_unchanged_by_evaluation(self):
+        rng = np.random.default_rng(47)
+        graph = toy_graph(rng, n_users=12, n_biz=9)
+        held = [
+            path_commuting_matrix(graph, MetaPath((U, U, B), (FRIEND, RATES))),
+            path_commuting_matrix(graph, MetaPath((U, B, U, B), (RATES, RATED_BY, RATES))),
+            structure_score_matrix(
+                graph, MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
+            ),
+        ]
+        snapshot = [(m.indptr.copy(), m.indices.copy(), m.data.copy()) for m in held]
+        split = RecommendationSplit(
+            target_edge_type=RATES,
+            positives={"train": [], "val": [(0, 1), (2, 3), (4, 5)], "test": []},
+            negatives={"train": [], "val": [(1, 1), (3, 3), (5, 5)], "test": []},
+            reserved=(),
+        )
+        evaluated = 0
+        for _ in range(60):
+            ms = random_structure(graph.schema, rng, max_nodes=7)
+            if ms.nodes[ms.source] == U and ms.nodes[ms.target] == B:
+                evaluate_recommendation(graph, ms, split, "val")
+                evaluated += 1
+        assert evaluated > 5
+        for m, (indptr, indices, data) in zip(held, snapshot):
+            assert np.array_equal(m.indptr, indptr)
+            assert np.array_equal(m.indices, indices)
+            assert np.array_equal(m.data, data)
 
 
 class TestAuc:

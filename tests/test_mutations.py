@@ -201,6 +201,25 @@ class TestOneStepNeighbors:
         with pytest.raises(EmptyNeighborhoodError):
             one_step_neighbors(origin, small_lib, mini_schema, np.random.default_rng(0), cap=5)
 
+    def test_union_is_first_occurrence_over_operations(self, schema, lib):
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            origin = random_structure(schema, rng, max_nodes=6)
+            expect, seen = [], {canonical_key(origin)}
+            for ms, desc in itertools.chain(
+                neighbors_insertion(origin, lib, schema),
+                neighbors_grafting(origin, lib, schema),
+                neighbors_deletion(origin, schema),
+            ):
+                key = canonical_key(ms)
+                if key not in seen:
+                    seen.add(key)
+                    expect.append((ms, key, desc))
+            if not expect:
+                continue
+            cs = one_step_neighbors(origin, lib, schema, np.random.default_rng(0), cap=10_000)
+            assert [(c.structure, c.key, c.descriptor) for c in cs.candidates] == expect
+
     def test_descriptors_tagged_by_operation(self, schema, lib):
         origin = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         cs = one_step_neighbors(origin, lib, schema, np.random.default_rng(1), cap=1000)
