@@ -15,13 +15,13 @@ nodes. Both evaluators are pure functions of their inputs and sit behind the
 Mutations add or remove one component, so the structures of a search share
 most of their paths. Each graph therefore keeps a byte-bounded LRU cache of
 path products (``HinGraph.path_cache``), keyed by flop budget and edge-type
-prefix: a path product resumes from its longest cached prefix, and the
-row-normalized full-path matrices are cached too. Products keep their
-left-to-right order, so a cached matrix is bit-identical to a fresh one. A
-prefix over the flop budget is cached as its error, so every structure that
-needs it raises ``MatrixBlowupError`` again. The cache is single-threaded and
-scoped to one graph: a graph made by ``HinGraph.with_adjacency`` starts empty.
-Returned matrices may be cache entries and must not be modified.
+prefix: a path product resumes from its longest cached prefix. Products keep
+their left-to-right order, so a cached matrix is bit-identical to a fresh one.
+A prefix over the flop budget is never cached, so every structure that needs
+it raises ``MatrixBlowupError`` again from ``SparseMatrix.matmul``'s check,
+before any product is formed. The cache is single-threaded and scoped to one
+graph: a graph made by ``HinGraph.with_adjacency`` starts empty. Returned
+matrices may be cache entries and must not be modified.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Protocol
 import numpy as np
 
 from .hin import HinGraph
-from .sparse import DEFAULT_FLOP_BUDGET, MatrixBlowupError, SparseMatrix
+from .sparse import DEFAULT_FLOP_BUDGET, SparseMatrix
 from .splits import NodeLabelSplit, RecommendationSplit
 from .structure import MetaPath, MetaStructure, enumerate_paths
 
@@ -64,38 +64,19 @@ def path_commuting_matrix(
     """Product of the adjacency matrices along the path's edge types.
 
     Starts from the longest prefix in the graph's path cache and caches every
-    prefix it multiplies out, or the error of the first one over the budget.
+    prefix it multiplies out.
     """
     edges, cache = path.edge_types, graph.path_cache
     done, result = 1, graph.adjacency_of(edges[0])
     for k in range(len(edges), 1, -1):
-        hit = cache.get(("product", flop_budget, edges[:k]))
-        if isinstance(hit, str):
-            raise MatrixBlowupError(hit)
+        hit = cache.get((flop_budget, edges[:k]))
         if hit is not None:
             done, result = k, hit
             break
     for k in range(done, len(edges)):
-        key = ("product", flop_budget, edges[: k + 1])
-        try:
-            result = result.matmul(graph.adjacency_of(edges[k]), flop_budget)
-        except MatrixBlowupError as exc:
-            cache.put(key, str(exc))
-            raise
-        cache.put(key, result)
+        result = result.matmul(graph.adjacency_of(edges[k]), flop_budget)
+        cache.put((flop_budget, edges[: k + 1]), result)
     return result
-
-
-def _normalized_path_matrix(
-    graph: HinGraph, path: MetaPath, flop_budget: int | None = DEFAULT_FLOP_BUDGET
-) -> SparseMatrix:
-    """Row-normalized commuting matrix of the path, cached on the graph."""
-    key = ("normalized", flop_budget, path.edge_types)
-    normalized = graph.path_cache.get(key)
-    if normalized is None:
-        normalized = path_commuting_matrix(graph, path, flop_budget).row_normalize()
-        graph.path_cache.put(key, normalized)
-    return normalized
 
 
 def structure_score_matrix(
@@ -112,7 +93,7 @@ def structure_score_matrix(
         unique.setdefault(path.type_sequence(), path)
     score = None
     for seq in sorted(unique):
-        normalized = _normalized_path_matrix(graph, unique[seq], flop_budget)
+        normalized = path_commuting_matrix(graph, unique[seq], flop_budget).row_normalize()
         score = normalized if score is None else score.hadamard(normalized)
     return score
 

@@ -176,18 +176,19 @@ def load_schema(path) -> Schema:
     return schema_from_dict(payload)
 
 
-# Byte bound of each graph's path cache. On the 30-generation demo search an
-# unbounded cache grows to 37 MB and runs 75 products; this bound runs 348 of
-# the 1,679 an uncached search runs, for about 10 MB more peak memory.
+# Byte bound of each graph's path cache. The cache pays off when a search
+# revisits edge-type prefixes whose products fit under the bound; a product
+# larger than the bound is never kept, so on such graphs nothing is cached. On
+# the 30-generation demo search an unbounded cache grows to 27 MB and runs 75
+# products; this bound runs 277 of the 1,679 an uncached search runs, for
+# about 11 MB more peak memory.
 PATH_CACHE_BYTES = 8 << 20
 
 
 class PathCache:
-    """Least-recently-used map from a path key to a product, bounded by bytes.
-
-    A value is a :class:`SparseMatrix`, whose arrays count against the bound,
-    or the message of a product that exceeded its flop budget, which counts
-    nothing. A matrix larger than the whole bound is not kept. Single-threaded.
+    """Least-recently-used map from a path key to a :class:`SparseMatrix`,
+    bounded by the bytes of the matrices' arrays. A matrix larger than the
+    whole bound is not kept. Single-threaded.
     """
 
     def __init__(self, max_bytes: int):
@@ -202,7 +203,7 @@ class PathCache:
         return key in self._entries
 
     def get(self, key):
-        """The value under ``key``, now the most recently used, or None."""
+        """The matrix under ``key``, now the most recently used, or None."""
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
@@ -212,18 +213,13 @@ class PathCache:
         """Store ``value`` as the most recently used entry and evict the least
         recently used ones until the byte total fits the bound."""
         if key in self._entries:
-            self.nbytes -= _cached_bytes(self._entries.pop(key))
-        size = _cached_bytes(value)
-        if size > self.max_bytes:
+            self.nbytes -= self._entries.pop(key).nbytes
+        if value.nbytes > self.max_bytes:
             return
         self._entries[key] = value
-        self.nbytes += size
+        self.nbytes += value.nbytes
         while self.nbytes > self.max_bytes:
-            self.nbytes -= _cached_bytes(self._entries.popitem(last=False)[1])
-
-
-def _cached_bytes(value) -> int:
-    return value.nbytes if isinstance(value, SparseMatrix) else 0
+            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
 
 
 @dataclass(frozen=True)

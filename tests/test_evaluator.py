@@ -227,21 +227,19 @@ class TestPathCache:
         assert not np.allclose(after.to_dense(), before.to_dense())
         assert same_arrays(path_commuting_matrix(graph, path), before)
 
-    def test_cached_blowup_raises_every_time(self, monkeypatch):
+    def test_blowup_raises_every_time(self):
         rng = np.random.default_rng(5)
         graph = toy_graph(rng, n_users=30, n_biz=30)
         path = MetaPath((U, U, U, B), (FRIEND, FRIEND, RATES))
         ms = MetaStructure.from_path(path)
         with pytest.raises(MatrixBlowupError) as first:
             path_commuting_matrix(graph, path, flop_budget=5)
-        calls = count_matmuls(monkeypatch)
         for _ in range(3):
             with pytest.raises(MatrixBlowupError) as again:
                 path_commuting_matrix(graph, path, flop_budget=5)
             assert str(again.value) == str(first.value)
             with pytest.raises(MatrixBlowupError):
                 structure_score_matrix(graph, ms, flop_budget=5)
-        assert calls == []
         got = path_commuting_matrix(graph, path, flop_budget=None)
         assert np.allclose(got.to_dense(), dense_chain(graph, path))
         assert same_arrays(structure_score_matrix(graph, ms, flop_budget=10**9), got.row_normalize())
@@ -274,8 +272,6 @@ class TestPathCache:
         cache.put("e", matrix(4))
         assert "c" not in cache and all(k in cache for k in "ade")
         assert cache.nbytes == 3 * size
-        cache.put("blowup", "matrix blowup: ...")
-        assert cache.nbytes == 3 * size and len(cache) == 4
         cache.put("huge", matrix(40))
         assert "huge" not in cache and cache.nbytes == 3 * size
         cache.put("a", matrix(1))
