@@ -11,6 +11,15 @@ format, and a deterministic offline stub whose rules mirror the intuitions
 the live agents are prompted with (structural similarity predicts similar
 scores; simpler candidates win ties). The stub makes the whole agent layer a
 pure function of its inputs.
+
+Retries: each operation (the predictor prompt, the selector prompt, one
+explainer step) makes at most ``retries`` >= 1 backend calls, all in
+``_call``. A ``BackendError`` costs one attempt and a sleep of ``backoff *
+2**attempt``, except after the last; an unusable reply, recorded in the
+transcript like every reply, costs one attempt and no sleep. Out of attempts,
+an operation that got any reply falls back (missing predictions become the
+pool mean with confidence 0, the selector flags ``stub_selection_rule``'s
+pick); one that got none raises ``BackendError``.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ class BackendError(RuntimeError):
 class ChatBackend(Protocol):
     identity: str
 
-    def complete(self, system: str, user: str, temperature: float = 0.0) -> str: ...
+    def complete(self, system: str, user: str) -> str: ...
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +264,7 @@ class StubBackend:
 
     identity = "stub"
 
-    def complete(self, system: str, user: str, temperature: float = 0.0) -> str:
+    def complete(self, system: str, user: str) -> str:
         header = user.lstrip().splitlines()[0].strip() if user.strip() else ""
         if header == "TASK: PREDICT":
             return self._predict(user)
@@ -288,13 +297,13 @@ class StubBackend:
         return "\n".join(lines)
 
     def _select(self, user: str) -> str:
-        rows = [
-            (int(m.group(1)), int(m.group(3)), float(m.group(4)), m.group(6))
-            for m in _RE_CAND_SCORED.finditer(user)
-        ]
+        rows = list(_RE_CAND_SCORED.finditer(user))
         if not rows:
             raise BackendError("stub selector found no candidates in prompt")
-        chosen = min(rows, key=lambda r: (-r[2], r[1], r[3]))[0]
+        candidates = [
+            ScoredCandidate(m[7], float(m[4]), float(m[5]), int(m[2]), int(m[3]), m[6]) for m in rows
+        ]
+        chosen = rows[stub_selection_rule(candidates)].group(1)
         return (
             f"CHOICE: {chosen}\n"
             "Deterministic pick: highest predicted score, ties broken toward "
@@ -367,7 +376,7 @@ class HttpChatBackend:
     def identity(self) -> str:
         return self.model
 
-    def complete(self, system: str, user: str, temperature: float | None = None) -> str:
+    def complete(self, system: str, user: str) -> str:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -377,7 +386,7 @@ class HttpChatBackend:
                 {"role": "system", "content": system},
                 {"role": "user", "content": user},
             ],
-            "temperature": self.temperature if temperature is None else temperature,
+            "temperature": self.temperature,
         }
         try:
             response = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
@@ -399,11 +408,15 @@ def _clamp01(value: float, what: str) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _call(backend, agent, user, transcript, retries, backoff):
-    last_error = None
-    for attempt in range(max(1, retries)):
+def _call(backend, agent, user, transcript, retries, backoff, parse=lambda reply: reply):
+    """Returns the first non-None ``parse(reply)``, or None once the attempts
+    run out after some reply; raises ``BackendError`` if none came back."""
+    if retries < 1:
+        raise ValueError(f"retries must be at least 1, got {retries}")
+    last_error = reply = None
+    for attempt in range(retries):
         try:
-            response = backend.complete(DEFAULT_SYSTEM, user)
+            reply = backend.complete(DEFAULT_SYSTEM, user)
         except BackendError as exc:
             last_error = exc
             log.warning("%s backend call failed (attempt %d): %s", agent, attempt + 1, exc)
@@ -411,9 +424,14 @@ def _call(backend, agent, user, transcript, retries, backoff):
                 time.sleep(backoff * 2**attempt)
             continue
         if transcript is not None:
-            transcript.record(agent, DEFAULT_SYSTEM, user, response, backend.identity)
-        return response
-    raise BackendError(f"{agent} backend failed after {retries} attempts: {last_error}")
+            transcript.record(agent, DEFAULT_SYSTEM, user, reply, backend.identity)
+        result = parse(reply)
+        if result is not None:
+            return result
+        log.warning("%s reply unusable (attempt %d)", agent, attempt + 1)
+    if reply is None:
+        raise BackendError(f"{agent} backend failed after {retries} attempts: {last_error}")
+    return None
 
 
 def predict_candidates(
@@ -423,36 +441,25 @@ def predict_candidates(
     prompts: PromptLibrary,
     retries: int = 3,
     backoff: float = 1.0,
-    per_candidate: bool = False,
     transcript: TranscriptLog | None = None,
 ) -> list[PredictorOutput]:
     """Ask the predictor for a (score, confidence) estimate per candidate.
 
-    Entries the backend leaves malformed after all retries default to
-    (mean of the pool sample, 0.0).
+    Entries merge across replies, the first value for each index winning;
+    entries still missing when the attempts run out default to (mean of the
+    pool sample, 0.0).
     """
     if not sentences:
         raise ValueError("empty candidate list")
-    if per_candidate:
-        out = []
-        for sentence in sentences:
-            out.extend(
-                predict_candidates(
-                    backend, [sentence], sample, prompts,
-                    retries=retries, backoff=backoff, transcript=transcript,
-                )
-            )
-        return out
-
     user = prompts.render(
         "predictor",
         pool_block=pool_block(sample),
         candidate_block=predictor_candidate_block(sentences),
     )
     parsed: dict[int, PredictorOutput] = {}
-    for attempt in range(max(1, retries)):
-        response = _call(backend, "predictor", user, transcript, retries, backoff)
-        for m in _RE_PRED_REPLY.finditer(response):
+
+    def merge(reply):
+        for m in _RE_PRED_REPLY.finditer(reply):
             idx = int(m.group(1))
             if 0 <= idx < len(sentences) and idx not in parsed:
                 try:
@@ -461,12 +468,9 @@ def predict_candidates(
                 except ValueError:
                     continue
                 parsed[idx] = PredictorOutput(p, c)
-        if len(parsed) == len(sentences):
-            break
-        log.warning(
-            "predictor reply covered %d/%d candidates (attempt %d)",
-            len(parsed), len(sentences), attempt + 1,
-        )
+        return parsed if len(parsed) == len(sentences) else None
+
+    _call(backend, "predictor", user, transcript, retries, backoff, merge)
     default = PredictorOutput(_clamp01(sample.mean, "pool mean"), 0.0)
     return [parsed.get(i, default) for i in range(len(sentences))]
 
@@ -484,17 +488,18 @@ def select_candidate(
     if not candidates:
         raise ValueError("empty candidate list")
     user = prompts.render("selector", candidate_block=selector_candidate_block(candidates))
-    for attempt in range(max(1, retries)):
-        response = _call(backend, "selector", user, transcript, retries, backoff)
-        m = _RE_CHOICE_REPLY.search(response)
-        if m is not None:
-            idx = int(m.group(1))
-            if 0 <= idx < len(candidates):
-                return SelectorDecision(index=idx, rationale=response, fallback=False)
-        log.warning("selector reply had no usable CHOICE line (attempt %d)", attempt + 1)
-    idx = stub_selection_rule(candidates)
+
+    def choice(reply):
+        m = _RE_CHOICE_REPLY.search(reply)
+        if m is not None and int(m.group(1)) < len(candidates):
+            return SelectorDecision(index=int(m.group(1)), rationale=reply, fallback=False)
+        return None
+
+    decision = _call(backend, "selector", user, transcript, retries, backoff, choice)
+    if decision is not None:
+        return decision
     return SelectorDecision(
-        index=idx,
+        index=stub_selection_rule(candidates),
         rationale="fallback rule: highest predicted score, fewest edges, smallest key",
         fallback=True,
     )

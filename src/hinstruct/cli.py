@@ -120,12 +120,23 @@ class RunConfig:
             if not prompt_dir.is_dir():
                 raise DataError(f"prompt directory not found: {prompt_dir}")
 
+        try:
+            rating_threshold = int(payload.get("rating_threshold", 2))
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"config {path}: rating_threshold must be an integer: {exc}") from exc
+        split_ratio = payload.get("split_ratio", [3, 1, 1])
+        if not (
+            isinstance(split_ratio, list) and len(split_ratio) == 3
+            and all(type(r) is int and r >= 0 for r in split_ratio) and sum(split_ratio) > 0
+        ):
+            raise DataError(f"config {path}: split_ratio must be three integers >= 0, not all 0")
+
         return cls(
             dataset_dir=dataset_dir,
             task_kind=kind,
             target=target,
-            rating_threshold=int(payload.get("rating_threshold", 2)),
-            split_ratio=tuple(payload.get("split_ratio", (3, 1, 1))),
+            rating_threshold=rating_threshold,
+            split_ratio=tuple(split_ratio),
             search=search,
             backend_spec=backend_spec,
             output_dir=output_dir,
@@ -290,6 +301,18 @@ def cmd_explain(args) -> int:
     if not payload.get("generations"):
         raise DataError(f"result file has no generations: {result_path}")
 
+    pool = PerformancePool()
+    fields = [f.name for f in dataclasses.fields(PoolRecord)]
+    for i, raw in enumerate(payload.get("pool", [])):
+        missing = [name for name in fields if name not in raw]
+        if missing:
+            raise DataError(f"result file {result_path}: pool[{i}] lacks field {missing[0]!r}")
+        pool.insert(PoolRecord(**{name: raw[name] for name in fields}))
+    last = payload["generations"][-1]
+    if "population" not in last:
+        raise DataError(f"result file {result_path}: generations[-1] lacks field 'population'")
+    final_keys = last["population"]
+
     search = config.search
     if args.top_k is not None:
         search = dataclasses.replace(search, explain_top_k=args.top_k)
@@ -300,18 +323,6 @@ def cmd_explain(args) -> int:
     lib = build_component_library(
         graph.schema, ComponentLimits(search.insertion_max_interior, search.grafting_max_nodes)
     )
-    pool = PerformancePool()
-    for raw in payload.get("pool", []):
-        pool.insert(
-            PoolRecord(
-                key=raw["key"],
-                sentence=raw["sentence"],
-                fitness=raw["fitness"],
-                generation=raw["generation"],
-                structure=raw["structure"],
-            )
-        )
-    final_keys = payload["generations"][-1]["population"]
     rng = np.random.default_rng(search.seed)
 
     out_dir = config.output_dir

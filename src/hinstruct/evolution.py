@@ -71,9 +71,13 @@ class SearchConfig:
             raise ValueError("elimination rate must lie strictly between 0 and 1")
         if self.generations < 0:
             raise ValueError("generations must be nonnegative")
-        for name in ("candidate_cap", "pool_sample_size", "explain_top_k", "explain_neighbors"):
+        for name in (
+            "candidate_cap", "pool_sample_size", "explain_top_k", "explain_neighbors", "retries"
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.backoff < 0:
+            raise ValueError("backoff must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,14 @@ def _rng_digest(rng: np.random.Generator) -> str:
     return hashlib.sha256(repr(rng.bit_generator.state).encode()).hexdigest()[:12]
 
 
-def _rank(fitness: float, structure: MetaStructure, key: str):
-    """Ordering for "best": higher fitness, then smaller, then by key."""
-    return (-fitness, structure.n_nodes, structure.n_edges, key)
+def _rank(fitness: float, n_nodes: int, n_edges: int, key: str):
+    """Ordering for "best": higher fitness, then fewer nodes and edges, then by key."""
+    return (-fitness, n_nodes, n_edges, key)
+
+
+def _record_rank(record: PoolRecord):
+    s = record.structure
+    return _rank(record.fitness, len(s["nodes"]), len(s["edges"]), record.key)
 
 
 def eliminate(population, rate: float):
@@ -216,6 +225,21 @@ def evaluate_population(population, evaluator, graph, split, pool, generation, e
     return out
 
 
+def _pass_through(ind, note, events, generation, rng):
+    """Record a mutation that keeps the individual unchanged; returns it."""
+    events.append(
+        {
+            "event": "mutation",
+            "generation": generation,
+            "origin": ind.key,
+            "chosen": ind.key,
+            "note": note,
+            "rng": _rng_digest(rng),
+        }
+    )
+    return ind
+
+
 def mutate_population(
     population, lib, schema, backend, pool, config: SearchConfig, rng, prompts, transcript, events, generation
 ):
@@ -228,17 +252,7 @@ def mutate_population(
                 cap=config.candidate_cap, max_nodes=config.max_structure_nodes,
             )
         except EmptyNeighborhoodError:
-            events.append(
-                {
-                    "event": "mutation",
-                    "generation": generation,
-                    "origin": ind.key,
-                    "chosen": ind.key,
-                    "note": "empty neighborhood",
-                    "rng": _rng_digest(rng),
-                }
-            )
-            out.append(ind)
+            out.append(_pass_through(ind, "empty neighborhood", events, generation, rng))
             continue
 
         sample = pool.sample(rng, config.pool_sample_size)
@@ -265,17 +279,7 @@ def mutate_population(
             )
         except BackendError as exc:
             log.warning("agents failed for %s; individual passes through: %s", ind.key, exc)
-            events.append(
-                {
-                    "event": "mutation",
-                    "generation": generation,
-                    "origin": ind.key,
-                    "chosen": ind.key,
-                    "note": f"agent failure: {exc}",
-                    "rng": _rng_digest(rng),
-                }
-            )
-            out.append(ind)
+            out.append(_pass_through(ind, f"agent failure: {exc}", events, generation, rng))
             continue
 
         chosen = cands.candidates[decision.index]
@@ -337,7 +341,9 @@ class SearchResult:
 
 
 def _generation_record(generation, population) -> GenerationRecord:
-    best = min(population, key=lambda i: _rank(i.fitness, i.structure, i.key))
+    best = min(
+        population, key=lambda i: _rank(i.fitness, i.structure.n_nodes, i.structure.n_edges, i.key)
+    )
     mean = float(np.mean([i.fitness for i in population]))
     return GenerationRecord(
         generation=generation,
@@ -423,17 +429,7 @@ def run_search(
         log.error("search aborted by evaluator failure: %s", exc)
         aborted = str(exc)
 
-    final_best = None
-    if len(pool):
-        final_best = min(
-            pool.records(),
-            key=lambda r: (
-                -r.fitness,
-                len(r.structure["nodes"]),
-                len(r.structure["edges"]),
-                r.key,
-            ),
-        )
+    final_best = min(pool.records(), key=_record_rank) if len(pool) else None
 
     result = SearchResult(
         config=config,
@@ -466,9 +462,7 @@ def explain_top_structures(
         if key not in distinct:
             distinct.append(key)
     records = [pool.get(key) for key in distinct]
-    records.sort(
-        key=lambda r: (-r.fitness, len(r.structure["nodes"]), len(r.structure["edges"]), r.key)
-    )
+    records.sort(key=_record_rank)
     if config.explain_top_k > len(records):
         log.warning(
             "explain_top_k=%d exceeds %d distinct final structures; explaining all",

@@ -73,10 +73,11 @@ class SparseMatrix:
     @classmethod
     def from_dense(cls, array):
         array = np.asarray(array, dtype=np.float64)
-        r, c = np.nonzero(array)
-        return cls.from_triplets(
-            array.shape[0], array.shape[1], zip(r.tolist(), c.tolist(), array[r, c].tolist())
-        )
+        if np.any(array < 0):
+            raise ValueError("negative values not allowed")
+        r, c = np.nonzero(array)  # row-major, so r is sorted
+        indptr = np.searchsorted(r, np.arange(array.shape[0] + 1))
+        return cls(*array.shape, indptr.astype(np.int64), c.astype(np.int64), array[r, c])
 
     @classmethod
     def zeros(cls, rows, cols):

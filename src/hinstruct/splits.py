@@ -18,8 +18,6 @@ import numpy as np
 from .hin import DataError, HinGraph
 from .sparse import SparseMatrix
 
-PARTS = ("train", "val", "test")
-
 
 class SplitError(DataError):
     """Split construction cannot satisfy its contract."""
@@ -31,11 +29,6 @@ class RecommendationSplit:
     positives: dict  # part -> list[(src, dst)]
     negatives: dict  # part -> list[(src, dst)]
     reserved: tuple  # construction-reserved positive pairs
-
-    def all_split_pairs(self):
-        for part in PARTS:
-            yield from self.positives[part]
-            yield from self.negatives[part]
 
 
 @dataclass(frozen=True)

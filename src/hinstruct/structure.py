@@ -76,12 +76,6 @@ class MetaStructure:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def out_edges(self, pos: int):
-        return sorted((b, e) for a, b, e in self.edges if a == pos)
-
-    def in_edges(self, pos: int):
-        return sorted((a, e) for a, b, e in self.edges if b == pos)
-
     def to_dict(self) -> dict:
         return {
             "nodes": list(self.nodes),

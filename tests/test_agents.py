@@ -1,4 +1,5 @@
 import json
+import random
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -22,7 +23,9 @@ from hinstruct.agents import (
     select_candidate,
     selector_candidate_block,
     sentence_clauses,
+    stub_selection_rule,
 )
+from hinstruct.evolution import SearchConfig
 
 
 @pytest.fixture(scope="module")
@@ -133,16 +136,6 @@ class TestStubPredictor:
         out = predict_candidates(backend, sentences, PoolSample(()), prompts, backoff=0)
         assert len(out) == 5
 
-    def test_per_candidate_mode_matches_batched(self, prompts):
-        backend = make_stub_backend()
-        sentences = ["User rates Business", "User is friend of User THAT rates Business"]
-        sample = PoolSample((("User rates Business", 0.8),))
-        batched = predict_candidates(backend, sentences, sample, prompts, backoff=0)
-        single = predict_candidates(
-            backend, sentences, sample, prompts, backoff=0, per_candidate=True
-        )
-        assert batched == single
-
     def test_empty_candidates_rejected(self, prompts):
         with pytest.raises(ValueError):
             predict_candidates(make_stub_backend(), [], PoolSample(()), prompts, backoff=0)
@@ -239,6 +232,20 @@ class TestStubBackendContract:
         idx = int(reply.split("CHOICE:")[1].split()[0])
         assert 0 <= idx < 7
 
+    def test_stub_reply_matches_selection_rule(self, prompts):
+        rng = random.Random(0)
+        for _ in range(50):
+            cands = [
+                ScoredCandidate(
+                    "User rates Business", rng.choice([0.25, 0.5, 0.75]), rng.random(),
+                    rng.randint(2, 4), rng.randint(1, 3), rng.choice(["a", "b", "c", "d"]) + str(i),
+                )
+                for i in range(rng.randint(1, 8))
+            ]
+            user = prompts.render("selector", candidate_block=selector_candidate_block(cands))
+            reply = StubBackend().complete("sys", user)
+            assert reply.startswith(f"CHOICE: {stub_selection_rule(cands)}\n")
+
 
 class FlakyScript:
     """Programmable chat backend for parser/retry tests."""
@@ -295,6 +302,104 @@ class TestParsingAndRetries:
         cands = [ScoredCandidate("User rates Business", 0.9, 0.5, 2, 1, "a")]
         decision = select_candidate(backend, cands, prompts, retries=3, backoff=0)
         assert decision.fallback and decision.index == 0
+
+
+class TestOneRetryLoop:
+    """Each agent operation makes at most ``retries`` backend calls."""
+
+    sentences = ["User rates Business", "City hosts Business"]
+    cands = [
+        ScoredCandidate("User rates Business", 0.9, 0.5, 2, 1, "b"),
+        ScoredCandidate("City hosts Business", 0.9, 0.5, 2, 1, "a"),
+    ]
+    sample = PoolSample((("User rates Business", 0.8), ("City hosts Business", 0.4)))
+
+    def entries(self):
+        target = EvaluatedStructure("t", "User rates Business", "auc", 0.9)
+        return target, [EvaluatedStructure("n", "City hosts Business", "auc", 0.6)]
+
+    def test_predictor_calls_bounded_by_retries(self, prompts):
+        backend = FlakyScript([BackendError, BackendError, "unusable"] * 3)
+        out = predict_candidates(backend, self.sentences, self.sample, prompts, retries=3, backoff=0)
+        assert backend.calls == 3
+        assert [(o.p_hat, o.c_hat) for o in out] == [(pytest.approx(0.6), 0.0)] * 2
+
+    def test_selector_calls_bounded_by_retries(self, prompts):
+        backend = FlakyScript([BackendError, BackendError, "unusable"] * 3)
+        decision = select_candidate(backend, self.cands, prompts, retries=3, backoff=0)
+        assert backend.calls == 3
+        assert decision.fallback and decision.index == 1
+
+    def test_late_transport_failure_after_reply_falls_back(self, prompts):
+        backend = FlakyScript(["unusable", BackendError, BackendError])
+        out = predict_candidates(backend, self.sentences, self.sample, prompts, retries=3, backoff=0)
+        assert backend.calls == 3
+        assert out[1].p_hat == pytest.approx(0.6) and out[1].c_hat == 0.0
+        backend = FlakyScript(["unusable", BackendError, BackendError])
+        decision = select_candidate(backend, self.cands, prompts, retries=3, backoff=0)
+        assert backend.calls == 3
+        assert decision.fallback and decision.index == 1
+
+    def test_explainer_step_raises_after_retries(self, prompts):
+        backend = FlakyScript([BackendError] * 10)
+        target, neighbors = self.entries()
+        with pytest.raises(BackendError, match="failed after 3 attempts"):
+            explain(backend, target, neighbors, prompts, retries=3, backoff=0)
+        assert backend.calls == 3
+
+    def test_explainer_retries_each_step(self, prompts):
+        backend = FlakyScript([BackendError, "analysis", BackendError, BackendError, "attribution"])
+        target, neighbors = self.entries()
+        report = explain(backend, target, neighbors, prompts, retries=3, backoff=0)
+        assert (report.comprehension, report.attribution) == ("analysis", "attribution")
+        assert backend.calls == 5
+
+    def test_entries_merge_first_value_wins(self, prompts):
+        backend = FlakyScript(
+            ["CANDIDATE 0: p=0.1, c=0.2", "CANDIDATE 0: p=0.9, c=0.9\nCANDIDATE 1: p=0.3, c=0.4"]
+        )
+        out = predict_candidates(backend, self.sentences, self.sample, prompts, retries=3, backoff=0)
+        assert [(o.p_hat, o.c_hat) for o in out] == [(0.1, 0.2), (0.3, 0.4)]
+        assert backend.calls == 2
+
+    def test_only_transport_failures_sleep(self, prompts, monkeypatch):
+        slept = []
+        monkeypatch.setattr("hinstruct.agents.time.sleep", slept.append)
+        backend = FlakyScript([BackendError, "unusable", BackendError, "CHOICE: 0"])
+        decision = select_candidate(backend, self.cands, prompts, retries=4, backoff=0.5)
+        assert decision.index == 0 and not decision.fallback
+        assert slept == [0.5 * 2**0, 0.5 * 2**2]
+
+    def test_no_sleep_after_last_attempt(self, prompts, monkeypatch):
+        slept = []
+        monkeypatch.setattr("hinstruct.agents.time.sleep", slept.append)
+        backend = FlakyScript([BackendError] * 3)
+        with pytest.raises(BackendError, match="failed after 3 attempts"):
+            predict_candidates(backend, self.sentences, self.sample, prompts, retries=3, backoff=1.0)
+        assert slept == [1.0, 2.0]
+
+    def test_every_reply_recorded(self, prompts, tmp_path):
+        log = TranscriptLog(tmp_path / "t.jsonl")
+        backend = FlakyScript(["no choice", BackendError, "CHOICE: 1"])
+        select_candidate(backend, self.cands, prompts, retries=3, backoff=0, transcript=log)
+        lines = (tmp_path / "t.jsonl").read_text().splitlines()
+        assert [json.loads(line)["response"] for line in lines] == ["no choice", "CHOICE: 1"]
+
+    def test_zero_retries_rejected(self, prompts):
+        backend = FlakyScript([])
+        target, neighbors = self.entries()
+        with pytest.raises(ValueError, match="retries"):
+            predict_candidates(backend, self.sentences, self.sample, prompts, retries=0)
+        with pytest.raises(ValueError, match="retries"):
+            select_candidate(backend, self.cands, prompts, retries=0)
+        with pytest.raises(ValueError, match="retries"):
+            explain(backend, target, neighbors, prompts, retries=0)
+        assert backend.calls == 0
+
+    @pytest.mark.parametrize("field, value", [("retries", 0), ("backoff", -1)])
+    def test_search_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SearchConfig(**{field: value})
 
 
 class TestPromptConstruction:

@@ -177,6 +177,50 @@ class TestSearch:
         assert main(["search", "--config", str(config)]) == EXIT_DATA
 
 
+class TestMalformedInput:
+    """Bad outside input exits 2 with a message naming the file and the field."""
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rating_threshold", "high"),
+            ("split_ratio", [0, 0, 0]),
+            ("split_ratio", "abc"),
+            ("split_ratio", [3, 1]),
+            ("search.retries", 0),
+            ("search.backoff", -1),
+        ],
+    )
+    def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
+        payload = json.loads(workspace["config"].read_text())
+        section, _, name = field.rpartition(".")
+        (payload[section] if section else payload)[name] = value
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert main(["search", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert name in err
+        if not section:
+            assert str(config) in err
+
+    @pytest.mark.parametrize("part, field", [("pool", "sentence"), ("generations", "population")])
+    def test_result_missing_field(self, workspace, tmp_path, capsys, part, field):
+        payload = {
+            "generations": [{"population": ["k"]}],
+            "pool": [
+                {"key": "k", "sentence": "s", "fitness": 0.5, "generation": 0,
+                 "structure": MetaStructure((U, B), ((0, 1, RATES),), 0, 1).to_dict()}
+            ],
+        }
+        del payload[part][-1][field]
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(payload))
+        argv = ["explain", str(result), "--config", str(workspace["config"]), "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(result) in err and repr(field) in err
+
+
 class TestExplain:
     def test_rerun_explainer(self, workspace, tmp_path, capsys):
         out = tmp_path / "explain-out"

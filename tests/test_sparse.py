@@ -70,6 +70,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match="negative"):
             SparseMatrix.from_triplets(2, 2, [(0, 0, -1.0)])
 
+    def test_from_dense_matches_from_triplets(self):
+        rng = np.random.default_rng(11)
+        denses = [random_sparse(rng, *rng.integers(1, 9, 2))[1] for _ in range(20)]
+        denses[0] = random_sparse(rng, 6, 5, density=0.6)[1]
+        denses[0][::2] = 0.0
+        denses += [np.zeros((4, 3)), np.zeros((0, 5))]
+        for dense in denses:
+            got = SparseMatrix.from_dense(dense)
+            r, c = np.nonzero(dense)
+            trips = zip(r.tolist(), c.tolist(), dense[r, c].tolist())
+            want = SparseMatrix.from_triplets(*dense.shape, trips)
+            assert (got.rows, got.cols) == (want.rows, want.cols)
+            for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert np.array_equal(got.to_dense(), dense)
+        with pytest.raises(ValueError, match="negative"):
+            SparseMatrix.from_dense([[0.0, -1.0]])
+
 
 class TestMatmul:
     def test_matches_dense_oracle(self):
