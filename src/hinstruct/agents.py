@@ -15,11 +15,19 @@ pure function of its inputs.
 Retries: each operation (the predictor prompt, the selector prompt, one
 explainer step) makes at most ``retries`` >= 1 backend calls, all in
 ``_call``. A ``BackendError`` costs one attempt and a sleep of ``backoff *
-2**attempt``, except after the last; an unusable reply, recorded in the
-transcript like every reply, costs one attempt and no sleep. Out of attempts,
-an operation that got any reply falls back (missing predictions become the
-pool mean with confidence 0, the selector flags ``stub_selection_rule``'s
-pick); one that got none raises ``BackendError``.
+2**attempt``, or the error's ``retry_after`` when that is longer (an HTTP 429
+with ``Retry-After``), except after the last; an unusable reply, recorded in
+the transcript like every reply, costs one attempt and no sleep. Out of
+attempts, an operation that got any reply falls back (missing predictions
+become the pool mean with confidence 0, the selector flags
+``stub_selection_rule``'s pick); one that got none raises ``BackendError``.
+
+Threads: the search runs each individual's predictor-then-selector chain as
+one task on a pool of up to ``evolution.AGENT_WORKERS`` (4) threads, so a
+backend's ``complete`` may run on that many threads at once. Both shipped
+backends allow it: the stub keeps no state, and the HTTP backend opens no
+shared session. Each task records into its own ``TranscriptBuffer``, which
+the search replays into the run's ``TranscriptLog`` in index order.
 """
 
 from __future__ import annotations
@@ -46,7 +54,15 @@ PROMPT_NAMES = ("predictor", "selector", "explainer_step1", "explainer_step2")
 
 
 class BackendError(RuntimeError):
-    """Transport or protocol failure talking to a chat backend."""
+    """Transport or protocol failure talking to a chat backend.
+
+    ``retry_after`` is the wait in seconds that a rate-limited server asked
+    for, or None.
+    """
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ChatBackend(Protocol):
@@ -200,6 +216,21 @@ class TranscriptLog:
         }
         with self.path.open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
+
+
+class TranscriptBuffer:
+    """Exchanges held in memory, in call order, until ``replay`` writes them
+    to a ``TranscriptLog``; lets concurrent tasks record without sharing one."""
+
+    def __init__(self):
+        self.exchanges = []
+
+    def record(self, agent: str, system: str, user: str, response: str, model: str):
+        self.exchanges.append((agent, system, user, response, model))
+
+    def replay(self, transcript: TranscriptLog):
+        for exchange in self.exchanges:
+            transcript.record(*exchange)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +394,9 @@ class HttpChatBackend:
     """Client for an HTTP chat-completion endpoint.
 
     Sends ``{"model", "messages": [{"role", "content"}, ...], "temperature"}``
-    and reads the first choice's message content.
+    and reads the first choice's message content, which must be a string.
+    An HTTP 429 raises a ``BackendError`` whose ``retry_after`` is the
+    ``Retry-After`` header in whole seconds, capped at ``timeout``.
     """
 
     url: str
@@ -390,10 +423,27 @@ class HttpChatBackend:
         }
         try:
             response = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
+            if response.status_code == 429:
+                raise BackendError(
+                    "chat completion rate limited (HTTP 429)",
+                    retry_after=self._retry_after(response.headers.get("Retry-After")),
+                )
             response.raise_for_status()
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"chat completion failed: {exc}") from exc
+        if not isinstance(content, str):
+            raise BackendError(f"chat completion content is {type(content).__name__}, not a string")
+        return content
+
+    def _retry_after(self, value: str | None) -> float | None:
+        """Seconds from an integer ``Retry-After``; None for a missing, negative
+        or date value."""
+        try:
+            seconds = int(value)
+        except (TypeError, ValueError):
+            return None
+        return min(float(seconds), self.timeout) if seconds >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +470,9 @@ def _call(backend, agent, user, transcript, retries, backoff, parse=lambda reply
         except BackendError as exc:
             last_error = exc
             log.warning("%s backend call failed (attempt %d): %s", agent, attempt + 1, exc)
-            if attempt + 1 < retries and backoff > 0:
-                time.sleep(backoff * 2**attempt)
+            delay = max(backoff * 2**attempt, exc.retry_after or 0.0)
+            if attempt + 1 < retries and delay > 0:
+                time.sleep(delay)
             continue
         if transcript is not None:
             transcript.record(agent, DEFAULT_SYSTEM, user, reply, backend.identity)

@@ -307,6 +307,8 @@ def cmd_explain(args) -> int:
         missing = [name for name in fields if name not in raw]
         if missing:
             raise DataError(f"result file {result_path}: pool[{i}] lacks field {missing[0]!r}")
+        if raw["key"] in pool:
+            raise DataError(f"result file {result_path}: pool[{i}] repeats key {raw['key']!r}")
         pool.insert(PoolRecord(**{name: raw[name] for name in fields}))
     last = payload["generations"][-1]
     if "population" not in last:

@@ -10,6 +10,17 @@ pool, the selector picks one, and the individual is replaced by it.
 Everything is deterministic given the configuration seed and the stub
 backend; the event log captures each evaluation, elimination, reproduction
 draw, and mutation decision together with an rng-state digest.
+
+Mutation runs in two phases. Phase 1, on the calling thread and in index
+order, draws every individual's neighbourhood and pool sample, encodes the
+candidates and takes the rng digest of its mutation event. Phase 2 runs each
+individual's predictor-then-selector chain as one task on up to
+``AGENT_WORKERS`` threads, since the agents mostly wait on the backend; the
+tasks touch neither the rng nor the pool nor the path cache, so nothing is
+locked. Each task records into its own transcript buffer; the calling thread
+takes the results in index order, replays each buffer into the transcript
+and then appends the individual's event. So transcripts and events come out
+in the same order, with the same contents, however the tasks interleave.
 """
 
 from __future__ import annotations
@@ -17,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -27,6 +39,7 @@ from .agents import (
     PoolSample,
     PromptLibrary,
     ScoredCandidate,
+    TranscriptBuffer,
     TranscriptLog,
     explain,
     predict_candidates,
@@ -36,6 +49,7 @@ from .evaluator import EvaluationError
 from .grammar import encode_metastructure
 from .hin import HinGraph
 from .mutations import (
+    CandidateSet,
     ComponentLimits,
     EmptyNeighborhoodError,
     build_component_library,
@@ -46,6 +60,9 @@ from .splits import NodeLabelSplit, RecommendationSplit
 from .structure import MetaStructure, canonical_key, seed_population
 
 log = logging.getLogger(__name__)
+
+# Threads that run agent tasks at once in ``mutate_population``.
+AGENT_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -225,7 +242,7 @@ def evaluate_population(population, evaluator, graph, split, pool, generation, e
     return out
 
 
-def _pass_through(ind, note, events, generation, rng):
+def _pass_through(ind, note, events, generation, digest):
     """Record a mutation that keeps the individual unchanged; returns it."""
     events.append(
         {
@@ -234,17 +251,68 @@ def _pass_through(ind, note, events, generation, rng):
             "origin": ind.key,
             "chosen": ind.key,
             "note": note,
-            "rng": _rng_digest(rng),
+            "rng": digest,
         }
     )
     return ind
 
 
+@dataclass(frozen=True)
+class _MutationJob:
+    """One individual's phase-1 draws; ``cands`` is None for an empty neighbourhood."""
+
+    ind: Individual
+    digest: str
+    cands: CandidateSet | None = None
+    sentences: tuple = ()
+    sample: PoolSample | None = None
+
+
+def _choose(job, backend, prompts, config):
+    """Phase 2 for one individual: predictor, then selector.
+
+    Returns the task's transcript buffer and its ``SelectorDecision``, or the
+    ``BackendError`` that ended it; any other exception propagates.
+    """
+    buffer = TranscriptBuffer()
+    try:
+        preds = predict_candidates(
+            backend, job.sentences, job.sample, prompts,
+            retries=config.retries, backoff=config.backoff, transcript=buffer,
+        )
+        scored = [
+            ScoredCandidate(
+                sentence=job.sentences[i],
+                p_hat=preds[i].p_hat,
+                c_hat=preds[i].c_hat,
+                n_nodes=c.structure.n_nodes,
+                n_edges=c.structure.n_edges,
+                key=c.key,
+            )
+            for i, c in enumerate(job.cands.candidates)
+        ]
+        return buffer, select_candidate(
+            backend, scored, prompts,
+            retries=config.retries, backoff=config.backoff, transcript=buffer,
+        )
+    except BackendError as exc:
+        return buffer, exc
+
+
 def mutate_population(
     population, lib, schema, backend, pool, config: SearchConfig, rng, prompts, transcript, events, generation
 ):
-    """Replace each individual with its agent-chosen one-step neighbor."""
-    out = []
+    """Replace each individual with its agent-chosen one-step neighbor.
+
+    Phase 1 draws each individual's neighbourhood and pool sample in index
+    order on this thread. Phase 2 runs the agent tasks on up to
+    ``AGENT_WORKERS`` threads, and this thread consumes them in index order:
+    it replays each task's exchanges into ``transcript``, then appends its
+    mutation event. A ``BackendError`` passes the individual through; any
+    other exception propagates at that individual's turn, after every
+    earlier individual's exchanges and event are recorded.
+    """
+    jobs = []
     for ind in population:
         try:
             cands = one_step_neighbors(
@@ -252,50 +320,44 @@ def mutate_population(
                 cap=config.candidate_cap, max_nodes=config.max_structure_nodes,
             )
         except EmptyNeighborhoodError:
-            out.append(_pass_through(ind, "empty neighborhood", events, generation, rng))
+            jobs.append(_MutationJob(ind, _rng_digest(rng)))
             continue
-
         sample = pool.sample(rng, config.pool_sample_size)
-        sentences = [encode_metastructure(c.structure, schema) for c in cands.candidates]
-        try:
-            preds = predict_candidates(
-                backend, sentences, sample, prompts,
-                retries=config.retries, backoff=config.backoff, transcript=transcript,
-            )
-            scored = [
-                ScoredCandidate(
-                    sentence=sentences[i],
-                    p_hat=preds[i].p_hat,
-                    c_hat=preds[i].c_hat,
-                    n_nodes=c.structure.n_nodes,
-                    n_edges=c.structure.n_edges,
-                    key=c.key,
-                )
-                for i, c in enumerate(cands.candidates)
-            ]
-            decision = select_candidate(
-                backend, scored, prompts,
-                retries=config.retries, backoff=config.backoff, transcript=transcript,
-            )
-        except BackendError as exc:
-            log.warning("agents failed for %s; individual passes through: %s", ind.key, exc)
-            out.append(_pass_through(ind, f"agent failure: {exc}", events, generation, rng))
-            continue
+        sentences = tuple(encode_metastructure(c.structure, schema) for c in cands.candidates)
+        jobs.append(_MutationJob(ind, _rng_digest(rng), cands, sentences, sample))
 
-        chosen = cands.candidates[decision.index]
-        events.append(
-            {
-                "event": "mutation",
-                "generation": generation,
-                "origin": ind.key,
-                "chosen": chosen.key,
-                "descriptor": chosen.descriptor,
-                "sampled": cands.sampled,
-                "flagged": decision.fallback,
-                "rng": _rng_digest(rng),
-            }
-        )
-        out.append(Individual(chosen.structure, chosen.key, sentences[decision.index]))
+    tasks = [job for job in jobs if job.cands is not None]
+    out = []
+    with ThreadPoolExecutor(max_workers=max(1, min(len(tasks), AGENT_WORKERS))) as executor:
+        results = executor.map(lambda job: _choose(job, backend, prompts, config), tasks)
+        for job in jobs:
+            ind = job.ind
+            if job.cands is None:
+                out.append(_pass_through(ind, "empty neighborhood", events, generation, job.digest))
+                continue
+            buffer, decision = next(results)
+            if transcript is not None:
+                buffer.replay(transcript)
+            if isinstance(decision, BackendError):
+                log.warning("agents failed for %s; individual passes through: %s", ind.key, decision)
+                out.append(
+                    _pass_through(ind, f"agent failure: {decision}", events, generation, job.digest)
+                )
+                continue
+            chosen = job.cands.candidates[decision.index]
+            events.append(
+                {
+                    "event": "mutation",
+                    "generation": generation,
+                    "origin": ind.key,
+                    "chosen": chosen.key,
+                    "descriptor": chosen.descriptor,
+                    "sampled": job.cands.sampled,
+                    "flagged": decision.fallback,
+                    "rng": job.digest,
+                }
+            )
+            out.append(Individual(chosen.structure, chosen.key, job.sentences[decision.index]))
     return out
 
 

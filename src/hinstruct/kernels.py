@@ -1,11 +1,10 @@
-"""CSR matrix kernels: scipy.sparse in production, pure numpy as the oracle.
+"""CSR matrix kernels backed by scipy.sparse.
 
 The hot loops of structure evaluation are sparse matrix products (chains of
 per-relation adjacency matrices) and elementwise products of the per-path
 score matrices.  ``spgemm`` and ``hadamard`` hand both to ``scipy.sparse``;
-``spgemm_numpy`` and ``hadamard_numpy`` are a vectorized expand/sort/reduce
-reference that the tests check the production kernels against.  ``BACKEND``
-names the production path.
+the tests check them against a pure numpy reference of their own.
+``BACKEND`` names the production path.
 
 ``scipy.sparse`` is imported on the first product, not with this module:
 ingest (``SparseMatrix.from_triplets``, ``transpose``), the split and the
@@ -24,14 +23,6 @@ import numpy as np
 BACKEND = "scipy"
 
 
-def _empty_csr(n_rows: int):
-    return (
-        np.zeros(n_rows + 1, dtype=np.int64),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.float64),
-    )
-
-
 def spgemm_flops(a_indptr, a_indices, b_indptr):
     """Number of scalar products a CSR*CSR multiply would perform.
 
@@ -42,71 +33,6 @@ def spgemm_flops(a_indptr, a_indices, b_indptr):
         return 0
     counts = b_indptr[a_indices + 1] - b_indptr[a_indices]
     return int(counts.sum())
-
-
-# ---------------------------------------------------------------------------
-# pure numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def spgemm_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
-    """CSR product via fully vectorized expand -> lexsort -> segment-reduce."""
-    if a_indices.shape[0] == 0 or b_indices.shape[0] == 0:
-        return _empty_csr(n_rows)
-    counts = b_indptr[a_indices + 1] - b_indptr[a_indices]
-    total = int(counts.sum())
-    if total == 0:
-        return _empty_csr(n_rows)
-
-    a_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a_indptr))
-    out_i = np.repeat(a_rows, counts)
-    lefts = np.repeat(a_data, counts)
-    seg_ends = np.cumsum(counts)
-    within = np.arange(total, dtype=np.int64) - np.repeat(seg_ends - counts, counts)
-    pos = np.repeat(b_indptr[a_indices], counts) + within
-    out_j = b_indices[pos]
-    prods = lefts * b_data[pos]
-
-    order = np.lexsort((out_j, out_i))
-    out_i = out_i[order]
-    out_j = out_j[order]
-    prods = prods[order]
-
-    head = np.empty(total, dtype=bool)
-    head[0] = True
-    head[1:] = (out_i[1:] != out_i[:-1]) | (out_j[1:] != out_j[:-1])
-    starts = np.flatnonzero(head)
-
-    data = np.add.reduceat(prods, starts)
-    indices = out_j[starts]
-    rows = out_i[starts]
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
-    return indptr, indices, data
-
-
-def hadamard_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
-    """Elementwise product of two same-shape CSR matrices."""
-    if a_indices.shape[0] == 0 or b_indices.shape[0] == 0:
-        return _empty_csr(n_rows)
-    a_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a_indptr))
-    b_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(b_indptr))
-    a_keys = a_rows * n_cols + a_indices
-    b_keys = b_rows * n_cols + b_indices
-    common, ia, ib = np.intersect1d(a_keys, b_keys, assume_unique=True, return_indices=True)
-    if common.shape[0] == 0:
-        return _empty_csr(n_rows)
-    data = a_data[ia] * b_data[ib]
-    rows = common // n_cols
-    indices = common % n_cols
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
-    return indptr, indices, data
-
-
-# ---------------------------------------------------------------------------
-# scipy implementations
-# ---------------------------------------------------------------------------
 
 
 def _to_scipy(indptr, indices, data, n_rows, n_cols):

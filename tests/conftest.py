@@ -224,3 +224,71 @@ def enumerate_corpus(schema: Schema, max_nodes: int):
                 if not validate(ms, schema):
                     corpus.setdefault(canonical_key(ms), ms)
     return corpus
+
+
+# ---------------------------------------------------------------------------
+# pure numpy CSR kernels, the oracle for hinstruct.kernels
+# ---------------------------------------------------------------------------
+
+
+def spgemm_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
+    """CSR product via fully vectorized expand -> lexsort -> segment-reduce."""
+    if a_indices.shape[0] == 0 or b_indices.shape[0] == 0:
+        return _empty_csr(n_rows)
+    counts = b_indptr[a_indices + 1] - b_indptr[a_indices]
+    total = int(counts.sum())
+    if total == 0:
+        return _empty_csr(n_rows)
+
+    a_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a_indptr))
+    out_i = np.repeat(a_rows, counts)
+    lefts = np.repeat(a_data, counts)
+    seg_ends = np.cumsum(counts)
+    within = np.arange(total, dtype=np.int64) - np.repeat(seg_ends - counts, counts)
+    pos = np.repeat(b_indptr[a_indices], counts) + within
+    out_j = b_indices[pos]
+    prods = lefts * b_data[pos]
+
+    order = np.lexsort((out_j, out_i))
+    out_i = out_i[order]
+    out_j = out_j[order]
+    prods = prods[order]
+
+    head = np.empty(total, dtype=bool)
+    head[0] = True
+    head[1:] = (out_i[1:] != out_i[:-1]) | (out_j[1:] != out_j[:-1])
+    starts = np.flatnonzero(head)
+
+    data = np.add.reduceat(prods, starts)
+    indices = out_j[starts]
+    rows = out_i[starts]
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
+    return indptr, indices, data
+
+
+def hadamard_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):
+    """Elementwise product of two same-shape CSR matrices."""
+    if a_indices.shape[0] == 0 or b_indices.shape[0] == 0:
+        return _empty_csr(n_rows)
+    a_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(a_indptr))
+    b_rows = np.repeat(np.arange(n_rows, dtype=np.int64), np.diff(b_indptr))
+    a_keys = a_rows * n_cols + a_indices
+    b_keys = b_rows * n_cols + b_indices
+    common, ia, ib = np.intersect1d(a_keys, b_keys, assume_unique=True, return_indices=True)
+    if common.shape[0] == 0:
+        return _empty_csr(n_rows)
+    data = a_data[ia] * b_data[ib]
+    rows = common // n_cols
+    indices = common % n_cols
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum(np.bincount(rows, minlength=n_rows))
+    return indptr, indices, data
+
+
+def _empty_csr(n_rows: int):
+    return (
+        np.zeros(n_rows + 1, dtype=np.int64),
+        np.empty(0, dtype=np.int64),
+        np.empty(0, dtype=np.float64),
+    )

@@ -261,6 +261,8 @@ class FlakyScript:
         action = self.responses.pop(0)
         if action is BackendError:
             raise BackendError("scripted failure")
+        if isinstance(action, BackendError):
+            raise action
         return action
 
 
@@ -396,6 +398,25 @@ class TestOneRetryLoop:
             explain(backend, target, neighbors, prompts, retries=0)
         assert backend.calls == 0
 
+    def test_retry_after_stretches_the_sleep(self, prompts, monkeypatch):
+        slept = []
+        monkeypatch.setattr("hinstruct.agents.time.sleep", slept.append)
+        limited = BackendError("rate limited", retry_after=3.0)
+        short = BackendError("rate limited", retry_after=0.5)
+        backend = FlakyScript([limited, short, BackendError, "CHOICE: 0"])
+        decision = select_candidate(backend, self.cands, prompts, retries=4, backoff=0.5)
+        assert decision.index == 0
+        # max(backoff * 2**attempt, retry_after) per failed attempt
+        assert slept == [3.0, 1.0, 2.0]
+
+    def test_retry_after_without_backoff_and_never_after_last(self, prompts, monkeypatch):
+        slept = []
+        monkeypatch.setattr("hinstruct.agents.time.sleep", slept.append)
+        backend = FlakyScript([BackendError("429", retry_after=4.0)] * 2)
+        with pytest.raises(BackendError, match="failed after 2 attempts"):
+            predict_candidates(backend, self.sentences, self.sample, prompts, retries=2, backoff=0)
+        assert slept == [4.0]
+
     @pytest.mark.parametrize("field, value", [("retries", 0), ("backoff", -1)])
     def test_search_config_rejects(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -528,3 +549,94 @@ class TestHttpBackend:
         decision = select_candidate(backend, cands, prompts, backoff=0)
         assert decision.index == 1 and not decision.fallback
         assert "simpler" in decision.rationale
+
+
+class _Reply:
+    """Just enough of ``requests.Response`` for ``HttpChatBackend.complete``."""
+
+    def __init__(self, status_code, payload=None, headers=None):
+        self.status_code = status_code
+        self.payload = payload
+        self.headers = headers or {}
+
+    def raise_for_status(self):
+        if self.status_code >= 400:
+            import requests
+
+            raise requests.HTTPError(f"{self.status_code} error")
+
+    def json(self):
+        return self.payload
+
+
+def _content(text):
+    return _Reply(200, {"choices": [{"message": {"role": "assistant", "content": text}}]})
+
+
+class TestHttpReplyChecks:
+    def patch_post(self, monkeypatch, replies):
+        calls = []
+
+        def post(url, json=None, headers=None, timeout=None):
+            calls.append(json)
+            return replies.pop(0)
+
+        monkeypatch.setattr("hinstruct.agents.requests.post", post)
+        return calls
+
+    @pytest.mark.parametrize("content", [None, 3, ["text"], {"text": "x"}])
+    def test_non_string_content_is_backend_error(self, monkeypatch, content):
+        self.patch_post(monkeypatch, [_content(content)])
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
+        with pytest.raises(BackendError, match="not a string"):
+            backend.complete("s", "u")
+
+    def test_null_content_costs_one_attempt(self, monkeypatch, prompts):
+        calls = self.patch_post(monkeypatch, [_content(None), _content("CANDIDATE 0: p=0.4, c=0.9")])
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
+        out = predict_candidates(
+            backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0
+        )
+        assert len(calls) == 2
+        assert (out[0].p_hat, out[0].c_hat) == (pytest.approx(0.4), pytest.approx(0.9))
+
+    @pytest.mark.parametrize(
+        "header, expected",
+        [
+            ({"Retry-After": "7"}, 7.0),
+            ({"Retry-After": " 0 "}, 0.0),
+            ({"Retry-After": "120"}, 30.0),
+            ({"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, None),
+            ({"Retry-After": "-5"}, None),
+            ({"Retry-After": "1.5"}, None),
+            ({}, None),
+        ],
+    )
+    def test_429_carries_retry_after(self, monkeypatch, header, expected):
+        self.patch_post(monkeypatch, [_Reply(429, {"error": "slow down"}, header)])
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m", timeout=30.0)
+        with pytest.raises(BackendError, match="429") as info:
+            backend.complete("s", "u")
+        assert info.value.retry_after == expected
+
+    def test_429_then_reply_through_agent_layer(self, monkeypatch, prompts):
+        slept = []
+        monkeypatch.setattr("hinstruct.agents.time.sleep", slept.append)
+        calls = self.patch_post(
+            monkeypatch,
+            [_Reply(429, {}, {"Retry-After": "9"}), _content("CANDIDATE 0: p=0.2, c=0.5")],
+        )
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
+        out = predict_candidates(
+            backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=1.0
+        )
+        assert len(calls) == 2
+        assert slept == [9.0]
+        assert out[0].p_hat == pytest.approx(0.2)
+
+    def test_other_errors_carry_no_retry_after(self, monkeypatch):
+        self.patch_post(monkeypatch, [_Reply(503, {}, {"Retry-After": "9"})])
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
+        with pytest.raises(BackendError) as info:
+            backend.complete("s", "u")
+        assert info.value.retry_after is None

@@ -220,6 +220,17 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(result) in err and repr(field) in err
 
+    def test_result_pool_repeats_key(self, workspace, tmp_path, capsys):
+        record = {"key": "k", "sentence": "s", "fitness": 0.5, "generation": 0,
+                  "structure": MetaStructure((U, B), ((0, 1, RATES),), 0, 1).to_dict()}
+        payload = {"generations": [{"population": ["k"]}], "pool": [record, dict(record)]}
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(payload))
+        argv = ["explain", str(result), "--config", str(workspace["config"]), "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(result) in err and "pool[1]" in err and repr("k") in err
+
 
 class TestExplain:
     def test_rerun_explainer(self, workspace, tmp_path, capsys):

@@ -1,11 +1,23 @@
 import json
+import sys
+import threading
+import time
+import zlib
 
 import numpy as np
 import pytest
 
-from hinstruct.agents import BackendError, PromptLibrary, make_stub_backend
+from hinstruct.agents import (
+    BackendError,
+    PromptLibrary,
+    TranscriptLog,
+    make_stub_backend,
+    predictor_candidate_block,
+)
+from hinstruct.cli import main
 from hinstruct.evaluator import RecommendationEvaluator
 from hinstruct.evolution import (
+    AGENT_WORKERS,
     Individual,
     PerformancePool,
     PoolRecord,
@@ -15,13 +27,14 @@ from hinstruct.evolution import (
     mutate_population,
     reproduce,
     run_search,
+    _rng_digest,
 )
 from hinstruct.grammar import encode_metastructure
 from hinstruct.hin import load_graph, load_ratings, load_schema, binarize_ratings
-from hinstruct.mutations import ComponentLimits, build_component_library
+from hinstruct.mutations import ComponentLimits, build_component_library, one_step_neighbors
 from hinstruct.splits import make_recommendation_split
 from hinstruct.structure import MetaStructure, canonical_key
-from hinstruct.synth import planted_structure, toy_schema
+from hinstruct.synth import planted_structure, toy_schema, write_demo_config
 
 U, B = 0, 1
 RATES, RATED_BY, FRIEND = 0, 1, 2
@@ -340,3 +353,174 @@ class TestRunSearch:
         assert result.aborted is not None
         assert len(result.pool) == 3
         assert result.final_best is not None
+
+
+class _Jittery:
+    """Stub replies after a delay that depends on the prompt, so concurrent
+    agent tasks finish out of index order."""
+
+    identity = "stub"
+
+    def __init__(self):
+        self.stub = make_stub_backend()
+
+    def complete(self, system, user):
+        time.sleep((zlib.crc32(user.encode()) % 7) * 0.002)
+        return self.stub.complete(system, user)
+
+
+class _Scripted:
+    """Stub replies, except that a predictor prompt containing ``marker``
+    raises ``error``; counts calls in flight."""
+
+    identity = "stub"
+
+    def __init__(self, marker=None, error=None, gate=0):
+        self.stub = make_stub_backend()
+        self.marker, self.error = marker, error
+        self.lock = threading.Lock()
+        self.in_flight = self.peak = self.predicts = 0
+        # the first ``gate`` predictor calls wait for each other, so they must overlap
+        self.barrier = threading.Barrier(gate, timeout=10) if gate else None
+
+    def complete(self, system, user):
+        predict = user.startswith("TASK: PREDICT")
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            waits = predict and self.barrier is not None and self.predicts < self.barrier.parties
+            self.predicts += predict
+        try:
+            if waits:
+                self.barrier.wait()
+            if predict and self.marker is not None and self.marker in user:
+                raise self.error
+            return self.stub.complete(system, user)
+        finally:
+            with self.lock:
+                self.in_flight -= 1
+
+
+class TestConcurrentMutation:
+    """Agent tasks run at once; transcripts, events and the rng stream keep index order."""
+
+    config = SearchConfig(backoff=0.0, retries=2, candidate_cap=3, pool_sample_size=1)
+
+    def population(self, schema, n):
+        shapes = [
+            MetaStructure((U, B), ((0, 1, RATES),), 0, 1),
+            MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2),
+            MetaStructure((U, B, U, B), ((0, 1, RATES), (1, 2, RATED_BY), (2, 3, RATES)), 0, 3),
+            MetaStructure((U, U, U, B), ((0, 1, FRIEND), (1, 2, FRIEND), (2, 3, RATES)), 0, 3),
+            planted_structure(),
+        ]
+        return [
+            Individual(ms, canonical_key(ms), encode_metastructure(ms, schema), 0.5)
+            for ms in shapes[:n]
+        ]
+
+    def pool(self, population):
+        pool = PerformancePool()
+        for i, ind in enumerate(population[:2]):
+            pool.insert(PoolRecord(ind.key, ind.sentence, 0.4 + 0.1 * i, 0, ind.structure.to_dict()))
+        return pool
+
+    def phase_one(self, population, lib, schema, pool):
+        """Digests and predictor blocks from drawing each individual's
+        neighbourhood and pool sample in index order, as a serial loop does."""
+        rng = np.random.default_rng(0)
+        digests, blocks = [], []
+        for ind in population:
+            cands = one_step_neighbors(
+                ind.structure, lib, schema, rng,
+                cap=self.config.candidate_cap, max_nodes=self.config.max_structure_nodes,
+            )
+            pool.sample(rng, self.config.pool_sample_size)
+            digests.append(_rng_digest(rng))
+            blocks.append(
+                predictor_candidate_block(
+                    [encode_metastructure(c.structure, schema) for c in cands.candidates]
+                )
+            )
+        return digests, blocks
+
+    def mutate(self, population, lib, schema, backend, transcript=None):
+        events = []
+        out = mutate_population(
+            population, lib, schema, backend, self.pool(population), self.config,
+            np.random.default_rng(0), PromptLibrary(), transcript, events, 0,
+        )
+        return out, events
+
+    def test_jittered_backend_writes_identical_artifacts(self, planted_dir, tmp_path, monkeypatch):
+        outputs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, to shake out ordering faults
+        try:
+            for name in ("plain", "jittered"):
+                config = tmp_path / f"{name}.json"
+                write_demo_config(config, planted_dir, tmp_path / name, seed=0, generations=4)
+                if name == "jittered":
+                    monkeypatch.setattr("hinstruct.cli.make_backend", lambda spec: _Jittery())
+                assert main(["search", "--config", str(config)]) == 0
+                outputs[name] = {
+                    f: (tmp_path / name / f).read_bytes()
+                    for f in ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl")
+                }
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs["plain"]["transcripts.jsonl"]
+        assert outputs["jittered"] == outputs["plain"]
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_agent_calls_overlap(self, planted_task, n):
+        graph, _ = planted_task
+        schema = graph.schema
+        lib = build_component_library(schema)
+        backend = _Scripted(gate=min(n, AGENT_WORKERS))
+        out, events = self.mutate(self.population(schema, n), lib, schema, backend)
+        assert backend.peak >= 2
+        assert len(out) == n
+        assert all("note" not in e for e in events)
+
+    def test_one_failure_passes_through_with_serial_digest(self, planted_task):
+        graph, _ = planted_task
+        schema = graph.schema
+        lib = build_component_library(schema)
+        population = self.population(schema, 4)
+        digests, blocks = self.phase_one(population, lib, schema, self.pool(population))
+        backend = _Scripted(marker=blocks[1], error=BackendError("model down"))
+        out, events = self.mutate(population, lib, schema, backend)
+        assert [e["rng"] for e in events] == digests
+        assert [e["origin"] for e in events] == [ind.key for ind in population]
+        assert out[1] is population[1]
+        assert events[1]["chosen"] == population[1].key
+        assert "agent failure: " in events[1]["note"] and "model down" in events[1]["note"]
+        for i in (0, 2, 3):
+            assert "note" not in events[i] and out[i].key == events[i]["chosen"]
+
+    @pytest.mark.parametrize("failing", [0, 2, 3])
+    def test_other_exception_propagates_after_earlier_individuals(self, planted_task, tmp_path, failing):
+        graph, _ = planted_task
+        schema = graph.schema
+        lib = build_component_library(schema)
+        population = self.population(schema, 4)
+        _, blocks = self.phase_one(population, lib, schema, self.pool(population))
+
+        plain = TranscriptLog(tmp_path / "plain.jsonl")
+        _, plain_events = self.mutate(population, lib, schema, make_stub_backend(), plain)
+        plain_lines = (tmp_path / "plain.jsonl").read_text().splitlines()
+        # the stub answers each prompt at once: one predictor and one selector exchange each
+        assert len(plain_lines) == 2 * len(population)
+
+        log_path = tmp_path / "failing.jsonl"
+        log_path.touch()
+        backend = _Scripted(marker=blocks[failing], error=ValueError("parser bug"))
+        events = []
+        with pytest.raises(ValueError, match="parser bug"):
+            mutate_population(
+                population, lib, schema, backend, self.pool(population), self.config,
+                np.random.default_rng(0), PromptLibrary(), TranscriptLog(log_path), events, 0,
+            )
+        assert log_path.read_text().splitlines() == plain_lines[: 2 * failing]
+        assert events == plain_events[:failing]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hinstruct
+from conftest import hadamard_numpy, spgemm_numpy
 from hinstruct import kernels
 from hinstruct.sparse import DEFAULT_FLOP_BUDGET, MatrixBlowupError, SparseMatrix
 
@@ -106,7 +107,7 @@ class TestMatmul:
         for a, b in pairs:
             args = kernel_args(a, b)
             before = [x.copy() for x in args[:6]]
-            ip1, ix1, d1 = kernels.spgemm_numpy(*args)
+            ip1, ix1, d1 = spgemm_numpy(*args)
             ip2, ix2, d2 = kernels.spgemm(*args)
             assert np.array_equal(ip1, ip2)
             assert np.array_equal(ix1, ix2)
@@ -148,7 +149,7 @@ class TestElementwise:
         for a, b in pairs:
             args = kernel_args(a, b)
             before = [x.copy() for x in args[:6]]
-            ip1, ix1, d1 = kernels.hadamard_numpy(*args)
+            ip1, ix1, d1 = hadamard_numpy(*args)
             ip2, ix2, d2 = kernels.hadamard(*args)
             assert np.array_equal(ip1, ip2)
             assert np.array_equal(ix1, ix2)
