@@ -7,7 +7,6 @@ against a deterministic sparse-linear-algebra fitness function.
 
 from .agents import (
     BackendError,
-    ChatBackend,
     EvaluatedStructure,
     ExplainerReport,
     HttpChatBackend,
@@ -30,8 +29,6 @@ from .evaluator import (
     NodeClassificationEvaluator,
     RecommendationEvaluator,
     auc,
-    evaluate_node_classification,
-    evaluate_recommendation,
     macro_f1,
     path_commuting_matrix,
     structure_score_matrix,
@@ -48,7 +45,7 @@ from .evolution import (
     reproduce,
     run_search,
 )
-from .grammar import GrammarError, SubLogic, encode_metastructure, encode_path
+from .grammar import GrammarError, encode_metastructure
 from .hin import (
     DataError,
     EdgeType,

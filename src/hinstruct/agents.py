@@ -41,11 +41,10 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Protocol
 
 import requests
 
-from .grammar import REFERENT_TAG
+from .grammar import AND, REFERENT_TAG, THAT
 
 log = logging.getLogger(__name__)
 
@@ -63,12 +62,6 @@ class BackendError(RuntimeError):
     def __init__(self, message: str, retry_after: float | None = None):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-class ChatBackend(Protocol):
-    identity: str
-
-    def complete(self, system: str, user: str) -> str: ...
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +191,12 @@ def metric_block(entries) -> str:
 
 
 class TranscriptLog:
-    """Append-only JSON-lines file of every prompt/response exchange; without
-    a path nothing is recorded."""
+    """Append-only JSON-lines file of every prompt/response exchange."""
 
-    def __init__(self, path=None):
-        self.path = Path(path) if path is not None else None
+    def __init__(self, path):
+        self.path = Path(path)
 
     def record(self, agent: str, system: str, user: str, response: str, model: str):
-        if self.path is None:
-            return
         entry = {
             "agent": agent,
             "model": model,
@@ -247,8 +237,8 @@ def sentence_clauses(sentence: str) -> Counter:
     if "(" in sentence:
         sentence = REFERENT_TAG.sub("", sentence)
     clauses = Counter()
-    for sub in sentence.split(" AND "):
-        for part in sub.split(" THAT "):
+    for sub in sentence.split(f" {AND} "):
+        for part in sub.split(f" {THAT} "):
             clauses[part] += 1
     return clauses
 
@@ -345,7 +335,7 @@ class StubBackend:
         lines = []
         for m in _RE_STRUCT.finditer(user):
             idx, sentence = int(m.group(1)), m.group(2)
-            subs = sentence.split(" AND ")
+            subs = sentence.split(f" {AND} ")
             lines.append(f"STRUCTURE {idx} decomposes into {len(subs)} sub-structure(s):")
             for j, sub in enumerate(subs, start=1):
                 lines.append(f"  ({j}) {sub}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -110,8 +111,19 @@ class RunConfig:
         backend_spec = payload.get("backend") or {"kind": "stub"}
         if backend_spec.get("kind") not in ("stub", "http"):
             raise DataError("backend.kind must be 'stub' or 'http'")
-        if backend_spec["kind"] == "http" and not backend_spec.get("url"):
-            raise DataError("http backend needs a url")
+        if backend_spec["kind"] == "http":
+            if not backend_spec.get("url"):
+                raise DataError("http backend needs a url")
+            temperature = backend_spec.get("temperature", 0.0)
+            if not _number(temperature):
+                raise DataError(
+                    f"config {path}: backend.temperature must be a number, not {temperature!r}"
+                )
+            timeout = backend_spec.get("timeout", 60.0)
+            if not (_number(timeout) and timeout > 0):
+                raise DataError(
+                    f"config {path}: backend.timeout must be a positive number, not {timeout!r}"
+                )
 
         output_dir = Path(out_override or payload.get("output_dir", "hinstruct-out"))
         prompt_dir = payload.get("prompt_dir")
@@ -142,6 +154,11 @@ class RunConfig:
             output_dir=output_dir,
             prompt_dir=prompt_dir,
         )
+
+
+def _number(value) -> bool:
+    """A finite JSON number; a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def make_backend(spec: dict):
@@ -292,34 +309,81 @@ def cmd_neighbors(args) -> int:
     return EXIT_OK
 
 
+# pool fields of a result file other than ``structure``: (check, what it must be)
+_POOL_FIELDS = {
+    "key": (lambda v: isinstance(v, str), "a string"),
+    "sentence": (lambda v: isinstance(v, str), "a string"),
+    "fitness": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "generation": (lambda v: type(v) is int, "an integer"),
+}
+
+
+def _read_result(path: Path):
+    """The pool, the final population's keys, and for each final key the pool
+    entry's name and parsed structure, read from a search's ``result.json``.
+
+    Every pool entry is checked field by field; a failure is a ``DataError``
+    naming the file, the entry and the field.
+    """
+    if not path.is_file():
+        raise DataError(f"result file not found: {path}")
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    generations = payload.get("generations") if isinstance(payload, dict) else None
+    if not (isinstance(generations, list) and generations):
+        raise DataError(f"result file has no generations: {path}")
+
+    pool, structures = PerformancePool(), {}
+    fields = [f.name for f in dataclasses.fields(PoolRecord)]
+    entries = payload.get("pool", [])
+    if not isinstance(entries, list):
+        raise DataError(f"result file {path}: field 'pool' must be a list")
+    for i, raw in enumerate(entries):
+        where = f"result file {path}: pool[{i}]"
+        if not isinstance(raw, dict):
+            raise DataError(f"{where} is not an object")
+        missing = [name for name in fields if name not in raw]
+        if missing:
+            raise DataError(f"{where} lacks field {missing[0]!r}")
+        for name, (ok, what) in _POOL_FIELDS.items():
+            if not ok(raw[name]):
+                raise DataError(f"{where} field {name!r} must be {what}, not {raw[name]!r}")
+        if raw["key"] in pool:
+            raise DataError(f"{where} repeats key {raw['key']!r}")
+        try:
+            structures[raw["key"]] = where, MetaStructure.from_dict(raw["structure"])
+        except StructureError as exc:
+            raise DataError(f"{where} field 'structure': {exc}") from exc
+        pool.insert(PoolRecord(**{name: raw[name] for name in fields}))
+
+    last = generations[-1]
+    if not (isinstance(last, dict) and "population" in last):
+        raise DataError(f"result file {path}: generations[-1] lacks field 'population'")
+    final_keys = last["population"]
+    if not isinstance(final_keys, list):
+        raise DataError(f"result file {path}: generations[-1] field 'population' must be a list")
+    for j, key in enumerate(final_keys):
+        if not (isinstance(key, str) and key in pool):
+            raise DataError(
+                f"result file {path}: generations[-1] field 'population' lists {key!r} "
+                f"at [{j}], which no pool entry has as its key"
+            )
+    return pool, final_keys, {key: structures[key] for key in final_keys}
+
+
 def cmd_explain(args) -> int:
     config = RunConfig.load(args.config, args.seed, args.out)
     result_path = Path(args.result)
-    if not result_path.is_file():
-        raise DataError(f"result file not found: {result_path}")
-    payload = json.loads(result_path.read_text(encoding="utf-8"))
-    if not payload.get("generations"):
-        raise DataError(f"result file has no generations: {result_path}")
-
-    pool = PerformancePool()
-    fields = [f.name for f in dataclasses.fields(PoolRecord)]
-    for i, raw in enumerate(payload.get("pool", [])):
-        missing = [name for name in fields if name not in raw]
-        if missing:
-            raise DataError(f"result file {result_path}: pool[{i}] lacks field {missing[0]!r}")
-        if raw["key"] in pool:
-            raise DataError(f"result file {result_path}: pool[{i}] repeats key {raw['key']!r}")
-        pool.insert(PoolRecord(**{name: raw[name] for name in fields}))
-    last = payload["generations"][-1]
-    if "population" not in last:
-        raise DataError(f"result file {result_path}: generations[-1] lacks field 'population'")
-    final_keys = last["population"]
+    pool, final_keys, finals = _read_result(result_path)
 
     search = config.search
     if args.top_k is not None:
         search = dataclasses.replace(search, explain_top_k=args.top_k)
 
     graph, split, evaluator = build_task(config, part="val")
+    for where, ms in finals.values():
+        violations = validate(ms, graph.schema)
+        if violations:
+            raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
     backend = make_backend(config.backend_spec)
     prompts = PromptLibrary(config.prompt_dir)
     lib = build_component_library(

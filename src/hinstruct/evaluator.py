@@ -9,32 +9,33 @@ path connects it.
 
 Recommendation fitness is AUC over the split's positive/negative pairs;
 node-classification fitness is Macro-F1 of a score-weighted vote over train
-nodes. Both evaluators are pure functions of their inputs and sit behind the
+nodes. Each task has one entry point, its evaluator's ``evaluate(graph,
+split, ms)``, which scores the split part the evaluator names. Both
+evaluators are pure functions of their inputs and sit behind the
 ``Evaluator`` protocol so a learned fitness can be plugged in instead.
 
 Mutations add or remove one component, so the structures of a search share
 most of their paths. Each graph therefore keeps a byte-bounded LRU cache of
-path products (``HinGraph.path_cache``), keyed by flop budget and edge-type
-prefix: a path product resumes from its longest cached prefix. Products keep
-their left-to-right order, so a cached matrix is bit-identical to a fresh one.
-A prefix over the flop budget is never cached, so every structure that needs
-it raises ``MatrixBlowupError`` again from ``SparseMatrix.matmul``'s check,
-before any product is formed. The cache is single-threaded and scoped to one
+path products (``HinGraph.path_cache``), keyed by edge-type prefix: a path
+product resumes from its longest cached prefix. Products keep their
+left-to-right order, so a cached matrix is bit-identical to a fresh one.
+Every product is held to the one flop budget ``sparse.FLOP_BUDGET``. A prefix
+over it is never cached, so every structure that needs it raises
+``MatrixBlowupError`` again from ``SparseMatrix.matmul``'s check, before any
+product is formed. The cache is single-threaded and scoped to one
 graph: a graph made by ``HinGraph.with_adjacency`` starts empty. Returned
 matrices may be cache entries and must not be modified.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
 from .hin import HinGraph
-from .sparse import DEFAULT_FLOP_BUDGET, SparseMatrix
-from .splits import NodeLabelSplit, RecommendationSplit
+from .sparse import SparseMatrix
 from .structure import MetaPath, MetaStructure, enumerate_paths
 
 
@@ -47,7 +48,6 @@ class EvalResult:
     metric: str  # "auc" | "macro_f1"
     value: float
     split: str  # "val" | "test"
-    wall_time: float  # seconds; diagnostic only, never serialized
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
@@ -58,9 +58,7 @@ class Evaluator(Protocol):
     def evaluate(self, graph: HinGraph, split, ms: MetaStructure) -> EvalResult: ...
 
 
-def path_commuting_matrix(
-    graph: HinGraph, path: MetaPath, flop_budget: int | None = DEFAULT_FLOP_BUDGET
-) -> SparseMatrix:
+def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:
     """Product of the adjacency matrices along the path's edge types.
 
     Starts from the longest prefix in the graph's path cache and caches every
@@ -69,19 +67,17 @@ def path_commuting_matrix(
     edges, cache = path.edge_types, graph.path_cache
     done, result = 1, graph.adjacency_of(edges[0])
     for k in range(len(edges), 1, -1):
-        hit = cache.get((flop_budget, edges[:k]))
+        hit = cache.get(edges[:k])
         if hit is not None:
             done, result = k, hit
             break
     for k in range(done, len(edges)):
-        result = result.matmul(graph.adjacency_of(edges[k]), flop_budget)
-        cache.put((flop_budget, edges[: k + 1]), result)
+        result = result.matmul(graph.adjacency_of(edges[k]))
+        cache.put(edges[: k + 1], result)
     return result
 
 
-def structure_score_matrix(
-    graph: HinGraph, ms: MetaStructure, flop_budget: int | None = DEFAULT_FLOP_BUDGET
-) -> SparseMatrix:
+def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
     """Elementwise product of the row-normalized per-path commuting matrices.
 
     Paths with identical type sequences share one matrix and contribute once;
@@ -93,7 +89,7 @@ def structure_score_matrix(
         unique.setdefault(path.type_sequence(), path)
     score = None
     for seq in sorted(unique):
-        normalized = path_commuting_matrix(graph, unique[seq], flop_budget).row_normalize()
+        normalized = path_commuting_matrix(graph, unique[seq]).row_normalize()
         score = normalized if score is None else score.hadamard(normalized)
     return score
 
@@ -146,83 +142,59 @@ def macro_f1(pred, gold, num_classes: int) -> float:
     return f1_sum / num_classes
 
 
-def evaluate_recommendation(
-    graph: HinGraph,
-    ms: MetaStructure,
-    split: RecommendationSplit,
-    part: str = "val",
-    flop_budget: int | None = DEFAULT_FLOP_BUDGET,
-) -> EvalResult:
-    started = time.perf_counter()
-    et = graph.schema.edge_type(split.target_edge_type)
-    if ms.nodes[ms.source] != et.src or ms.nodes[ms.target] != et.dst:
-        raise EvaluationError(
-            f"structure endpoints ({ms.nodes[ms.source]}, {ms.nodes[ms.target]}) do not "
-            f"match target relation {et.name!r} ({et.src}, {et.dst})"
-        )
-    score = structure_score_matrix(graph, ms, flop_budget)
-    value = auc(score.pick(split.positives[part]), score.pick(split.negatives[part]))
-    return EvalResult("auc", value, part, time.perf_counter() - started)
-
-
-def evaluate_node_classification(
-    graph: HinGraph,
-    ms: MetaStructure,
-    split: NodeLabelSplit,
-    part: str = "val",
-    flop_budget: int | None = DEFAULT_FLOP_BUDGET,
-) -> EvalResult:
-    started = time.perf_counter()
-    t = split.target_node_type
-    if ms.nodes[ms.source] != t or ms.nodes[ms.target] != t:
-        raise EvaluationError(
-            f"node classification needs source and target of node type {t}, "
-            f"got ({ms.nodes[ms.source]}, {ms.nodes[ms.target]})"
-        )
-    score = structure_score_matrix(graph, ms, flop_budget)
-
-    k = split.num_classes
-    train_idx = np.asarray(split.train, dtype=np.int64)
-    train_cls = np.asarray([split.labels[i] for i in split.train], dtype=np.int64)
-    majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
-    col_class = np.full(score.cols, -1, dtype=np.int64)
-    col_class[train_idx] = train_cls
-
-    nodes = list(split.part(part))
-    preds = np.empty(len(nodes), dtype=np.int64)
-    for out_pos, node in enumerate(nodes):
-        lo, hi = score.indptr[node], score.indptr[node + 1]
-        cols = score.indices[lo:hi]
-        vals = score.data[lo:hi]
-        mask = col_class[cols] >= 0
-        if not mask.any():
-            preds[out_pos] = majority
-            continue
-        votes = np.zeros(k, dtype=np.float64)
-        np.add.at(votes, col_class[cols[mask]], vals[mask])
-        preds[out_pos] = int(np.argmax(votes))
-    gold = np.asarray([split.labels[i] for i in nodes], dtype=np.int64)
-    value = macro_f1(preds, gold, k)
-    return EvalResult("macro_f1", value, part, time.perf_counter() - started)
-
-
 @dataclass(frozen=True)
 class RecommendationEvaluator:
     part: str = "val"
-    flop_budget: int | None = DEFAULT_FLOP_BUDGET
 
     metric = "auc"
 
     def evaluate(self, graph, split, ms) -> EvalResult:
-        return evaluate_recommendation(graph, ms, split, self.part, self.flop_budget)
+        et = graph.schema.edge_type(split.target_edge_type)
+        if ms.nodes[ms.source] != et.src or ms.nodes[ms.target] != et.dst:
+            raise EvaluationError(
+                f"structure endpoints ({ms.nodes[ms.source]}, {ms.nodes[ms.target]}) do not "
+                f"match target relation {et.name!r} ({et.src}, {et.dst})"
+            )
+        score = structure_score_matrix(graph, ms)
+        value = auc(score.pick(split.positives[self.part]), score.pick(split.negatives[self.part]))
+        return EvalResult("auc", value, self.part)
 
 
 @dataclass(frozen=True)
 class NodeClassificationEvaluator:
     part: str = "val"
-    flop_budget: int | None = DEFAULT_FLOP_BUDGET
 
     metric = "macro_f1"
 
     def evaluate(self, graph, split, ms) -> EvalResult:
-        return evaluate_node_classification(graph, ms, split, self.part, self.flop_budget)
+        t = split.target_node_type
+        if ms.nodes[ms.source] != t or ms.nodes[ms.target] != t:
+            raise EvaluationError(
+                f"node classification needs source and target of node type {t}, "
+                f"got ({ms.nodes[ms.source]}, {ms.nodes[ms.target]})"
+            )
+        score = structure_score_matrix(graph, ms)
+
+        k = split.num_classes
+        train_idx = np.asarray(split.train, dtype=np.int64)
+        train_cls = np.asarray([split.labels[i] for i in split.train], dtype=np.int64)
+        majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
+        col_class = np.full(score.cols, -1, dtype=np.int64)
+        col_class[train_idx] = train_cls
+
+        nodes = list(split.part(self.part))
+        preds = np.empty(len(nodes), dtype=np.int64)
+        for out_pos, node in enumerate(nodes):
+            lo, hi = score.indptr[node], score.indptr[node + 1]
+            cols = score.indices[lo:hi]
+            vals = score.data[lo:hi]
+            mask = col_class[cols] >= 0
+            if not mask.any():
+                preds[out_pos] = majority
+                continue
+            votes = np.zeros(k, dtype=np.float64)
+            np.add.at(votes, col_class[cols[mask]], vals[mask])
+            preds[out_pos] = int(np.argmax(votes))
+        gold = np.asarray([split.labels[i] for i in nodes], dtype=np.int64)
+        value = macro_f1(preds, gold, k)
+        return EvalResult("macro_f1", value, self.part)

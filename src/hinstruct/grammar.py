@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass
 
 from .hin import Schema
 from .structure import MetaPath, MetaStructure, canonical_form, enumerate_walks
@@ -38,17 +37,6 @@ REFERENT_TAG = re.compile(r" \(([a-z]+)\)")
 
 class GrammarError(ValueError):
     """Schema lacks the vocabulary needed to verbalize a path."""
-
-
-@dataclass(frozen=True)
-class SubLogic:
-    sentence: str
-    path: MetaPath
-
-
-def encode_path(path: MetaPath, schema: Schema) -> SubLogic:
-    """Render one meta-path as a nested-clause sentence."""
-    return SubLogic(sentence=_render(path, schema, {}), path=path)
 
 
 def encode_metastructure(ms: MetaStructure, schema: Schema) -> str:

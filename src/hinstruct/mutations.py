@@ -40,7 +40,6 @@ class ComponentLimits:
 class ComponentLibrary:
     insertion: tuple[MetaPath, ...]
     grafting: tuple[MetaPath, ...]
-    limits: ComponentLimits
 
 
 @dataclass(frozen=True)
@@ -52,7 +51,6 @@ class Candidate:
 
 @dataclass(frozen=True)
 class CandidateSet:
-    origin: MetaStructure
     candidates: tuple[Candidate, ...]
     sampled: bool
 
@@ -64,7 +62,6 @@ def build_component_library(schema: Schema, limits: ComponentLimits | None = Non
     return ComponentLibrary(
         insertion=tuple(p for p in paths if p.n_nodes <= insertion_cap),
         grafting=tuple(p for p in paths if p.n_nodes <= limits.grafting_max_nodes),
-        limits=limits,
     )
 
 
@@ -246,7 +243,7 @@ def one_step_neighbors(
         raise EmptyNeighborhoodError("structure has no valid one-step neighbors")
 
     if len(union) <= cap:
-        return CandidateSet(ms, tuple(union), sampled=False)
+        return CandidateSet(tuple(union), sampled=False)
     picked = rng.choice(len(union), size=cap, replace=False)
     picked.sort()
-    return CandidateSet(ms, tuple(union[i] for i in picked), sampled=True)
+    return CandidateSet(tuple(union[i] for i in picked), sampled=True)

@@ -15,10 +15,11 @@ from . import kernels
 
 
 class MatrixBlowupError(RuntimeError):
-    """Raised when a chain product would exceed the configured work budget."""
+    """Raised when a chain product would exceed ``FLOP_BUDGET``."""
 
 
-DEFAULT_FLOP_BUDGET = 50_000_000
+# scalar multiplies one product may take; read by ``matmul`` on every call
+FLOP_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,13 @@ class SparseMatrix:
 
     # -- algebra ---------------------------------------------------------
 
-    def matmul(self, other: "SparseMatrix", flop_budget: int | None = DEFAULT_FLOP_BUDGET) -> "SparseMatrix":
+    def matmul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.rows}")
         flops = kernels.spgemm_flops(self.indptr, self.indices, other.indptr)
-        if flop_budget is not None and flops > flop_budget:
+        if flops > FLOP_BUDGET:
             raise MatrixBlowupError(
-                f"matrix blowup: product needs {flops} multiplies, budget {flop_budget}"
+                f"matrix blowup: product needs {flops} multiplies, budget {FLOP_BUDGET}"
             )
         indptr, indices, data = kernels.spgemm(
             self.indptr, self.indices, self.data,

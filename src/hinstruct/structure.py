@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 # isomorphic structures may, in principle, receive distinct keys.
 EXACT_CANONICAL_NODES = 10
 PERMUTATION_BUDGET = 40_320
+# schema edges the seeding breadth-first search may expand before it stops
+SEED_MAX_EXPANSIONS = 200_000
 
 
 class StructureError(ValueError):
@@ -50,15 +52,6 @@ class MetaPath:
             seq.append(et)
             seq.append(nt)
         return tuple(seq)
-
-    def is_valid(self, schema: Schema) -> bool:
-        for i, eid in enumerate(self.edge_types):
-            if not (0 <= eid < schema.n_edge_types):
-                return False
-            et = schema.edge_type(eid)
-            if et.src != self.node_types[i] or et.dst != self.node_types[i + 1]:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -231,11 +224,7 @@ def enumerate_paths(ms: MetaStructure) -> list[MetaPath]:
 # ---------------------------------------------------------------------------
 
 
-def canonical_key(
-    ms: MetaStructure,
-    exact_limit: int = EXACT_CANONICAL_NODES,
-    perm_budget: int = PERMUTATION_BUDGET,
-) -> str:
+def canonical_key(ms: MetaStructure) -> str:
     """Isomorphism-invariant identifier.
 
     Colors are refined from (type, source?, target?) by iterated in/out
@@ -243,22 +232,22 @@ def canonical_key(
     permutation within color classes, which keeps the key exact; structures
     too large for that fall back to the refined signature alone.
     """
-    return _canonicalize(ms, exact_limit, perm_budget)[0]
+    return _canonicalize(ms)[0]
 
 
 def canonical_form(ms: MetaStructure) -> MetaStructure:
     """``ms`` relabeled so that position ``i`` is the ``i``-th position of the
-    ordering that :func:`canonical_key` chose at its default bounds.
+    ordering that :func:`canonical_key` chose.
 
     Within the exact range isomorphic structures share one canonical form.
     Beyond it positions are ordered by refined color, ties by original
     position, so the form is deterministic but not isomorphism-invariant.
     """
-    return _canonicalize(ms, EXACT_CANONICAL_NODES, PERMUTATION_BUDGET)[1]
+    return _canonicalize(ms)[1]
 
 
 @functools.lru_cache(maxsize=262_144)
-def _canonicalize(ms: MetaStructure, exact_limit: int, perm_budget: int):
+def _canonicalize(ms: MetaStructure):
     n = ms.n_nodes
     colors = _refine_colors(ms)
     groups: dict[int, list[int]] = {}
@@ -269,7 +258,7 @@ def _canonicalize(ms: MetaStructure, exact_limit: int, perm_budget: int):
     perms = 1
     for g in ordered_groups:
         perms *= math.factorial(len(g))
-    if n > exact_limit or perms > perm_budget:
+    if n > EXACT_CANONICAL_NODES or perms > PERMUTATION_BUDGET:
         log.warning(
             "canonical key falling back to refined signature for %d-node structure", n
         )
@@ -390,7 +379,6 @@ def seed_population(
     target_type: int,
     size: int,
     max_nodes: int = 10,
-    max_expansions: int = 200_000,
 ) -> list[MetaStructure]:
     """The ``size`` shortest meta-paths between the task's endpoint types,
     found by breadth-first search over the schema graph and converted to
@@ -410,7 +398,7 @@ def seed_population(
                 if len(found) == size:
                     break
             queue.append(child)
-        if expansions > max_expansions:
+        if expansions > SEED_MAX_EXPANSIONS:
             break
 
     if not found:

@@ -231,6 +231,68 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(result) in err and "pool[1]" in err and repr("k") in err
 
+    @staticmethod
+    def explain_result(workspace, tmp_path, capsys, payload):
+        """Exit code and stderr of ``explain`` on a result file holding ``payload``."""
+        result = tmp_path / "result.json"
+        result.write_text(json.dumps(payload))
+        argv = ["explain", str(result), "--config", str(workspace["config"]), "--out", str(tmp_path / "x")]
+        return main(argv), capsys.readouterr().err.replace(str(result), "RESULT")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("key", ["k"]),
+            ("sentence", 3),
+            ("fitness", "high"),
+            ("fitness", True),
+            ("fitness", 1.5),
+            ("generation", 0.5),
+            ("structure", "x"),
+            ("structure", {"nodes": [0, 99], "edges": [[0, 1, 0]], "source": 0, "target": 1}),
+        ],
+    )
+    def test_result_bad_pool_field(self, workspace, tmp_path, capsys, field, value):
+        record = {"key": "k", "sentence": "s", "fitness": 0.5, "generation": 0,
+                  "structure": MetaStructure((U, B), ((0, 1, RATES),), 0, 1).to_dict()}
+        record[field] = value
+        final = [] if field == "key" else ["k"]
+        payload = {"generations": [{"population": final}], "pool": [record]}
+        code, err = self.explain_result(workspace, tmp_path, capsys, payload)
+        assert code == EXIT_DATA
+        assert "result file RESULT: pool[0]" in err and repr(field) in err
+
+    @pytest.mark.parametrize(
+        "payload, says",
+        [
+            ([{"generations": []}], "no generations"),
+            ({"generations": {"population": ["k"]}}, "no generations"),
+            ({"generations": ["population"]}, "'population'"),
+            ({"generations": [{"population": 5}]}, "'population'"),
+            ({"generations": [{"population": []}], "pool": 3}, "'pool'"),
+            ({"generations": [{"population": []}], "pool": [["key", "sentence", "fitness"]]},
+             "pool[0] is not an object"),
+            ({"generations": [{"population": ["gone"]}], "pool": []}, "'population' lists 'gone'"),
+        ],
+    )
+    def test_result_bad_shape(self, workspace, tmp_path, capsys, payload, says):
+        code, err = self.explain_result(workspace, tmp_path, capsys, payload)
+        assert code == EXIT_DATA and "RESULT" in err and says in err
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("temperature", "hot"), ("temperature", None), ("timeout", "abc"), ("timeout", 0),
+         ("timeout", -1)],
+    )
+    def test_bad_backend_setting(self, workspace, tmp_path, capsys, field, value):
+        payload = json.loads(workspace["config"].read_text())
+        payload["backend"] = {"kind": "http", "url": "http://127.0.0.1:9/v1", "model": "m", field: value}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert main(["search", "--config", str(config), "--out", str(tmp_path / "x")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(config) in err and f"backend.{field}" in err
+
 
 class TestExplain:
     def test_rerun_explainer(self, workspace, tmp_path, capsys):

@@ -9,13 +9,11 @@ from hinstruct.evaluator import (
     NodeClassificationEvaluator,
     RecommendationEvaluator,
     auc,
-    evaluate_node_classification,
-    evaluate_recommendation,
     macro_f1,
     path_commuting_matrix,
     structure_score_matrix,
 )
-from hinstruct import hin
+from hinstruct import hin, sparse
 from hinstruct.hin import HinGraph, PathCache
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 from hinstruct.splits import NodeLabelSplit, RecommendationSplit
@@ -85,12 +83,13 @@ class TestCommutingMatrix:
         got = path_commuting_matrix(graph, MetaPath((U, U, B), (FRIEND, RATES)))
         assert got.nnz == 0
 
-    def test_blowup_guard_propagates(self):
+    def test_blowup_guard_propagates(self, monkeypatch):
         rng = np.random.default_rng(5)
         graph = toy_graph(rng, n_users=30, n_biz=30)
         path = MetaPath((U, U, U, B), (FRIEND, FRIEND, RATES))
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 5)
         with pytest.raises(MatrixBlowupError):
-            path_commuting_matrix(graph, path, flop_budget=5)
+            path_commuting_matrix(graph, path)
 
 
 class TestScoreMatrix:
@@ -227,24 +226,24 @@ class TestPathCache:
         assert not np.allclose(after.to_dense(), before.to_dense())
         assert same_arrays(path_commuting_matrix(graph, path), before)
 
-    def test_blowup_raises_every_time(self):
+    def test_blowup_raises_every_time(self, monkeypatch):
         rng = np.random.default_rng(5)
         graph = toy_graph(rng, n_users=30, n_biz=30)
         path = MetaPath((U, U, U, B), (FRIEND, FRIEND, RATES))
         ms = MetaStructure.from_path(path)
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 5)
         with pytest.raises(MatrixBlowupError) as first:
-            path_commuting_matrix(graph, path, flop_budget=5)
+            path_commuting_matrix(graph, path)
         for _ in range(3):
             with pytest.raises(MatrixBlowupError) as again:
-                path_commuting_matrix(graph, path, flop_budget=5)
+                path_commuting_matrix(graph, path)
             assert str(again.value) == str(first.value)
             with pytest.raises(MatrixBlowupError):
-                structure_score_matrix(graph, ms, flop_budget=5)
-        got = path_commuting_matrix(graph, path, flop_budget=None)
+                structure_score_matrix(graph, ms)
+        monkeypatch.undo()
+        got = path_commuting_matrix(graph, path)
         assert np.allclose(got.to_dense(), dense_chain(graph, path))
-        assert same_arrays(structure_score_matrix(graph, ms, flop_budget=10**9), got.row_normalize())
-        with pytest.raises(MatrixBlowupError):
-            path_commuting_matrix(graph, path, flop_budget=5)
+        assert same_arrays(structure_score_matrix(graph, ms), got.row_normalize())
 
     def test_byte_total_within_bound(self, monkeypatch):
         monkeypatch.setattr(hin, "PATH_CACHE_BYTES", 2_000)
@@ -298,7 +297,7 @@ class TestPathCache:
         for _ in range(60):
             ms = random_structure(graph.schema, rng, max_nodes=7)
             if ms.nodes[ms.source] == U and ms.nodes[ms.target] == B:
-                evaluate_recommendation(graph, ms, split, "val")
+                RecommendationEvaluator().evaluate(graph, split, ms)
                 evaluated += 1
         assert evaluated > 5
         for m, (indptr, indices, data) in zip(held, snapshot):
@@ -393,21 +392,21 @@ class TestEvaluateRecommendation:
         graph = toy_graph(friend=friend, rates=rates)
         ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         split = self.make_split(pos=[(0, 0)], neg=[(0, 1), (1, 0)])
-        result = evaluate_recommendation(graph, ms, split, "val")
+        result = RecommendationEvaluator("val").evaluate(graph, split, ms)
         assert result.value == 1.0 and result.metric == "auc" and result.split == "val"
 
     def test_zero_scorer_half(self):
         graph = toy_graph(friend=np.zeros((2, 2)))
         ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         split = self.make_split(pos=[(0, 0)], neg=[(1, 1)])
-        assert evaluate_recommendation(graph, ms, split, "val").value == 0.5
+        assert RecommendationEvaluator("val").evaluate(graph, split, ms).value == 0.5
 
     def test_type_mismatch(self):
         graph = toy_graph()
         ms = MetaStructure((U, U), ((0, 1, FRIEND),), 0, 1)
         split = self.make_split(pos=[(0, 0)], neg=[(1, 1)])
         with pytest.raises(EvaluationError, match="do not match"):
-            evaluate_recommendation(graph, ms, split, "val")
+            RecommendationEvaluator("val").evaluate(graph, split, ms)
 
     def test_purity_bit_identical(self):
         rng = np.random.default_rng(29)
@@ -416,8 +415,8 @@ class TestEvaluateRecommendation:
         split = self.make_split(
             pos=[(0, 1), (2, 3), (4, 5)], neg=[(1, 1), (3, 3), (5, 5)]
         )
-        a = evaluate_recommendation(graph, ms, split, "val").value
-        b = evaluate_recommendation(graph, ms, split, "val").value
+        a = RecommendationEvaluator("val").evaluate(graph, split, ms).value
+        b = RecommendationEvaluator("val").evaluate(graph, split, ms).value
         assert a == b
 
     def test_evaluator_class(self):
@@ -452,13 +451,13 @@ class TestEvaluateNodeClassification:
     def test_clique_votes_perfect(self):
         graph, split = self.make_graph_and_split()
         ms = MetaStructure((U, U), ((0, 1, FRIEND),), 0, 1)
-        result = evaluate_node_classification(graph, ms, split, "val")
+        result = NodeClassificationEvaluator("val").evaluate(graph, split, ms)
         assert result.value == 1.0 and result.metric == "macro_f1"
 
     def test_zero_scores_majority_fallback(self):
         graph, split = self.make_graph_and_split()
         ms = MetaStructure((U, B, U), ((0, 1, RATES), (1, 2, RATED_BY)), 0, 2)
-        result = evaluate_node_classification(graph, ms, split, "val")
+        result = NodeClassificationEvaluator("val").evaluate(graph, split, ms)
         # rates matrix is empty: every vote row is zero, majority = class 0
         pred = [0, 0]
         gold = [0, 1]
@@ -468,7 +467,7 @@ class TestEvaluateNodeClassification:
         graph, split = self.make_graph_and_split()
         ms = MetaStructure((U, B), ((0, 1, RATES),), 0, 1)
         with pytest.raises(EvaluationError, match="node classification needs"):
-            evaluate_node_classification(graph, ms, split, "val")
+            NodeClassificationEvaluator("val").evaluate(graph, split, ms)
 
     def test_evaluator_class(self):
         graph, split = self.make_graph_and_split()
@@ -480,4 +479,4 @@ class TestEvaluateNodeClassification:
 class TestEvalResult:
     def test_range_enforced(self):
         with pytest.raises(EvaluationError):
-            EvalResult("auc", 1.5, "val", 0.0)
+            EvalResult("auc", 1.5, "val")

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hinstruct.grammar import AND, THAT, GrammarError, encode_metastructure, encode_path
+from hinstruct.grammar import AND, THAT, GrammarError, encode_metastructure
 from hinstruct.hin import schema_from_dict
 from hinstruct.structure import MetaPath, MetaStructure, canonical_key, enumerate_paths
 
@@ -11,19 +11,23 @@ U, B, A, I = 0, 1, 2, 3
 RATES, RATED_BY, FRIEND, BELONGS, CONTAINS, LOCATED, HOSTS = range(7)
 
 
+def encode_path(path, schema):
+    return encode_metastructure(MetaStructure.from_path(path), schema)
+
+
 class TestEncodePath:
     def test_single_clause(self, schema):
-        sub = encode_path(MetaPath((U, B), (RATES,)), schema)
-        assert sub.sentence == "User rates Business"
-        assert THAT not in sub.sentence
+        sentence = encode_path(MetaPath((U, B), (RATES,)), schema)
+        assert sentence == "User rates Business"
+        assert THAT not in sentence
 
     def test_nested_clause(self, schema):
-        sub = encode_path(MetaPath((U, B, A), (RATES, BELONGS)), schema)
-        assert sub.sentence == "User rates Business THAT belongs to Category"
+        sentence = encode_path(MetaPath((U, B, A), (RATES, BELONGS)), schema)
+        assert sentence == "User rates Business THAT belongs to Category"
 
     def test_four_node_path_two_thats(self, schema):
-        sub = encode_path(MetaPath((U, U, B, A), (FRIEND, RATES, BELONGS)), schema)
-        assert sub.sentence.count(THAT) == 2
+        sentence = encode_path(MetaPath((U, U, B, A), (FRIEND, RATES, BELONGS)), schema)
+        assert sentence.count(THAT) == 2
 
     def test_missing_verb(self):
         bare = schema_from_dict(
@@ -157,7 +161,7 @@ class TestReferentTags:
             ms = random_structure(schema, rng)
             paths = enumerate_paths(ms)
             if len(paths) == 1:
-                assert encode_metastructure(ms, schema) == encode_path(paths[0], schema).sentence
+                assert encode_metastructure(ms, schema) == encode_path(paths[0], schema)
 
 
 class TestDecodeRoundTrip:

@@ -8,8 +8,8 @@ import pytest
 
 import hinstruct
 from conftest import hadamard_numpy, spgemm_numpy
-from hinstruct import kernels
-from hinstruct.sparse import DEFAULT_FLOP_BUDGET, MatrixBlowupError, SparseMatrix
+from hinstruct import kernels, sparse
+from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 
 
 def random_sparse(rng, rows, cols, density=0.25):
@@ -125,12 +125,14 @@ class TestMatmul:
         with pytest.raises(ValueError, match="dimension mismatch"):
             SparseMatrix.zeros(2, 3).matmul(SparseMatrix.zeros(2, 3))
 
-    def test_flop_budget_blowup(self):
+    def test_flop_budget_blowup(self, monkeypatch):
         rng = np.random.default_rng(3)
         a, _ = random_sparse(rng, 20, 20, density=0.5)
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 10)
         with pytest.raises(MatrixBlowupError, match="matrix blowup"):
-            a.matmul(a, flop_budget=10)
-        assert a.matmul(a, flop_budget=None).rows == 20
+            a.matmul(a)
+        monkeypatch.undo()
+        assert a.matmul(a).rows == 20
 
 
 class TestElementwise:

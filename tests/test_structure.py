@@ -223,5 +223,5 @@ class TestMetaPath:
             MetaPath((U,), ())
 
     def test_schema_validity(self, schema):
-        assert MetaPath((U, B), (RATES,)).is_valid(schema)
-        assert not MetaPath((U, A), (RATES,)).is_valid(schema)
+        assert validate(MetaStructure.from_path(MetaPath((U, B), (RATES,))), schema) == []
+        assert validate(MetaStructure.from_path(MetaPath((U, A), (RATES,))), schema)
