@@ -156,6 +156,17 @@ class RunConfig:
         )
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of a count flag: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _number(value) -> bool:
     """A finite JSON number; a bool is not one."""
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
@@ -437,7 +448,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("neighbors", help="list a structure's one-step neighbors")
     p.add_argument("structure", help="meta-structure JSON file")
     p.add_argument("--schema", required=True, help="schema JSON file")
-    p.add_argument("--cap", type=int, default=20)
+    p.add_argument("--cap", type=_at_least_one, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-nodes", type=int, default=10, dest="max_nodes")
     p.add_argument("--insertion-max-interior", type=int, default=1, dest="insertion_max_interior")
@@ -447,7 +458,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("explain", help="re-run the explainer on a search result")
     p.add_argument("result", help="result JSON from a search run")
     p.add_argument("--config", required=True, help="run configuration JSON")
-    p.add_argument("--top-k", type=int, default=None, dest="top_k")
+    p.add_argument("--top-k", type=_at_least_one, default=None, dest="top_k")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_explain)

@@ -46,7 +46,6 @@ from .agents import (
     select_candidate,
 )
 from .evaluator import EvaluationError
-from .grammar import encode_metastructure
 from .hin import HinGraph
 from .mutations import (
     CandidateSet,
@@ -323,7 +322,7 @@ def mutate_population(
             jobs.append(_MutationJob(ind, _rng_digest(rng)))
             continue
         sample = pool.sample(rng, config.pool_sample_size)
-        sentences = tuple(encode_metastructure(c.structure, schema) for c in cands.candidates)
+        sentences = tuple(lib.sentence(c.structure, schema) for c in cands.candidates)
         jobs.append(_MutationJob(ind, _rng_digest(rng), cands, sentences, sample))
 
     tasks = [job for job in jobs if job.cands is not None]
@@ -445,7 +444,7 @@ def run_search(
         schema, src_t, dst_t, config.population_size, config.max_structure_nodes
     )
     population = [
-        Individual(ms, canonical_key(ms), encode_metastructure(ms, schema)) for ms in seeds
+        Individual(ms, canonical_key(ms), lib.sentence(ms, schema)) for ms in seeds
     ]
 
     pool = PerformancePool()
@@ -544,7 +543,7 @@ def explain_top_structures(
             log.warning("no neighbors to contrast %s against; skipping report", record.key)
             continue
         neighbor_inds = [
-            Individual(c.structure, c.key, encode_metastructure(c.structure, schema))
+            Individual(c.structure, c.key, lib.sentence(c.structure, schema))
             for c in cands.candidates
         ]
         try:

@@ -23,6 +23,7 @@ canonical keys print distinct sentences.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 
@@ -33,6 +34,8 @@ THAT = "THAT"
 AND = "AND"
 # a referent tag as it follows its noun; its group is the tag's name
 REFERENT_TAG = re.compile(r" \(([a-z]+)\)")
+# schemas whose checked vocabulary is kept; a process usually loads one
+VOCABULARY_SCHEMAS = 8
 
 
 class GrammarError(ValueError):
@@ -50,6 +53,7 @@ def encode_metastructure(ms: MetaStructure, schema: Schema) -> str:
     walks.sort(key=lambda w: w[:2])
 
     shared = Counter(p for _, positions, _ in walks for p in positions[1:-1])
+    vocabulary = _vocabulary(schema)
     names: dict[int, str] = {}
     sentences = []
     for _, positions, path in walks:
@@ -58,24 +62,19 @@ def encode_metastructure(ms: MetaStructure, schema: Schema) -> str:
             for i, p in enumerate(positions)
             if shared[p] > 1
         }
-        sentences.append(_render(path, schema, tags))
+        sentences.append(_render(path, vocabulary, tags))
     return f" {AND} ".join(sentences)
 
 
-def _render(path: MetaPath, schema: Schema, tags: dict[int, str]) -> str:
-    """Sentence for ``path``; ``tags`` maps a path index to its referent tag."""
-    verbs = []
-    for eid in path.edge_types:
-        et = schema.edge_type(eid)
-        if not et.verb:
-            raise GrammarError(f"edge type {et.name!r} has no verb phrase")
-        _check_word(f"edge type {et.name!r}", et.verb)
-        verbs.append(et.verb)
+def _render(path: MetaPath, vocabulary, tags: dict[int, str]) -> str:
+    """Sentence for ``path`` in a schema's ``vocabulary`` (see
+    :func:`_vocabulary`); ``tags`` maps a path index to its referent tag."""
+    nouns_by_type, verbs_by_type = vocabulary
+    verbs = [_usable(verbs_by_type[eid]) for eid in path.edge_types]
     nouns = []
     for i, t in enumerate(path.node_types):
-        nt = schema.node_type(t)
-        _check_word(f"node type {nt.name!r}", nt.noun)
-        nouns.append(f"{nt.noun} ({tags[i]})" if i in tags else nt.noun)
+        noun = _usable(nouns_by_type[t])
+        nouns.append(f"{noun} ({tags[i]})" if i in tags else noun)
 
     parts = [f"{nouns[0]} {verbs[0]} {nouns[1]}"]
     for verb, noun in zip(verbs[1:], nouns[2:]):
@@ -83,14 +82,38 @@ def _render(path: MetaPath, schema: Schema, tags: dict[int, str]) -> str:
     return f" {THAT} ".join(parts)
 
 
-def _check_word(owner: str, word: str) -> None:
-    """Reject a noun or verb that would make sentences ambiguous to split."""
+@functools.lru_cache(maxsize=VOCABULARY_SCHEMAS)
+def _vocabulary(schema: Schema) -> tuple[tuple, tuple]:
+    """Nouns by node type id and verbs by edge type id, each checked once as
+    a (word, problem) pair: ``problem`` is None for a usable word, else the
+    message of the :class:`GrammarError` that using the word raises."""
+    nouns = tuple(
+        (nt.noun, _ambiguity(f"node type {nt.name!r}", nt.noun)) for nt in schema.node_types
+    )
+    verbs = tuple(
+        (et.verb, _ambiguity(f"edge type {et.name!r}", et.verb) if et.verb
+         else f"edge type {et.name!r} has no verb phrase")
+        for et in schema.edge_types
+    )
+    return nouns, verbs
+
+
+def _usable(entry: tuple[str, str | None]) -> str:
+    word, problem = entry
+    if problem is not None:
+        raise GrammarError(problem)
+    return word
+
+
+def _ambiguity(owner: str, word: str) -> str | None:
+    """Why a noun or verb would make sentences ambiguous to split, or None."""
     padded = f" {word} "
     if f" {THAT} " in padded or f" {AND} " in padded or REFERENT_TAG.search(padded):
-        raise GrammarError(
+        return (
             f"{owner} has ambiguous vocabulary {word!r}: it contains "
             f"{THAT!r}, {AND!r} or a referent tag"
         )
+    return None
 
 
 def _tag_name(index: int) -> str:

@@ -8,22 +8,47 @@ schema meta-paths enumerated up to configured size limits.
 
 Every emitted neighbor is schema-valid, distinct from the origin, and
 deduplicated by canonical key.
+
+The origin must be valid (see :func:`structure.validate`); every caller
+checks it. From a valid origin, INSERTION and GRAFTING are valid by
+construction. An inserted component keeps every path through the edge it
+replaces. A grafted component hangs between two anchors that already lie on
+source-to-target paths, so the candidate is valid exactly when the branch
+starts off the target, ends off the source, and closes no cycle: its end
+must not reach its start in the origin. Grafting skips the other anchor
+pairs without building them, and only DELETION candidates run through
+``validate``.
+
+The keyed union of the three operations is a pure function of the origin,
+the library, the schema and the size limit. Each :class:`ComponentLibrary`
+keeps the unions of its ``UNION_MEMO_ENTRIES`` most recently used origins,
+and sentences by canonical form, so a library is scoped to one search. Only
+the cap sample draws from the RNG, on every call.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grammar import encode_metastructure
 from .hin import Schema
-from .structure import MetaPath, MetaStructure, canonical_key, validate
+from .structure import MetaPath, MetaStructure, canonical_form, canonical_key, reachable, validate
 
 # Deletion reconnection enumerates one neighbor per admissible edge-type
 # assignment; the combination count is clamped to keep degenerate schemas
 # from exploding the candidate set.
 MAX_RECONNECT_COMBOS = 512
+# Origins whose unions a library keeps. Replaying the 153 neighbourhood
+# calls of the seed-0 demo search, bounds of 1/2/4/8/unbounded hit
+# 19/27/40/41/43 times.
+UNION_MEMO_ENTRIES = 8
+# Sentences a library keeps; the seed-0 demo search verbalises 2,138
+# distinct canonical forms.
+SENTENCE_MEMO_ENTRIES = 4096
 
 
 class EmptyNeighborhoodError(RuntimeError):
@@ -36,10 +61,52 @@ class ComponentLimits:
     grafting_max_nodes: int = 3
 
 
+class LruMemo:
+    """Map bounded by its entry count that drops the least recently used
+    entry first. Single-threaded."""
+
+    def __init__(self, max_entries: int):
+        self.max_entries = max_entries
+        self._entries: OrderedDict = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __contains__(self, key) -> bool:
+        return key in self._entries
+
+    def get(self, key, make):
+        """The value under ``key``, now the most recently used; on a miss,
+        ``make()`` is called and its value kept. An exception from ``make``
+        keeps nothing."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            return self._entries[key]
+        value = self._entries[key] = make()
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+        return value
+
+
 @dataclass(frozen=True)
 class ComponentLibrary:
     insertion: tuple[MetaPath, ...]
     grafting: tuple[MetaPath, ...]
+    # keyed unions of one_step_neighbors and sentences by canonical form;
+    # every library starts empty
+    unions: LruMemo = field(
+        default_factory=lambda: LruMemo(UNION_MEMO_ENTRIES), init=False, repr=False, compare=False
+    )
+    sentences: LruMemo = field(
+        default_factory=lambda: LruMemo(SENTENCE_MEMO_ENTRIES), init=False, repr=False, compare=False
+    )
+
+    def sentence(self, ms: MetaStructure, schema: Schema) -> str:
+        """``encode_metastructure(ms, schema)``, kept by canonical form: the
+        sentence is a pure function of the form and the schema."""
+        return self.sentences.get(
+            (canonical_form(ms), schema), lambda: encode_metastructure(ms, schema)
+        )
 
 
 @dataclass(frozen=True)
@@ -95,21 +162,22 @@ def _dedup_edges(edges):
 
 def neighbors_insertion(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
                         max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _unkeyed(_validated(_insertions(ms, lib, max_nodes), ms, schema))
+    return _unkeyed(_keyed(_insertions(ms, lib, max_nodes), ms))
 
 
 def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
                        max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _unkeyed(_validated(_graftings(ms, lib, max_nodes), ms, schema))
+    return _unkeyed(_keyed(_graftings(ms, lib, max_nodes), ms))
 
 
 def neighbors_deletion(ms: MetaStructure, schema: Schema,
                        max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _unkeyed(_validated(_deletions(ms, schema), ms, schema))
+    return _unkeyed(_keyed(_valid(_deletions(ms, schema), schema), ms))
 
 
 def _insertions(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
-    """Raw (candidate, descriptor) pairs of INSERTION, valid or not."""
+    """(candidate, descriptor) pairs of INSERTION, all valid for a valid
+    origin."""
     for idx, (u, v, e) in enumerate(ms.edges):
         for comp in lib.insertion:
             if comp.node_types[0] != ms.nodes[u] or comp.node_types[-1] != ms.nodes[v]:
@@ -138,17 +206,24 @@ def _insertions(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
 
 
 def _graftings(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
-    """Raw (candidate, descriptor) pairs of GRAFTING, valid or not."""
+    """(candidate, descriptor) pairs of GRAFTING, all valid for a valid
+    origin: anchor pairs whose branch would leave the target, enter the
+    source or close a cycle are skipped unbuilt (``u == w`` is one, as a
+    position reaches itself)."""
+    succs = [[] for _ in range(ms.n_nodes)]
+    for a, b, _ in ms.edges:
+        succs[a].append(b)
+    below = [reachable(succs, w) for w in range(ms.n_nodes)]
     for comp in lib.grafting:
         first_t, last_t = comp.node_types[0], comp.node_types[-1]
         interior = comp.node_types[1:-1]
         if ms.n_nodes + len(interior) > max_nodes:
             continue
         for u in range(ms.n_nodes):
-            if ms.nodes[u] != first_t:
+            if ms.nodes[u] != first_t or u == ms.target:
                 continue
             for w in range(ms.n_nodes):
-                if w == u or ms.nodes[w] != last_t:
+                if ms.nodes[w] != last_t or w == ms.source or below[w][u]:
                     continue
                 base = ms.n_nodes
                 mapped = [u] + [base + i for i in range(len(interior))] + [w]
@@ -205,14 +280,17 @@ def _deletions(ms: MetaStructure, schema: Schema):
             yield cand, desc
 
 
-def _validated(raw, origin: MetaStructure, schema: Schema):
-    """Valid candidates as (structure, key, descriptor), the origin dropped,
-    the first of each canonical key kept."""
+def _valid(raw, schema: Schema):
+    """The pairs of ``raw`` whose candidate ``validate`` accepts."""
+    return ((cand, desc) for cand, desc in raw if not validate(cand, schema))
+
+
+def _keyed(pairs, origin: MetaStructure):
+    """Valid (candidate, descriptor) pairs as (structure, key, descriptor),
+    the origin dropped, the first of each canonical key kept."""
     seen = {canonical_key(origin)}
     out = []
-    for cand, desc in raw:
-        if validate(cand, schema):
-            continue
+    for cand, desc in pairs:
         key = canonical_key(cand)
         if key in seen:
             continue
@@ -225,6 +303,16 @@ def _unkeyed(keyed):
     return [(cand, desc) for cand, _, desc in keyed]
 
 
+def _union(ms: MetaStructure, lib: ComponentLibrary, schema: Schema, max_nodes: int):
+    """Keyed candidates of the three operations, in operation order."""
+    pairs = itertools.chain(
+        _insertions(ms, lib, max_nodes),
+        _graftings(ms, lib, max_nodes),
+        _valid(_deletions(ms, schema), schema),
+    )
+    return tuple(Candidate(cand, key, desc) for cand, key, desc in _keyed(pairs, ms))
+
+
 def one_step_neighbors(
     ms: MetaStructure,
     lib: ComponentLibrary,
@@ -233,17 +321,18 @@ def one_step_neighbors(
     cap: int = 20,
     max_nodes: int = 10,
 ) -> CandidateSet:
-    """Union of the three operations, deduplicated, uniformly capped."""
-    raw = itertools.chain(
-        _insertions(ms, lib, max_nodes), _graftings(ms, lib, max_nodes), _deletions(ms, schema)
-    )
-    union = [Candidate(cand, key, desc) for cand, key, desc in _validated(raw, ms, schema)]
+    """Union of the three operations, deduplicated, uniformly capped.
 
+    ``ms`` must be valid. The union comes from ``lib``'s memo when ``lib``
+    has built it for an equal ``ms``, ``schema`` and ``max_nodes`` among its
+    last ``UNION_MEMO_ENTRIES`` origins; the cap sample is drawn afresh.
+    """
+    union = lib.unions.get((ms, schema, max_nodes), lambda: _union(ms, lib, schema, max_nodes))
     if not union:
         raise EmptyNeighborhoodError("structure has no valid one-step neighbors")
 
     if len(union) <= cap:
-        return CandidateSet(tuple(union), sampled=False)
+        return CandidateSet(union, sampled=False)
     picked = rng.choice(len(union), size=cap, replace=False)
     picked.sort()
     return CandidateSet(tuple(union[i] for i in picked), sampled=True)

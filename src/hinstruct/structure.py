@@ -164,15 +164,17 @@ def validate(ms: MetaStructure, schema: Schema) -> list[str]:
         violations.append("cycle")
         return violations
 
-    from_source = _reachable(succs, ms.source)
-    to_target = _reachable(preds, ms.target)
+    from_source = reachable(succs, ms.source)
+    to_target = reachable(preds, ms.target)
     for p in range(n):
         if not (from_source[p] and to_target[p]):
             violations.append(f"node {p} off all source-target paths")
     return violations
 
 
-def _reachable(adjacency, start):
+def reachable(adjacency, start):
+    """Flags by position: True where ``adjacency`` (lists of neighbours by
+    position) leads from ``start``, ``start`` itself included."""
     seen = [False] * len(adjacency)
     seen[start] = True
     stack = [start]

@@ -226,6 +226,55 @@ def enumerate_corpus(schema: Schema, max_nodes: int):
     return corpus
 
 
+def raw_graftings(ms: MetaStructure, lib, max_nodes: int):
+    """Every (candidate, descriptor) pair of GRAFTING, valid or not: each
+    component hung between every ordered pair of distinct positions whose
+    types match its ends, with no anchor filter."""
+    for comp in lib.grafting:
+        interior = comp.node_types[1:-1]
+        if ms.n_nodes + len(interior) > max_nodes:
+            continue
+        for u, w in itertools.permutations(range(ms.n_nodes), 2):
+            if (ms.nodes[u], ms.nodes[w]) != (comp.node_types[0], comp.node_types[-1]):
+                continue
+            mapped = [u] + [ms.n_nodes + i for i in range(len(interior))] + [w]
+            edges = list(ms.edges)
+            for i, et in enumerate(comp.edge_types):
+                if (mapped[i], mapped[i + 1], et) not in edges:
+                    edges.append((mapped[i], mapped[i + 1], et))
+            cand = MetaStructure(ms.nodes + interior, tuple(edges), ms.source, ms.target)
+            yield cand, {"op": "grafting", "anchors": [u, w], "component": list(comp.type_sequence())}
+
+
+def neighbors_oracle(ms: MetaStructure, lib, schema: Schema, rng: np.random.Generator,
+                     cap: int = 20, max_nodes: int = 10):
+    """``one_step_neighbors`` by its definition, with no memo and no
+    construction-time shortcut: ``validate`` on every raw candidate of
+    insertion, grafting and deletion in that order, the origin and repeated
+    canonical keys dropped, then the same cap sample. Returns
+    ``(candidates, sampled)`` with candidates as (structure, key, descriptor),
+    or None for an empty neighbourhood."""
+    from hinstruct.mutations import _deletions, _insertions
+
+    raw = itertools.chain(
+        _insertions(ms, lib, max_nodes), raw_graftings(ms, lib, max_nodes), _deletions(ms, schema)
+    )
+    seen, union = {canonical_key(ms)}, []
+    for cand, desc in raw:
+        if validate(cand, schema):
+            continue
+        key = canonical_key(cand)
+        if key not in seen:
+            seen.add(key)
+            union.append((cand, key, desc))
+    if not union:
+        return None
+    if len(union) <= cap:
+        return union, False
+    picked = np.sort(rng.choice(len(union), size=cap, replace=False))
+    return [union[i] for i in picked], True
+
+
 # ---------------------------------------------------------------------------
 # pure numpy CSR kernels, the oracle for hinstruct.kernels
 # ---------------------------------------------------------------------------

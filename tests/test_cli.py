@@ -178,7 +178,8 @@ class TestSearch:
 
 
 class TestMalformedInput:
-    """Bad outside input exits 2 with a message naming the file and the field."""
+    """Bad outside input exits 2 with a message naming the file and the field;
+    a flag value out of range is a usage error, exit 1, naming the flag."""
 
     @pytest.mark.parametrize(
         "field, value",
@@ -292,6 +293,18 @@ class TestMalformedInput:
         assert main(["search", "--config", str(config), "--out", str(tmp_path / "x")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert str(config) in err and f"backend.{field}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command, flag", [("neighbors", "--cap"), ("explain", "--top-k")])
+    def test_count_flag_below_one(self, workspace, structure_files, capsys, command, flag, value):
+        if command == "neighbors":
+            argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"])]
+        else:
+            argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
+        assert main(argv + [flag, value]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be at least 1, not {value}" in captured.err
 
 
 class TestExplain:

@@ -67,6 +67,41 @@ class TestEncodePath:
         with pytest.raises(GrammarError, match="ambiguous vocabulary"):
             encode_metastructure(MetaStructure((0, 1), ((0, 1, 0),), 0, 1), bare)
 
+    def test_ambiguous_word_raises_only_where_used(self):
+        bare = schema_from_dict(
+            {
+                "node_types": [
+                    {"id": 0, "name": "a", "noun": "A"},
+                    {"id": 1, "name": "b", "noun": "B"},
+                    {"id": 2, "name": "c", "noun": "C AND D"},
+                ],
+                "edge_types": [
+                    {"id": 0, "name": "x", "src": 0, "dst": 1, "verb": "x"},
+                    {"id": 1, "name": "y", "src": 1, "dst": 2, "verb": "y"},
+                ],
+            }
+        )
+        clean = MetaStructure((0, 1), ((0, 1, 0),), 0, 1)
+        uses_c = MetaStructure((0, 1, 2), ((0, 1, 0), (1, 2, 1)), 0, 2)
+        assert encode_metastructure(clean, bare) == "A x B"
+        for _ in range(2):  # every use raises, not only the first
+            with pytest.raises(GrammarError, match="node type 'c' has ambiguous vocabulary"):
+                encode_metastructure(uses_c, bare)
+        assert encode_metastructure(clean, bare) == "A x B"
+
+    def test_words_checked_once_per_schema(self, schema, monkeypatch):
+        from hinstruct import grammar
+
+        checked = []
+        real = grammar._ambiguity
+        monkeypatch.setattr(grammar, "_ambiguity", lambda owner, word: checked.append(word) or real(owner, word))
+        grammar._vocabulary.cache_clear()
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            encode_metastructure(random_structure(schema, rng), schema)
+        grammar._vocabulary.cache_clear()
+        assert len(checked) == schema.n_node_types + schema.n_edge_types
+
 
 class TestEncodeMetastructure:
     def test_single_path_no_and(self, schema):

@@ -1,11 +1,19 @@
+import copy
 import itertools
 
 import numpy as np
 import pytest
 
+from hinstruct import evolution
+from hinstruct.cli import EXIT_OK, main
+from hinstruct.grammar import encode_metastructure
 from hinstruct.mutations import (
+    UNION_MEMO_ENTRIES,
     ComponentLimits,
     EmptyNeighborhoodError,
+    LruMemo,
+    _graftings,
+    _insertions,
     build_component_library,
     neighbors_deletion,
     neighbors_grafting,
@@ -13,8 +21,9 @@ from hinstruct.mutations import (
     one_step_neighbors,
 )
 from hinstruct.structure import MetaStructure, canonical_key, validate
+from hinstruct.synth import write_demo_config
 
-from conftest import random_structure
+from conftest import enumerate_corpus, neighbors_oracle, random_structure, raw_graftings
 
 U, B, A, I = 0, 1, 2, 3
 RATES, RATED_BY, FRIEND, BELONGS, CONTAINS, LOCATED, HOSTS = range(7)
@@ -266,3 +275,183 @@ class TestProperties:
         second = [(c.key, c.descriptor) for c in one_step_neighbors(
             origin, lib, schema, np.random.default_rng(3), cap=50).candidates]
         assert first == second
+
+
+def validity_origins(schema):
+    """The 4-node corpus plus random valid structures of up to 10 nodes."""
+    rng = np.random.default_rng(23)
+    randoms = [random_structure(schema, rng, max_nodes=n) for n in range(3, 11) for _ in range(25)]
+    return list(enumerate_corpus(schema, 4).values()) + randoms
+
+
+def grafting_id(desc):
+    return tuple(desc["anchors"]), tuple(desc["component"])
+
+
+class TestValidByConstruction:
+    """Insertion and grafting skip ``validate``; these checks show they may."""
+
+    def test_insertions_and_graftings_pass_validate(self, schema, lib):
+        built = 0
+        for origin in validity_origins(schema):
+            for cand, desc in itertools.chain(
+                _insertions(origin, lib, 10), _graftings(origin, lib, 10)
+            ):
+                assert validate(cand, schema) == [], (origin, desc)
+                built += 1
+        assert built > 5_000
+
+    def test_skipped_anchor_pairs_are_all_invalid(self, schema, lib):
+        skipped = 0
+        for origin in validity_origins(schema):
+            kept = {grafting_id(desc) for _, desc in _graftings(origin, lib, 10)}
+            for cand, desc in raw_graftings(origin, lib, 10):
+                if grafting_id(desc) not in kept:
+                    assert validate(cand, schema), (origin, desc)
+                    skipped += 1
+        assert skipped > 1_000
+
+    @pytest.fixture(scope="class")
+    def demo_calls(self, planted_dir, tmp_path_factory):
+        """Every one_step_neighbors call of the seed-0 demo search, with the
+        RNG state before and after it and its result."""
+        root = tmp_path_factory.mktemp("demo-neighbors")
+        config = root / "config.json"
+        write_demo_config(config, planted_dir, root / "out", seed=0, generations=30)
+        calls = []
+
+        def recording(ms, lib, schema, rng, cap=20, max_nodes=10):
+            before = copy.deepcopy(rng.bit_generator.state)
+            try:
+                result = one_step_neighbors(ms, lib, schema, rng, cap=cap, max_nodes=max_nodes)
+            except EmptyNeighborhoodError:
+                result = None
+            calls.append((ms, lib, schema, cap, max_nodes, before, result,
+                          copy.deepcopy(rng.bit_generator.state)))
+            if result is None:
+                raise EmptyNeighborhoodError("structure has no valid one-step neighbors")
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "one_step_neighbors", recording)
+            assert main(["search", "--config", str(config)]) == EXIT_OK
+        return calls
+
+    def test_demo_search_matches_oracle(self, demo_calls):
+        assert len(demo_calls) > 100
+        assert len({call[0] for call in demo_calls}) < len(demo_calls)  # memo hits occur
+        for ms, lib, schema, cap, max_nodes, before, result, after in demo_calls:
+            rng = np.random.default_rng()
+            rng.bit_generator.state = before
+            expect = neighbors_oracle(ms, lib, schema, rng, cap=cap, max_nodes=max_nodes)
+            assert rng.bit_generator.state == after
+            if expect is None:
+                assert result is None
+                continue
+            got = [(c.structure, c.key, c.descriptor) for c in result.candidates]
+            assert (got, result.sampled) == expect
+
+
+class TestMemo:
+    RICH = TestOneStepNeighbors.RICH
+
+    def test_repeat_call_equal_and_same_draws(self, schema):
+        lib = build_component_library(schema)
+        for cap in (20, 10_000):
+            rngs = [np.random.default_rng(9) for _ in range(3)]
+            fresh = one_step_neighbors(self.RICH, build_component_library(schema), schema, rngs[0], cap=cap)
+            first = one_step_neighbors(self.RICH, lib, schema, rngs[1], cap=cap)
+            again = one_step_neighbors(self.RICH, lib, schema, rngs[2], cap=cap)
+            for cs in (first, again):
+                assert cs == fresh
+                assert [c.descriptor for c in cs.candidates] == [c.descriptor for c in fresh.candidates]
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state == rngs[2].bit_generator.state
+
+    def test_memo_hit_draws_each_call(self, schema):
+        lib = build_component_library(schema)
+        rng = np.random.default_rng(4)
+        picks = [one_step_neighbors(self.RICH, lib, schema, rng, cap=5) for _ in range(6)]
+        assert len(lib.unions) == 1
+        assert len({tuple(c.key for c in cs.candidates) for cs in picks}) > 1
+
+    def test_keyed_by_size_limit(self, schema):
+        lib = build_component_library(schema)
+        rng = np.random.default_rng(0)
+        wide = one_step_neighbors(self.RICH, lib, schema, rng, cap=10_000, max_nodes=10)
+        narrow = one_step_neighbors(self.RICH, lib, schema, rng, cap=10_000, max_nodes=5)
+        assert len(lib.unions) == 2
+        assert all(c.structure.n_nodes <= 5 for c in narrow.candidates)
+        assert len(narrow.candidates) < len(wide.candidates)
+
+    def test_fresh_library_starts_empty(self, schema, lib):
+        one_step_neighbors(self.RICH, lib, schema, np.random.default_rng(0))
+        lib.sentence(self.RICH, schema)
+        fresh = build_component_library(schema)
+        assert len(fresh.unions) == 0 and len(fresh.sentences) == 0
+        assert fresh == lib
+
+    def test_unions_bounded_least_recent_evicted(self, schema):
+        lib = build_component_library(schema)
+        rng = np.random.default_rng(31)
+        origins = []
+        while len(origins) < 3 * UNION_MEMO_ENTRIES:
+            origin = random_structure(schema, rng, max_nodes=6)
+            if origin not in origins:
+                origins.append(origin)
+        for i, origin in enumerate(origins):
+            try:
+                one_step_neighbors(origin, lib, schema, rng)
+            except EmptyNeighborhoodError:
+                pass
+            if i > 0:  # touching the first origin keeps it the most recently used
+                try:
+                    one_step_neighbors(origins[0], lib, schema, rng)
+                except EmptyNeighborhoodError:
+                    pass
+            assert len(lib.unions) <= UNION_MEMO_ENTRIES
+        assert len(lib.unions) == UNION_MEMO_ENTRIES
+        kept = [o for o in origins if (o, schema, 10) in lib.unions]
+        assert kept == [origins[0], *origins[-(UNION_MEMO_ENTRIES - 1):]]
+
+    def test_lru_memo_evicts_least_recently_used(self):
+        memo = LruMemo(2)
+        made = []
+
+        def make(value):
+            return lambda: made.append(value) or value
+
+        assert memo.get("a", make(1)) == 1
+        assert memo.get("b", make(2)) == 2
+        assert memo.get("a", make(99)) == 1  # hit: refreshes "a", makes nothing
+        assert memo.get("c", make(3)) == 3
+        assert "b" not in memo and "a" in memo and "c" in memo and len(memo) == 2
+        assert made == [1, 2, 3]
+
+    def test_lru_memo_keeps_nothing_when_make_fails(self):
+        memo = LruMemo(2)
+
+        def fail():
+            raise EmptyNeighborhoodError("no")
+
+        with pytest.raises(EmptyNeighborhoodError):
+            memo.get("a", fail)
+        assert len(memo) == 0
+
+    def test_memoised_sentence_equals_fresh_encode(self, schema):
+        lib = build_component_library(schema)
+        rng = np.random.default_rng(12)
+        origins = list(enumerate_corpus(schema, 4).values())
+        origins += [random_structure(schema, rng, max_nodes=8) for _ in range(100)]
+        for ms in origins:
+            expect = encode_metastructure(ms, schema)
+            assert lib.sentence(ms, schema) == expect
+            assert lib.sentence(ms, schema) == expect
+            # the reversed position order is the same structure, and the same sentence
+            n = ms.n_nodes
+            flipped = MetaStructure(
+                tuple(reversed(ms.nodes)),
+                tuple((n - 1 - a, n - 1 - b, e) for a, b, e in ms.edges),
+                n - 1 - ms.source, n - 1 - ms.target,
+            )
+            assert lib.sentence(flipped, schema) == expect
+        assert 0 < len(lib.sentences) <= len(origins)
