@@ -44,7 +44,13 @@ from .hin import (
     load_ratings,
     load_schema,
 )
-from .mutations import ComponentLimits, EmptyNeighborhoodError, build_component_library, one_step_neighbors
+from .mutations import (
+    ComponentLimits,
+    EmptyNeighborhoodError,
+    build_component_library,
+    one_step_neighbors,
+    size_limit_problems,
+)
 from .sparse import MatrixBlowupError
 from .splits import SplitError, make_node_label_split, make_recommendation_split
 from .structure import MetaStructure, StructureError, validate
@@ -470,6 +476,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "neighbors":
+            for flag, problem in size_limit_problems(
+                args.max_nodes, args.insertion_max_interior, args.grafting_max_nodes,
+                names=("--max-nodes", "--insertion-max-interior", "--grafting-max-nodes"),
+            ):
+                parser.error(f"argument {flag}: {problem}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

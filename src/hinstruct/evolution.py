@@ -53,6 +53,7 @@ from .mutations import (
     EmptyNeighborhoodError,
     build_component_library,
     one_step_neighbors,
+    size_limit_problems,
 )
 from .sparse import MatrixBlowupError
 from .splits import NodeLabelSplit, RecommendationSplit
@@ -94,6 +95,11 @@ class SearchConfig:
                 raise ValueError(f"{name} must be at least 1")
         if self.backoff < 0:
             raise ValueError("backoff must be nonnegative")
+        for name, problem in size_limit_problems(
+            self.max_structure_nodes, self.insertion_max_interior, self.grafting_max_nodes,
+            names=("max_structure_nodes", "insertion_max_interior", "grafting_max_nodes"),
+        ):
+            raise ValueError(f"{name} {problem}")
 
 
 @dataclass(frozen=True)

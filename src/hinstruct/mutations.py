@@ -19,24 +19,42 @@ must not reach its start in the origin. Grafting skips the other anchor
 pairs without building them, and only DELETION candidates run through
 ``validate``.
 
-The keyed union of the three operations is a pure function of the origin,
-the library, the schema and the size limit. Each :class:`ComponentLibrary`
-keeps the unions of its ``UNION_MEMO_ENTRIES`` most recently used origins,
-and sentences by canonical form, so a library is scoped to one search. Only
-the cap sample draws from the RNG, on every call.
+Deduplication keys only the candidates that need a key. Each candidate
+gets a cheap isomorphism invariant (:func:`structure.isomorphism_invariant`),
+and equal canonical keys imply equal invariants. So a candidate whose
+invariant no other candidate and not the origin shares repeats nothing and
+is kept unkeyed. Only the members of an invariant collision group are
+keyed, and the first of each key is kept, so the union is exactly the one
+that keying every candidate gives. Of the distinct candidates, only those
+:func:`one_step_neighbors` offers get their key, as :class:`Candidate`.
+
+The distinct union of the three operations is a pure function of the
+origin, the library, the schema and the size limit. Each
+:class:`ComponentLibrary` keeps the unions of its ``UNION_MEMO_ENTRIES``
+most recently used origins, and sentences by canonical form, so a library
+is scoped to one search. Only the cap sample draws from the RNG, on every
+call.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grammar import encode_metastructure
 from .hin import Schema
-from .structure import MetaPath, MetaStructure, canonical_form, canonical_key, reachable, validate
+from .structure import (
+    MetaPath,
+    MetaStructure,
+    canonical_form,
+    canonical_key,
+    isomorphism_invariant,
+    reachable,
+    validate,
+)
 
 # Deletion reconnection enumerates one neighbor per admissible edge-type
 # assignment; the combination count is clamped to keep degenerate schemas
@@ -59,6 +77,33 @@ class EmptyNeighborhoodError(RuntimeError):
 class ComponentLimits:
     insertion_max_interior: int = 1
     grafting_max_nodes: int = 3
+
+
+def size_limit_problems(max_nodes: int, insertion_max_interior: int, grafting_max_nodes: int, names):
+    """(name, problem) pairs for the limits out of range, empty when all are
+    usable; ``names`` names the three limits in the caller's terms.
+
+    A structure has at least 2 positions, a component at least 2, and an
+    insertion component 2 plus its interior. A component limit that no
+    structure of ``max_nodes`` positions can hold is a problem too.
+    """
+    n_name, i_name, g_name = names
+    problems = [
+        (name, f"must be at least {low}, not {value}")
+        for name, value, low in (
+            (n_name, max_nodes, 2), (i_name, insertion_max_interior, 0), (g_name, grafting_max_nodes, 2)
+        )
+        if value < low
+    ]
+    if problems:
+        return problems
+    if insertion_max_interior + 2 > max_nodes:
+        problems.append(
+            (i_name, f"plus 2 must not exceed {n_name} ({max_nodes}), not {insertion_max_interior}")
+        )
+    if grafting_max_nodes > max_nodes:
+        problems.append((g_name, f"must not exceed {n_name} ({max_nodes}), not {grafting_max_nodes}"))
+    return problems
 
 
 class LruMemo:
@@ -92,7 +137,7 @@ class LruMemo:
 class ComponentLibrary:
     insertion: tuple[MetaPath, ...]
     grafting: tuple[MetaPath, ...]
-    # keyed unions of one_step_neighbors and sentences by canonical form;
+    # distinct unions of one_step_neighbors and sentences by canonical form;
     # every library starts empty
     unions: LruMemo = field(
         default_factory=lambda: LruMemo(UNION_MEMO_ENTRIES), init=False, repr=False, compare=False
@@ -162,17 +207,17 @@ def _dedup_edges(edges):
 
 def neighbors_insertion(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
                         max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _unkeyed(_keyed(_insertions(ms, lib, max_nodes), ms))
+    return _distinct(_insertions(ms, lib, max_nodes), ms)
 
 
 def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
                        max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _unkeyed(_keyed(_graftings(ms, lib, max_nodes), ms))
+    return _distinct(_graftings(ms, lib, max_nodes), ms)
 
 
 def neighbors_deletion(ms: MetaStructure, schema: Schema,
                        max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _unkeyed(_keyed(_valid(_deletions(ms, schema), schema), ms))
+    return _distinct(_valid(_deletions(ms, schema), schema), ms)
 
 
 def _insertions(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
@@ -285,32 +330,40 @@ def _valid(raw, schema: Schema):
     return ((cand, desc) for cand, desc in raw if not validate(cand, schema))
 
 
-def _keyed(pairs, origin: MetaStructure):
-    """Valid (candidate, descriptor) pairs as (structure, key, descriptor),
-    the origin dropped, the first of each canonical key kept."""
-    seen = {canonical_key(origin)}
+def _distinct(pairs, origin: MetaStructure):
+    """Valid (candidate, descriptor) pairs with the origin dropped and the
+    first of each canonical key kept, in order.
+
+    Only candidates whose :func:`structure.isomorphism_invariant` another
+    candidate or the origin shares are keyed: equal keys imply equal
+    invariants, so a candidate with an invariant of its own repeats nothing.
+    """
+    pairs = list(pairs)
+    invariants = [isomorphism_invariant(cand) for cand, _ in pairs]
+    origin_invariant = isomorphism_invariant(origin)
+    members = Counter(invariants)
+    members[origin_invariant] += 1
+    seen = {canonical_key(origin)} if members[origin_invariant] > 1 else set()
     out = []
-    for cand, desc in pairs:
-        key = canonical_key(cand)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((cand, key, desc))
+    for (cand, desc), invariant in zip(pairs, invariants):
+        if members[invariant] > 1:
+            key = canonical_key(cand)
+            if key in seen:
+                continue
+            seen.add(key)
+        out.append((cand, desc))
     return out
 
 
-def _unkeyed(keyed):
-    return [(cand, desc) for cand, _, desc in keyed]
-
-
 def _union(ms: MetaStructure, lib: ComponentLibrary, schema: Schema, max_nodes: int):
-    """Keyed candidates of the three operations, in operation order."""
+    """Distinct (candidate, descriptor) pairs of the three operations, in
+    operation order."""
     pairs = itertools.chain(
         _insertions(ms, lib, max_nodes),
         _graftings(ms, lib, max_nodes),
         _valid(_deletions(ms, schema), schema),
     )
-    return tuple(Candidate(cand, key, desc) for cand, key, desc in _keyed(pairs, ms))
+    return tuple(_distinct(pairs, ms))
 
 
 def one_step_neighbors(
@@ -325,14 +378,18 @@ def one_step_neighbors(
 
     ``ms`` must be valid. The union comes from ``lib``'s memo when ``lib``
     has built it for an equal ``ms``, ``schema`` and ``max_nodes`` among its
-    last ``UNION_MEMO_ENTRIES`` origins; the cap sample is drawn afresh.
+    last ``UNION_MEMO_ENTRIES`` origins; the cap sample is drawn afresh, and
+    only the candidates it offers are keyed.
     """
     union = lib.unions.get((ms, schema, max_nodes), lambda: _union(ms, lib, schema, max_nodes))
     if not union:
         raise EmptyNeighborhoodError("structure has no valid one-step neighbors")
 
     if len(union) <= cap:
-        return CandidateSet(union, sampled=False)
-    picked = rng.choice(len(union), size=cap, replace=False)
-    picked.sort()
-    return CandidateSet(tuple(union[i] for i in picked), sampled=True)
+        picked, sampled = range(len(union)), False
+    else:
+        picked, sampled = np.sort(rng.choice(len(union), size=cap, replace=False)), True
+    offered = (union[i] for i in picked)
+    return CandidateSet(
+        tuple(Candidate(cand, canonical_key(cand), desc) for cand, desc in offered), sampled
+    )

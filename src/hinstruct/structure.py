@@ -230,9 +230,12 @@ def canonical_key(ms: MetaStructure) -> str:
     """Isomorphism-invariant identifier.
 
     Colors are refined from (type, source?, target?) by iterated in/out
-    neighborhood signatures. Remaining ties are broken by exhaustive
-    permutation within color classes, which keeps the key exact; structures
-    too large for that fall back to the refined signature alone.
+    neighborhood signatures, stopping once they are stable or discrete (a
+    discrete coloring gives every position its own color, and a further
+    round only confirms it). Remaining ties are broken by exhaustive
+    permutation within color classes, which keeps the key exact; a discrete
+    coloring leaves one ordering. Structures too large for that fall back to
+    the refined signature alone.
     """
     return _canonicalize(ms)[0]
 
@@ -248,6 +251,39 @@ def canonical_form(ms: MetaStructure) -> MetaStructure:
     return _canonicalize(ms)[1]
 
 
+# a position label is type + out-degree * 2**12 + in-degree * 2**24, plus a
+# source and a target bit
+_LABEL_FIELDS = (1 << 12, 1 << 24, 1 << 36, 1 << 37)
+
+
+def isomorphism_invariant(ms: MetaStructure) -> tuple:
+    """A cheap invariant that equal canonical keys always share.
+
+    Each position is labeled (type, in-degree, out-degree, source?,
+    target?); the invariant is the sorted labels plus the sorted (tail
+    label, head label, edge type) of the edges. Isomorphic structures share
+    it, and so do structures with one refined-signature key: the stable
+    refined colors fix every label, and the key lists each color's type and
+    the colored edges. Structures with different invariants therefore never
+    share a canonical key.
+
+    A label is packed into one int (``_LABEL_FIELDS``). A field that
+    outgrows its bits merges labels, which makes the invariant coarser but
+    keeps it an invariant.
+    """
+    out_unit, in_unit, source_bit, target_bit = _LABEL_FIELDS
+    labels = list(ms.nodes)
+    for a, b, _ in ms.edges:
+        labels[a] += out_unit
+        labels[b] += in_unit
+    labels[ms.source] += source_bit
+    labels[ms.target] += target_bit
+    return (
+        tuple(sorted(labels)),
+        tuple(sorted([(labels[a], labels[b], e) for a, b, e in ms.edges])),
+    )
+
+
 @functools.lru_cache(maxsize=262_144)
 def _canonicalize(ms: MetaStructure):
     n = ms.n_nodes
@@ -255,7 +291,8 @@ def _canonicalize(ms: MetaStructure):
     groups: dict[int, list[int]] = {}
     for p in range(n):
         groups.setdefault(colors[p], []).append(p)
-    ordered_groups = [groups[c] for c in sorted(groups)]
+    # colors are dense ranks, so the classes in color order
+    ordered_groups = [groups[c] for c in range(len(groups))]
 
     perms = 1
     for g in ordered_groups:
@@ -267,16 +304,27 @@ def _canonicalize(ms: MetaStructure):
         ordering = sorted(range(n), key=lambda p: (colors[p], p))
         return _signature_key(ms, colors), _relabel(ms, ordering)
 
-    best = None
-    for ordering in _orderings(ordered_groups):
-        new_index = {old: i for i, old in enumerate(ordering)}
-        relabeled = tuple(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges))
-        if best is None or relabeled < best[0]:
-            best = (relabeled, ordering)
-    form = _relabel(ms, best[1])
+    if perms == 1:
+        # discrete: the one ordering puts each position at its color
+        ordering = [g[0] for g in ordered_groups]
+        new_index = colors
+        edges = tuple(sorted((colors[a], colors[b], e) for a, b, e in ms.edges))
+    else:
+        edges = None
+        for candidate in _orderings(ordered_groups):
+            index = {old: i for i, old in enumerate(candidate)}
+            relabeled = tuple(sorted((index[a], index[b], e) for a, b, e in ms.edges))
+            if edges is None or relabeled < edges:
+                edges, ordering, new_index = relabeled, candidate, index
+    form = MetaStructure(
+        nodes=tuple(ms.nodes[p] for p in ordering),
+        edges=edges,
+        source=new_index[ms.source],
+        target=new_index[ms.target],
+    )
     types = ",".join(str(t) for t in form.nodes)
-    edges = ";".join(f"{a}-{b}-{e}" for a, b, e in form.edges)
-    return f"n:{types}|e:{edges}|s:{form.source}|t:{form.target}", form
+    edge_part = ";".join(f"{a}-{b}-{e}" for a, b, e in edges)
+    return f"n:{types}|e:{edge_part}|s:{form.source}|t:{form.target}", form
 
 
 def _relabel(ms: MetaStructure, ordering) -> MetaStructure:
@@ -291,6 +339,8 @@ def _relabel(ms: MetaStructure, ordering) -> MetaStructure:
 
 
 def _refine_colors(ms: MetaStructure) -> list[int]:
+    """Stable refined colors as dense ranks; returns as soon as they are
+    discrete, since a further round would only confirm them."""
     n = ms.n_nodes
     outs = [[] for _ in range(n)]
     ins = [[] for _ in range(n)]
@@ -303,6 +353,8 @@ def _refine_colors(ms: MetaStructure) -> list[int]:
     colors = [rank[(ms.nodes[p], p == ms.source, p == ms.target)] for p in range(n)]
 
     for _ in range(n):
+        if len(rank) == n:
+            break
         sigs = []
         for p in range(n):
             out_sig = tuple(sorted((e, colors[b]) for e, b in outs[p]))

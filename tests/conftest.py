@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 
 import numpy as np
@@ -273,6 +274,97 @@ def neighbors_oracle(ms: MetaStructure, lib, schema: Schema, rng: np.random.Gene
         return union, False
     picked = np.sort(rng.choice(len(union), size=cap, replace=False))
     return [union[i] for i in picked], True
+
+
+# ---------------------------------------------------------------------------
+# reference labelling, the oracle for structure._canonicalize
+# ---------------------------------------------------------------------------
+
+
+def canonicalize_reference(ms: MetaStructure):
+    """``(canonical key, canonical form)`` by the plain algorithm: refine
+    colors until they are stable, then try every ordering within color
+    classes and relabel by the best; beyond the exact range, the refined
+    signature and the color order."""
+    from hinstruct.structure import EXACT_CANONICAL_NODES, PERMUTATION_BUDGET
+
+    n = ms.n_nodes
+    colors = reference_colors(ms)
+    groups = {}
+    for p in range(n):
+        groups.setdefault(colors[p], []).append(p)
+    ordered_groups = [groups[c] for c in sorted(groups)]
+    perms = 1
+    for g in ordered_groups:
+        perms *= math.factorial(len(g))
+    if n > EXACT_CANONICAL_NODES or perms > PERMUTATION_BUDGET:
+        ordering = sorted(range(n), key=lambda p: (colors[p], p))
+        node_part = ",".join(sorted(f"{ms.nodes[p]}.{colors[p]}" for p in range(n)))
+        edge_part = ";".join(sorted(f"{colors[a]}-{colors[b]}-{e}" for a, b, e in ms.edges))
+        key = f"wl|n:{node_part}|e:{edge_part}|s:{colors[ms.source]}|t:{colors[ms.target]}"
+        return key, _relabel_reference(ms, ordering)
+
+    best = None
+    for combo in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
+        ordering = [p for group in combo for p in group]
+        new_index = {old: i for i, old in enumerate(ordering)}
+        relabeled = tuple(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges))
+        if best is None or relabeled < best[0]:
+            best = (relabeled, ordering)
+    form = _relabel_reference(ms, best[1])
+    types = ",".join(str(t) for t in form.nodes)
+    edges = ";".join(f"{a}-{b}-{e}" for a, b, e in form.edges)
+    return f"n:{types}|e:{edges}|s:{form.source}|t:{form.target}", form
+
+
+def _relabel_reference(ms: MetaStructure, ordering) -> MetaStructure:
+    new_index = {old: i for i, old in enumerate(ordering)}
+    return MetaStructure(
+        nodes=tuple(ms.nodes[p] for p in ordering),
+        edges=tuple(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges)),
+        source=new_index[ms.source],
+        target=new_index[ms.target],
+    )
+
+
+def reference_colors(ms: MetaStructure) -> list[int]:
+    """Refined colors as dense ranks, refined until a round changes nothing."""
+    n = ms.n_nodes
+    outs = [[] for _ in range(n)]
+    ins = [[] for _ in range(n)]
+    for a, b, e in ms.edges:
+        outs[a].append((e, b))
+        ins[b].append((e, a))
+
+    base = sorted({(ms.nodes[p], p == ms.source, p == ms.target) for p in range(n)})
+    rank = {sig: i for i, sig in enumerate(base)}
+    colors = [rank[(ms.nodes[p], p == ms.source, p == ms.target)] for p in range(n)]
+    for _ in range(n):
+        sigs = []
+        for p in range(n):
+            out_sig = tuple(sorted((e, colors[b]) for e, b in outs[p]))
+            in_sig = tuple(sorted((e, colors[a]) for e, a in ins[p]))
+            sigs.append((colors[p], out_sig, in_sig))
+        rank = {sig: i for i, sig in enumerate(sorted(set(sigs)))}
+        new_colors = [rank[s] for s in sigs]
+        if new_colors == colors:
+            break
+        colors = new_colors
+    return colors
+
+
+def relabeled(ms: MetaStructure, rng: np.random.Generator) -> MetaStructure:
+    """``ms`` with its positions renumbered by a random permutation."""
+    perm = [int(p) for p in rng.permutation(ms.n_nodes)]
+    nodes = [None] * ms.n_nodes
+    for p, t in enumerate(ms.nodes):
+        nodes[perm[p]] = t
+    return MetaStructure(
+        nodes=tuple(nodes),
+        edges=tuple(sorted((perm[a], perm[b], e) for a, b, e in ms.edges)),
+        source=perm[ms.source],
+        target=perm[ms.target],
+    )
 
 
 # ---------------------------------------------------------------------------

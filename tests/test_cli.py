@@ -190,6 +190,11 @@ class TestMalformedInput:
             ("split_ratio", [3, 1]),
             ("search.retries", 0),
             ("search.backoff", -1),
+            ("search.max_structure_nodes", 1),
+            ("search.insertion_max_interior", -1),
+            ("search.grafting_max_nodes", 1),
+            ("search.insertion_max_interior", 9),  # 11 positions > max_structure_nodes 10
+            ("search.grafting_max_nodes", 11),
         ],
     )
     def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
@@ -305,6 +310,35 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be at least 1, not {value}" in captured.err
+
+
+    @pytest.mark.parametrize(
+        "flags, flag, message",
+        [
+            (["--max-nodes", "0"], "--max-nodes", "must be at least 2, not 0"),
+            (["--max-nodes", "-3"], "--max-nodes", "must be at least 2, not -3"),
+            (["--insertion-max-interior", "-1"], "--insertion-max-interior", "must be at least 0, not -1"),
+            (["--grafting-max-nodes", "1"], "--grafting-max-nodes", "must be at least 2, not 1"),
+            (["--grafting-max-nodes", "1000"], "--grafting-max-nodes", "must not exceed --max-nodes (10), not 1000"),
+            (["--max-nodes", "3", "--insertion-max-interior", "2"], "--insertion-max-interior",
+             "plus 2 must not exceed --max-nodes (3), not 2"),
+        ],
+    )
+    def test_size_limit_flag_out_of_range(self, workspace, structure_files, capsys, flags, flag, message):
+        argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"])]
+        assert main(argv + flags) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: {message}" in captured.err
+
+    def test_explain_rejects_size_limits(self, workspace, tmp_path, capsys):
+        payload = json.loads(workspace["config"].read_text())
+        payload["search"]["grafting_max_nodes"] = 11
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(config)]
+        assert main(argv) == EXIT_DATA
+        assert "grafting_max_nodes must not exceed max_structure_nodes (10), not 11" in capsys.readouterr().err
 
 
 class TestExplain:

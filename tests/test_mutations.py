@@ -1,10 +1,11 @@
 import copy
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from hinstruct import evolution
+from hinstruct import evolution, mutations
 from hinstruct.cli import EXIT_OK, main
 from hinstruct.grammar import encode_metastructure
 from hinstruct.mutations import (
@@ -20,7 +21,7 @@ from hinstruct.mutations import (
     neighbors_insertion,
     one_step_neighbors,
 )
-from hinstruct.structure import MetaStructure, canonical_key, validate
+from hinstruct.structure import MetaStructure, canonical_key, isomorphism_invariant, validate
 from hinstruct.synth import write_demo_config
 
 from conftest import enumerate_corpus, neighbors_oracle, random_structure, raw_graftings
@@ -373,6 +374,31 @@ class TestMemo:
         picks = [one_step_neighbors(self.RICH, lib, schema, rng, cap=5) for _ in range(6)]
         assert len(lib.unions) == 1
         assert len({tuple(c.key for c in cs.candidates) for cs in picks}) > 1
+
+    def test_memo_hit_keys_only_offered(self, schema, monkeypatch):
+        lib = build_component_library(schema)
+        full = one_step_neighbors(self.RICH, lib, schema, np.random.default_rng(0), cap=10_000)
+        keyed = []
+        monkeypatch.setattr(mutations, "canonical_key", lambda ms: keyed.append(ms) or canonical_key(ms))
+        cs = one_step_neighbors(self.RICH, lib, schema, np.random.default_rng(0), cap=7)
+        assert keyed == [c.structure for c in cs.candidates]
+        assert len(keyed) == 7 < len(full.candidates)
+
+    def test_build_keys_only_invariant_collisions(self, schema, lib, monkeypatch):
+        keyed = []
+        monkeypatch.setattr(mutations, "canonical_key", lambda ms: keyed.append(ms) or canonical_key(ms))
+        rng = np.random.default_rng(61)
+        built = colliding = 0
+        for _ in range(100):
+            origin = random_structure(schema, rng, max_nodes=7)
+            pairs = list(itertools.chain(_insertions(origin, lib, 10), _graftings(origin, lib, 10)))
+            members = Counter(isomorphism_invariant(cand) for cand, _ in [*pairs, (origin, None)])
+            keyed.clear()
+            mutations._distinct(pairs, origin)
+            assert all(members[isomorphism_invariant(ms)] > 1 for ms in keyed)
+            built += len(pairs)
+            colliding += len(keyed)
+        assert 0 < colliding < built and built > 1_500
 
     def test_keyed_by_size_limit(self, schema):
         lib = build_component_library(schema)

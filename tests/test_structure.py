@@ -3,19 +3,31 @@ import itertools
 import numpy as np
 import pytest
 
+from hinstruct import mutations, structure
+from hinstruct.cli import EXIT_OK, main
 from hinstruct.structure import (
+    EXACT_CANONICAL_NODES,
     MetaPath,
     MetaStructure,
     StructureError,
     canonical_key,
     contains_substructure,
     enumerate_paths,
+    isomorphism_invariant,
     seed_population,
     validate,
 )
-from hinstruct.synth import planted_structure
+from hinstruct.synth import planted_structure, write_demo_config
 
-from conftest import brute_force_paths, brute_isomorphic, enumerate_corpus, random_structure
+from conftest import (
+    brute_force_paths,
+    brute_isomorphic,
+    canonicalize_reference,
+    enumerate_corpus,
+    random_structure,
+    reference_colors,
+    relabeled,
+)
 
 U, B, A, I = 0, 1, 2, 3
 RATES, RATED_BY, FRIEND, BELONGS, CONTAINS, LOCATED, HOSTS = range(7)
@@ -146,6 +158,115 @@ class TestCanonicalKey:
     def test_stable_across_calls(self, schema):
         ms = planted_structure()
         assert canonical_key(ms) == canonical_key(MetaStructure.from_dict(ms.to_dict()))
+
+
+@pytest.fixture(scope="module")
+def demo_structures(planted_dir, tmp_path_factory):
+    """Every structure a seed-0 demo search labels or gives an invariant:
+    the keyed ones and every distinct valid candidate of its unions."""
+    root = tmp_path_factory.mktemp("demo-labels")
+    config = root / "config.json"
+    write_demo_config(config, planted_dir, root / "out", seed=0, generations=30)
+    seen = set()
+
+    def recording(fn):
+        def wrapper(ms):
+            seen.add(ms)
+            return fn(ms)
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(structure, "_canonicalize", recording(structure._canonicalize))
+        mp.setattr(mutations, "isomorphism_invariant", recording(isomorphism_invariant))
+        assert main(["search", "--config", str(config)]) == EXIT_OK
+    return sorted(seen, key=lambda ms: (ms.n_nodes, ms.nodes, ms.edges, ms.source, ms.target))
+
+
+def random_corpus(schema, seed, max_nodes, count):
+    """``count`` random structures of up to ``max_nodes`` positions, each
+    followed by a random relabelling of itself."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        ms = random_structure(schema, rng, max_nodes=max_nodes)
+        out += [ms, relabeled(ms, rng)]
+    return out
+
+
+def twinned(ms, rng):
+    """``ms`` plus a twin of a random interior position: same type, same
+    neighbours, so the two never part in refinement; None without an
+    interior position."""
+    interior = [p for p in range(ms.n_nodes) if p not in (ms.source, ms.target)]
+    if not interior:
+        return None
+    v, twin = interior[int(rng.integers(len(interior)))], ms.n_nodes
+    copies = [(twin if a == v else a, twin if b == v else b, e) for a, b, e in ms.edges if v in (a, b)]
+    return MetaStructure(ms.nodes + (ms.nodes[v],), ms.edges + tuple(copies), ms.source, ms.target)
+
+
+def discrete(ms):
+    return len(set(reference_colors(ms))) == ms.n_nodes
+
+
+class TestLabelling:
+    """``_canonicalize`` against the plain algorithm in ``conftest``: the
+    discrete early exit and the single-ordering path change no byte."""
+
+    @staticmethod
+    def assert_matches_reference(corpus):
+        for ms in corpus:
+            key, form = structure._canonicalize.__wrapped__(ms)
+            assert (key, form) == canonicalize_reference(ms), ms
+            assert canonical_key(ms) == key
+
+    def test_demo_search_structures(self, demo_structures):
+        assert len(demo_structures) > 5_000
+        assert any(not discrete(ms) for ms in demo_structures)
+        self.assert_matches_reference(demo_structures)
+
+    def test_random_structures_with_repeated_types(self, schema):
+        rng = np.random.default_rng(41)
+        corpus = random_corpus(schema, 41, EXACT_CANONICAL_NODES, 200)
+        for ms in random_corpus(schema, 42, EXACT_CANONICAL_NODES - 1, 200):
+            twin = twinned(ms, rng)
+            if twin is not None:
+                corpus += [twin, relabeled(twin, rng)]
+        assert all(ms.n_nodes <= EXACT_CANONICAL_NODES for ms in corpus)
+        assert sum(len(set(ms.nodes)) < ms.n_nodes for ms in corpus) > 900
+        assert sum(not discrete(ms) for ms in corpus) > 600  # the permutation branch runs
+        assert all(validate(ms, schema) == [] for ms in corpus)
+        self.assert_matches_reference(corpus)
+
+    def test_fallback_beyond_exact_range(self, schema):
+        corpus = [ms for ms in random_corpus(schema, 43, 16, 200) if ms.n_nodes > EXACT_CANONICAL_NODES]
+        assert len(corpus) > 100
+        keys = [structure._canonicalize.__wrapped__(ms)[0] for ms in corpus]
+        assert all(key.startswith("wl|") for key in keys)
+        self.assert_matches_reference(corpus)
+
+
+class TestIsomorphismInvariant:
+    def test_relabelling_keeps_invariant(self, schema):
+        rng = np.random.default_rng(47)
+        for max_nodes in (4, 8, 14):
+            for _ in range(60):
+                ms = random_structure(schema, rng, max_nodes=max_nodes)
+                for _ in range(3):
+                    assert isomorphism_invariant(relabeled(ms, rng)) == isomorphism_invariant(ms)
+
+    def test_equal_keys_imply_equal_invariants(self, schema, demo_structures):
+        corpus = (
+            demo_structures
+            + random_corpus(schema, 53, EXACT_CANONICAL_NODES, 200)
+            + random_corpus(schema, 59, 16, 200)
+        )
+        by_key = {}
+        for ms in corpus:
+            by_key.setdefault(canonical_key(ms), set()).add(isomorphism_invariant(ms))
+        assert all(len(invariants) == 1 for invariants in by_key.values())
+        assert len(by_key) < len(corpus)  # some keys repeat
+        assert any(key.startswith("wl|") for key in by_key)
 
 
 class TestSeedPopulation:
