@@ -23,11 +23,20 @@ become the pool mean with confidence 0, the selector flags
 ``stub_selection_rule``'s pick); one that got none raises ``BackendError``.
 
 Threads: the search runs each individual's predictor-then-selector chain as
-one task on a pool of up to ``evolution.AGENT_WORKERS`` (4) threads, so a
-backend's ``complete`` may run on that many threads at once. Both shipped
-backends allow it: the stub keeps no state, and the HTTP backend opens no
-shared session. Each task records into its own ``TranscriptBuffer``, which
-the search replays into the run's ``TranscriptLog`` in index order.
+one task, one thread per chain it asks in a generation and at most
+``evolution.AGENT_WORKERS``, so a backend's ``complete`` may run on that many
+threads at once. Both shipped backends allow it: the stub keeps no state, and
+the HTTP backend opens no shared session. Each task records into its own
+``TranscriptBuffer``, which the search replays into the run's
+``TranscriptLog`` in index order.
+
+Determinism: a backend whose ``deterministic`` property is true gives the
+same reply to the same prompt every time. The search then asks each distinct
+predictor-then-selector question once and reuses the chain's exchanges and
+decision for every later individual that asks it again in the same run. The
+stub is always deterministic; the HTTP backend is at temperature 0, which
+asks the model for its greedy answer. A backend without the property is
+asked every time.
 """
 
 from __future__ import annotations
@@ -284,6 +293,7 @@ class StubBackend:
     """
 
     identity = "stub"
+    deterministic = True
 
     def complete(self, system: str, user: str) -> str:
         header = user.lstrip().splitlines()[0].strip() if user.strip() else ""
@@ -387,6 +397,11 @@ class HttpChatBackend:
     and reads the first choice's message content, which must be a string.
     An HTTP 429 raises a ``BackendError`` whose ``retry_after`` is the
     ``Retry-After`` header in whole seconds, capped at ``timeout``.
+
+    At ``temperature`` 0 the model is asked for its greedy answer, so the
+    backend is ``deterministic`` and a search reuses its replies to a
+    question it already asked within the run; at a positive temperature
+    every call samples afresh.
     """
 
     url: str
@@ -398,6 +413,10 @@ class HttpChatBackend:
     @property
     def identity(self) -> str:
         return self.model
+
+    @property
+    def deterministic(self) -> bool:
+        return self.temperature == 0
 
     def complete(self, system: str, user: str) -> str:
         headers = {"Content-Type": "application/json"}

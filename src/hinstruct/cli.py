@@ -5,7 +5,10 @@ sentence), ``evaluate`` (score one structure), ``neighbors`` (list one-step
 neighbors), ``explain`` (re-run the differential explainer on a result).
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
-error. Output files are written atomically (temp file plus rename).
+error. Output files are written atomically (temp file plus rename). Log
+messages go to stderr at ``--log-level`` and above (default ``warning``);
+at ``info`` a search logs, per generation, how many agent chains it asked
+the backend and how many it reused.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import logging
 import math
 import os
 import sys
@@ -430,6 +434,10 @@ def cmd_explain(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hinstruct", description="Meta-structure discovery for typed networks.")
+    parser.add_argument(
+        "--log-level", choices=("debug", "info", "warning", "error"), default="warning",
+        dest="log_level", help="least severe log messages written to stderr",
+    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("search", help="run the evolutionary search")
@@ -484,6 +492,7 @@ def main(argv=None) -> int:
                 parser.error(f"argument {flag}: {problem}")
     except SystemExit as exc:
         return int(exc.code or 0)
+    logging.basicConfig(level=args.log_level.upper())
     try:
         return args.func(args)
     except BackendError as exc:

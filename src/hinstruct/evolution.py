@@ -13,14 +13,22 @@ draw, and mutation decision together with an rng-state digest.
 
 Mutation runs in two phases. Phase 1, on the calling thread and in index
 order, draws every individual's neighbourhood and pool sample, encodes the
-candidates and takes the rng digest of its mutation event. Phase 2 runs each
-individual's predictor-then-selector chain as one task on up to
-``AGENT_WORKERS`` threads, since the agents mostly wait on the backend; the
-tasks touch neither the rng nor the pool nor the path cache, so nothing is
-locked. Each task records into its own transcript buffer; the calling thread
-takes the results in index order, replays each buffer into the transcript
-and then appends the individual's event. So transcripts and events come out
-in the same order, with the same contents, however the tasks interleave.
+candidates and takes the rng digest of its mutation event. It then picks
+which chains to ask. A chain's two prompts are made from the offered
+candidates' canonical keys, in offer order, and the pool sample, so with a
+``deterministic`` backend (see ``agents``) that pair is the chain's key: a
+chain is asked only for the first individual of each key that the search's
+chain memo does not hold, and every other individual of that key takes its
+answer. With any other backend every chain is asked.
+
+Phase 2 runs each chain asked as one task, on one thread per task and at most
+``AGENT_WORKERS``, since the agents mostly wait on the backend; the tasks
+touch neither the rng nor the pool nor the path cache nor the memo, so
+nothing is locked. Each task records into its own transcript buffer; the
+calling thread takes the answers in index order, replays each buffer into
+the transcript and then appends the individual's own event. So transcripts
+and events come out in the same order, with the same contents, however the
+tasks interleave and whether an answer was asked for or reused.
 """
 
 from __future__ import annotations
@@ -51,6 +59,7 @@ from .mutations import (
     CandidateSet,
     ComponentLimits,
     EmptyNeighborhoodError,
+    LruMemo,
     build_component_library,
     one_step_neighbors,
     size_limit_problems,
@@ -61,8 +70,14 @@ from .structure import MetaStructure, canonical_key, seed_population
 
 log = logging.getLogger(__name__)
 
-# Threads that run agent tasks at once in ``mutate_population``.
-AGENT_WORKERS = 4
+# Threads that run agent tasks at once in ``mutate_population``; above the
+# default population of 5, so no chain of a generation waits for another.
+AGENT_WORKERS = 8
+# Chain answers a search keeps. Of the 150 chains of each seed-0 benchmark
+# search, bounds of 1/2/8/unbounded reuse 115/141/141/141 on cls-slow-agent
+# and 6 at each bound on rec-demo. An entry holds the chain's prompts and
+# replies; its prompts average about 39,000 characters on rec-demo.
+CHAIN_MEMO_ENTRIES = 8
 
 
 @dataclass(frozen=True)
@@ -305,17 +320,22 @@ def _choose(job, backend, prompts, config):
 
 
 def mutate_population(
-    population, lib, schema, backend, pool, config: SearchConfig, rng, prompts, transcript, events, generation
+    population, lib, schema, backend, pool, config: SearchConfig, rng, prompts, transcript, events,
+    generation, chains: LruMemo | None = None,
 ):
     """Replace each individual with its agent-chosen one-step neighbor.
 
     Phase 1 draws each individual's neighbourhood and pool sample in index
-    order on this thread. Phase 2 runs the agent tasks on up to
-    ``AGENT_WORKERS`` threads, and this thread consumes them in index order:
-    it replays each task's exchanges into ``transcript``, then appends its
-    mutation event. A ``BackendError`` passes the individual through; any
-    other exception propagates at that individual's turn, after every
-    earlier individual's exchanges and event are recorded.
+    order on this thread and picks the chains to ask: with a
+    ``deterministic`` backend, one per chain key that ``chains`` (the
+    search's memo of answers; a fresh one when None) does not hold. Phase 2
+    asks them on up to ``AGENT_WORKERS`` threads, and this thread consumes the
+    answers in index order: it replays each answer's exchanges into
+    ``transcript``, then appends the individual's mutation event. An answer
+    that ended in ``BackendError`` passes its individuals through and is
+    not kept in ``chains``, so a later generation asks again; any other
+    answer is kept. Any other exception propagates at that individual's
+    turn, after every earlier individual's exchanges and event are recorded.
     """
     jobs = []
     for ind in population:
@@ -331,16 +351,45 @@ def mutate_population(
         sentences = tuple(lib.sentence(c.structure, schema) for c in cands.candidates)
         jobs.append(_MutationJob(ind, _rng_digest(rng), cands, sentences, sample))
 
-    tasks = [job for job in jobs if job.cands is not None]
+    memo = None
+    if getattr(backend, "deterministic", False):
+        memo = chains if chains is not None else LruMemo(CHAIN_MEMO_ENTRIES)
+    # chain key of each job (its index when nothing is memoised), the answers
+    # known before asking, and the first job of each key still to ask
+    keys, answers, asked = [], {}, {}
+    for i, job in enumerate(jobs):
+        if job.cands is None:
+            keys.append(None)
+            continue
+        key = i if memo is None else (tuple(c.key for c in job.cands.candidates), job.sample)
+        keys.append(key)
+        if key in answers or key in asked:
+            continue
+        answer = None if memo is None else memo.find(key)
+        if answer is not None:
+            answers[key] = answer
+        else:
+            asked[key] = job
+    log.info(
+        "generation %d: asked the backend %d agent chain(s), took %d from the memo",
+        generation, len(asked), sum(key is not None for key in keys) - len(asked),
+    )
+
     out = []
-    with ThreadPoolExecutor(max_workers=max(1, min(len(tasks), AGENT_WORKERS))) as executor:
-        results = executor.map(lambda job: _choose(job, backend, prompts, config), tasks)
-        for job in jobs:
+    with ThreadPoolExecutor(max_workers=max(1, min(len(asked), AGENT_WORKERS))) as executor:
+        futures = {
+            key: executor.submit(_choose, job, backend, prompts, config) for key, job in asked.items()
+        }
+        for job, key in zip(jobs, keys):
             ind = job.ind
             if job.cands is None:
                 out.append(_pass_through(ind, "empty neighborhood", events, generation, job.digest))
                 continue
-            buffer, decision = next(results)
+            if key not in answers:
+                answers[key] = futures[key].result()
+                if memo is not None and not isinstance(answers[key][1], BackendError):
+                    memo.put(key, answers[key])
+            buffer, decision = answers[key]
             if transcript is not None:
                 buffer.replay(transcript)
             if isinstance(decision, BackendError):
@@ -454,6 +503,7 @@ def run_search(
     ]
 
     pool = PerformancePool()
+    chains = LruMemo(CHAIN_MEMO_ENTRIES)
     events: list[dict] = []
     gen_records: list[GenerationRecord] = []
     aborted = None
@@ -486,7 +536,7 @@ def run_search(
                 )
             population = mutate_population(
                 population, lib, schema, backend, pool, config, rng, prompts,
-                transcript, events, generation,
+                transcript, events, generation, chains,
             )
         population = evaluate_population(
             population, evaluator, graph, split, pool, config.generations, events, rng

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grammar import encode_metastructure
-from .hin import Schema
+from .hin import DataError, Schema
 from .structure import (
     MetaPath,
     MetaStructure,
@@ -64,6 +64,10 @@ MAX_RECONNECT_COMBOS = 512
 # calls of the seed-0 demo search, bounds of 1/2/4/8/unbounded hit
 # 19/27/40/41/43 times.
 UNION_MEMO_ENTRIES = 8
+# Schema walks a component library may hold. The walk count of a schema with
+# a cycle grows exponentially with the component limit: the demo schema has
+# 3,670 walks of up to 10 positions and 14,714 of up to 12.
+MAX_SCHEMA_WALKS = 50_000
 # Sentences a library keeps; the seed-0 demo search verbalises 2,138
 # distinct canonical forms.
 SENTENCE_MEMO_ENTRIES = 4096
@@ -120,6 +124,20 @@ class LruMemo:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
+    def find(self, key):
+        """The value under ``key``, now the most recently used, or None."""
+        if key not in self._entries:
+            return None
+        self._entries.move_to_end(key)
+        return self._entries[key]
+
+    def put(self, key, value):
+        """Keep ``value`` under ``key`` as the most recently used entry."""
+        self._entries[key] = value
+        self._entries.move_to_end(key)
+        if len(self._entries) > self.max_entries:
+            self._entries.popitem(last=False)
+
     def get(self, key, make):
         """The value under ``key``, now the most recently used; on a miss,
         ``make()`` is called and its value kept. An exception from ``make``
@@ -127,9 +145,8 @@ class LruMemo:
         if key in self._entries:
             self._entries.move_to_end(key)
             return self._entries[key]
-        value = self._entries[key] = make()
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
+        value = make()
+        self.put(key, value)
         return value
 
 
@@ -178,19 +195,29 @@ def build_component_library(schema: Schema, limits: ComponentLimits | None = Non
 
 
 def _schema_paths(schema: Schema, max_nodes: int) -> list[MetaPath]:
-    """Exhaustive meta-paths of 2..max_nodes nodes, ordered by size then types."""
-    found: list[MetaPath] = []
+    """Exhaustive meta-paths of 2..max_nodes nodes, ordered by size then types.
 
-    def extend(nodes, etypes):
-        if len(nodes) >= 2:
-            found.append(MetaPath(tuple(nodes), tuple(etypes)))
-        if len(nodes) == max_nodes:
-            return
-        for et in sorted(schema.out_edge_types(nodes[-1]), key=lambda e: e.id):
-            extend(nodes + [et.dst], etypes + [et.id])
-
-    for nt in schema.node_types:
-        extend([nt.id], [])
+    Walks grow one position per level. Before a level is built its size is
+    counted, and a ``DataError`` naming ``max_nodes`` stops the build when
+    the walks would number more than ``MAX_SCHEMA_WALKS``.
+    """
+    out_edges = {
+        nt.id: sorted(schema.out_edge_types(nt.id), key=lambda e: e.id) for nt in schema.node_types
+    }
+    level = [((nt.id,), ()) for nt in schema.node_types]
+    found = []
+    for n_nodes in range(2, max_nodes + 1):
+        if len(found) + sum(len(out_edges[nodes[-1]]) for nodes, _ in level) > MAX_SCHEMA_WALKS:
+            raise DataError(
+                f"component limit {max_nodes}: schema walks of up to {n_nodes} positions "
+                f"number more than {MAX_SCHEMA_WALKS:,}; lower the component limits"
+            )
+        level = [
+            (nodes + (et.dst,), etypes + (et.id,))
+            for nodes, etypes in level
+            for et in out_edges[nodes[-1]]
+        ]
+        found.extend(MetaPath(nodes, etypes) for nodes, etypes in level)
     found.sort(key=lambda p: (p.n_nodes, p.type_sequence()))
     return found
 

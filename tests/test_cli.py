@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
-from hinstruct.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from hinstruct.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from hinstruct.structure import MetaStructure
 from hinstruct.synth import planted_structure, toy_schema, write_demo_config
 
@@ -159,6 +164,22 @@ class TestSearch:
         assert main(["search", "--config", str(workspace["config"]), "--out", str(out_b)]) == EXIT_OK
         for name in ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+    def test_log_level_info_reports_agent_chains_on_stderr(self, workspace, tmp_path):
+        assert build_parser().parse_args(["search", "--config", "c"]).log_level == "warning"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hinstruct.cli", "--log-level", "info", "search",
+             "--config", str(workspace["config"]), "--out", str(tmp_path / "logged")],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        chains = [line for line in proc.stderr.splitlines() if "agent chain(s)" in line]
+        assert [line.split(":")[2] for line in chains] == ["generation 0", "generation 1", "generation 2"]
+        assert all("took" in line and "from the memo" in line for line in chains)
+        assert main(["search", "--config", str(workspace["config"]), "--out", str(tmp_path / "plain")]) == EXIT_OK
+        for name in ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl"):
+            assert (tmp_path / "logged" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
     def test_missing_dataset_dir_names_path(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad.json"
@@ -330,6 +351,22 @@ class TestMalformedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: {message}" in captured.err
+
+    @pytest.mark.parametrize("command", ["neighbors", "search"])
+    def test_runaway_component_limit_is_data_error(self, workspace, structure_files, tmp_path, capsys, command):
+        if command == "neighbors":
+            argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"]),
+                    "--max-nodes", "1000", "--grafting-max-nodes", "1000"]
+        else:
+            payload = json.loads(workspace["config"].read_text())
+            payload["search"].update(max_structure_nodes=1000, grafting_max_nodes=1000)
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(payload))
+            argv = ["search", "--config", str(config), "--out", str(tmp_path / "out")]
+        start = time.perf_counter()
+        assert main(argv) == EXIT_DATA
+        assert time.perf_counter() - start < 1.0
+        assert "component limit 1000" in capsys.readouterr().err
 
     def test_explain_rejects_size_limits(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["config"].read_text())

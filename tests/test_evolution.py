@@ -2,14 +2,19 @@ import json
 import sys
 import threading
 import time
+import types
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from hinstruct.agents import (
     BackendError,
+    HttpChatBackend,
+    PoolSample,
     PromptLibrary,
+    StubBackend,
     TranscriptLog,
     make_stub_backend,
     predictor_candidate_block,
@@ -27,14 +32,26 @@ from hinstruct.evolution import (
     mutate_population,
     reproduce,
     run_search,
+    _choose,
+    _MutationJob,
     _rng_digest,
 )
 from hinstruct.grammar import encode_metastructure
 from hinstruct.hin import load_graph, load_ratings, load_schema, binarize_ratings
-from hinstruct.mutations import ComponentLimits, build_component_library, one_step_neighbors
+from hinstruct.mutations import (
+    Candidate,
+    CandidateSet,
+    ComponentLimits,
+    EmptyNeighborhoodError,
+    LruMemo,
+    build_component_library,
+    one_step_neighbors,
+)
 from hinstruct.splits import make_recommendation_split
 from hinstruct.structure import MetaStructure, canonical_key
 from hinstruct.synth import planted_structure, toy_schema, write_demo_config
+
+from conftest import random_structure, relabeled
 
 U, B = 0, 1
 RATES, RATED_BY, FRIEND = 0, 1, 2
@@ -453,7 +470,16 @@ class TestConcurrentMutation:
         return out, events
 
     def test_jittered_backend_writes_identical_artifacts(self, planted_dir, tmp_path, monkeypatch):
-        outputs = {}
+        # _Jittery has no ``deterministic`` property, so it is asked every
+        # chain; the stub is asked each distinct chain once
+        outputs, calls = {}, Counter()
+        complete = StubBackend.complete
+
+        def counting(self, system, user):
+            calls[name] += 1
+            return complete(self, system, user)
+
+        monkeypatch.setattr(StubBackend, "complete", counting)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # switch threads often, to shake out ordering faults
         try:
@@ -471,6 +497,7 @@ class TestConcurrentMutation:
             sys.setswitchinterval(interval)
         assert outputs["plain"]["transcripts.jsonl"]
         assert outputs["jittered"] == outputs["plain"]
+        assert 0 < calls["plain"] < calls["jittered"]
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_agent_calls_overlap(self, planted_task, n):
@@ -524,3 +551,127 @@ class TestConcurrentMutation:
             )
         assert log_path.read_text().splitlines() == plain_lines[: 2 * failing]
         assert events == plain_events[:failing]
+
+
+class _Counting:
+    """Deterministic stub replies, counting prompts by task; the first
+    ``failures`` calls raise ``BackendError``."""
+
+    identity = "stub"
+    deterministic = True
+
+    def __init__(self, failures=0):
+        self.stub = make_stub_backend()
+        self.failures = failures
+        self.calls = Counter()
+        self.lock = threading.Lock()
+
+    def complete(self, system, user):
+        with self.lock:
+            self.calls[user.split("\n", 1)[0]] += 1
+            failing = self.failures > 0
+            self.failures -= failing
+        if failing:
+            raise BackendError("model down")
+        return self.stub.complete(system, user)
+
+
+class TestChainMemo:
+    """A deterministic backend is asked each distinct predictor-then-selector chain once."""
+
+    config = SearchConfig(backoff=0.0, retries=2, candidate_cap=1000, pool_sample_size=30)
+    PREDICT, SELECT = "TASK: PREDICT", "TASK: SELECT"
+
+    def start(self, schema, n):
+        """The library, n copies of one individual and a pool holding only it."""
+        lib = build_component_library(schema)
+        ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
+        ind = Individual(ms, canonical_key(ms), encode_metastructure(ms, schema), 0.5)
+        pool = PerformancePool()
+        pool.insert(PoolRecord(ind.key, ind.sentence, 0.5, 0, ms.to_dict()))
+        return lib, [ind] * n, pool
+
+    def mutate(self, schema, lib, population, pool, backend, chains=None, transcript=None, events=None):
+        return mutate_population(
+            population, lib, schema, backend, pool, self.config, np.random.default_rng(0),
+            PromptLibrary(), transcript, [] if events is None else events, 0, chains,
+        )
+
+    def test_equal_keys_give_byte_equal_prompts(self, schema):
+        # the chain key is the offered keys in order plus the pool sample:
+        # candidates numbered differently but equal in key must ask the same
+        lib = build_component_library(schema)
+        rng = np.random.default_rng(5)
+        sample = PoolSample(
+            tuple((encode_metastructure(random_structure(schema, rng), schema), 0.1 * i) for i in range(4))
+        )
+        checked = 0
+        while checked < 25:
+            origin = random_structure(schema, rng, max_nodes=6)
+            try:
+                cands = one_step_neighbors(origin, lib, schema, rng, cap=6)
+            except EmptyNeighborhoodError:
+                continue
+            checked += 1
+            twin = CandidateSet(
+                tuple(Candidate(relabeled(c.structure, rng), c.key, c.descriptor) for c in cands.candidates),
+                cands.sampled,
+            )
+            assert [canonical_key(c.structure) for c in twin.candidates] == [c.key for c in cands.candidates]
+            exchanges = []
+            for offered in (cands, twin):
+                sentences = tuple(encode_metastructure(c.structure, schema) for c in offered.candidates)
+                job = _MutationJob(None, "", offered, sentences, sample)
+                buffer, decision = _choose(job, make_stub_backend(), PromptLibrary(), self.config)
+                exchanges.append(buffer.exchanges)
+            assert [e[0] for e in exchanges[0]] == ["predictor", "selector"]
+            assert exchanges[1] == exchanges[0]
+
+    def test_identical_individuals_ask_once(self, planted_task, tmp_path):
+        schema = planted_task[0].schema
+        lib, population, pool = self.start(schema, 5)
+        backend, events = _Counting(), []
+        log_path = tmp_path / "t.jsonl"
+        out = self.mutate(schema, lib, population, pool, backend, transcript=TranscriptLog(log_path), events=events)
+        assert backend.calls == {self.PREDICT: 1, self.SELECT: 1}
+        lines = log_path.read_text().splitlines()
+        assert len(lines) == 10 and lines[2:] == lines[:2] * 4
+        assert len({ind.key for ind in out}) == 1
+        assert [e["chosen"] for e in events] == [out[0].key] * 5
+        assert all(e["origin"] == population[0].key and "note" not in e for e in events)
+
+    def test_backend_error_is_asked_again(self, planted_task):
+        schema = planted_task[0].schema
+        lib, population, pool = self.start(schema, 2)
+        chains = LruMemo(8)
+        backend = _Counting(failures=self.config.retries)
+        events = []
+        out = self.mutate(schema, lib, population, pool, backend, chains, events=events)
+        # both individuals share the one failed ask
+        assert out == population and all("model down" in e["note"] for e in events)
+        assert backend.calls == {self.PREDICT: self.config.retries}
+        out = self.mutate(schema, lib, population, pool, backend, chains)
+        assert out[0].key != population[0].key
+        assert backend.calls == {self.PREDICT: self.config.retries + 1, self.SELECT: 1}
+        # a chain that got its answer is kept for the next generation
+        self.mutate(schema, lib, population, pool, backend, chains)
+        assert backend.calls == {self.PREDICT: self.config.retries + 1, self.SELECT: 1}
+
+    @pytest.mark.parametrize("temperature, calls", [(0.7, 6), (0.0, 2)])
+    def test_http_backend_memoised_only_at_temperature_zero(self, planted_task, monkeypatch, temperature, calls):
+        schema = planted_task[0].schema
+        lib, population, pool = self.start(schema, 3)
+        stub, sent = make_stub_backend(), []
+
+        def post(url, json=None, headers=None, timeout=None):
+            sent.append(json)
+            system, user = (m["content"] for m in json["messages"])
+            payload = {"choices": [{"message": {"content": stub.complete(system, user)}}]}
+            return types.SimpleNamespace(status_code=200, raise_for_status=lambda: None, json=lambda: payload)
+
+        monkeypatch.setattr("hinstruct.agents.requests.post", post)
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m", temperature=temperature)
+        assert backend.deterministic == (temperature == 0)
+        out = self.mutate(schema, lib, population, pool, backend)
+        assert len(sent) == calls
+        assert len({ind.key for ind in out}) == 1

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import time
 from collections import Counter
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 from hinstruct import evolution, mutations
 from hinstruct.cli import EXIT_OK, main
 from hinstruct.grammar import encode_metastructure
+from hinstruct.hin import DataError
 from hinstruct.mutations import (
+    MAX_SCHEMA_WALKS,
     UNION_MEMO_ENTRIES,
     ComponentLimits,
     EmptyNeighborhoodError,
@@ -21,7 +24,7 @@ from hinstruct.mutations import (
     neighbors_insertion,
     one_step_neighbors,
 )
-from hinstruct.structure import MetaStructure, canonical_key, isomorphism_invariant, validate
+from hinstruct.structure import MetaPath, MetaStructure, canonical_key, isomorphism_invariant, validate
 from hinstruct.synth import write_demo_config
 
 from conftest import enumerate_corpus, neighbors_oracle, random_structure, raw_graftings
@@ -82,6 +85,21 @@ class TestComponentLibrary:
         again = build_component_library(schema)
         assert again.insertion == lib.insertion
         assert again.grafting == lib.grafting
+
+    @pytest.mark.parametrize("limit", [2, 3, 6, 10])
+    def test_walks_ordered_by_size_then_types(self, schema, lib, limit):
+        expect = sorted(schema_paths_oracle(schema, limit), key=lambda p: (len(p[0]), MetaPath(*p).type_sequence()))
+        got = [(p.node_types, p.edge_types) for p in mutations._schema_paths(schema, limit)]
+        assert got == expect
+        if limit == 3:  # the default library
+            assert [(p.node_types, p.edge_types) for p in lib.grafting] == expect
+
+    def test_walk_budget_stops_a_runaway_limit(self, schema):
+        # the demo schema's walk count doubles per level; 1000 would never end
+        start = time.perf_counter()
+        with pytest.raises(DataError, match=f"component limit 1000: .* more than {MAX_SCHEMA_WALKS:,}"):
+            build_component_library(schema, ComponentLimits(grafting_max_nodes=1000))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestInsertion:
@@ -452,6 +470,10 @@ class TestMemo:
         assert memo.get("c", make(3)) == 3
         assert "b" not in memo and "a" in memo and "c" in memo and len(memo) == 2
         assert made == [1, 2, 3]
+        assert memo.find("b") is None
+        assert memo.find("a") == 1  # refreshes "a"
+        memo.put("d", 4)
+        assert "c" not in memo and memo.find("d") == 4 and len(memo) == 2
 
     def test_lru_memo_keeps_nothing_when_make_fails(self):
         memo = LruMemo(2)
