@@ -84,7 +84,6 @@ from .structure import (
     MetaStructure,
     StructureError,
     canonical_key,
-    contains_substructure,
     enumerate_paths,
     seed_population,
     validate,

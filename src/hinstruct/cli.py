@@ -2,7 +2,10 @@
 
 Subcommands: ``search`` (full evolutionary run), ``translate`` (structure to
 sentence), ``evaluate`` (score one structure), ``neighbors`` (list one-step
-neighbors), ``explain`` (re-run the differential explainer on a result).
+neighbors), ``explain`` (re-run the differential explainer on a result; it
+writes ``explain-explanations.json`` and ``explain-transcripts.jsonl``, names
+a search never writes, so a rerun into the search's directory leaves the
+search's artifacts as they were).
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
 error. Output files are written atomically (temp file plus rename). Log
@@ -419,11 +422,12 @@ def cmd_explain(args) -> int:
         search, graph, split, backend, evaluator, pool, lib, final_keys,
         rng, prompts, transcript, events=[], strict_backend=True,
     )
+    reports_path = out_dir / "explain-explanations.json"
     _atomic_write(
-        out_dir / "explanations.json",
+        reports_path,
         json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",
     )
-    print(f"wrote {len(reports)} explanation report(s) to {out_dir / 'explanations.json'}")
+    print(f"wrote {len(reports)} explanation report(s) to {reports_path}")
     return EXIT_OK
 
 

@@ -5,7 +5,7 @@ product of the per-edge adjacency matrices, whose (s, t) entry counts path
 instances from s to t. A meta-structure decomposes into its source-to-target
 paths; each path matrix is row-normalized and the structure score is their
 elementwise product, so a pair scores nonzero exactly when every decomposed
-path connects it.
+path connects it. ``structure_score_matrix`` is that definition.
 
 Recommendation fitness is AUC over the split's positive/negative pairs;
 node-classification fitness is Macro-F1 of a score-weighted vote over train
@@ -14,21 +14,40 @@ split, ms)``, which scores the split part the evaluator names. Both
 evaluators are pure functions of their inputs and sit behind the
 ``Evaluator`` protocol so a learned fitness can be plugged in instead.
 
+A metric reads few cells of the score matrix: AUC reads the part's pairs,
+the vote reads the part's rows at the train columns. So neither evaluator
+forms the score matrix. Each distinct path of a structure contributes a
+*read*, its row-normalized commuting matrix at exactly those cells, and the
+reads are multiplied in the sorted type-sequence order
+``structure_score_matrix`` folds in, which gives the same values bit for bit.
+
 Mutations add or remove one component, so the structures of a search share
-most of their paths. Each graph therefore keeps a byte-bounded LRU cache of
-path products (``HinGraph.path_cache``), keyed by edge-type prefix: a path
-product resumes from its longest cached prefix. Products keep their
-left-to-right order, so a cached matrix is bit-identical to a fresh one.
-Every product is held to the one flop budget ``sparse.FLOP_BUDGET``. A prefix
-over it is never cached, so every structure that needs it raises
+most of their paths, and the paths share prefixes. Each graph keeps two
+byte-bounded LRU caches:
+
+* ``HinGraph.read_cache`` holds reads, keyed by the path's type sequence and
+  a digest of the metric and its exact cells, so two parts or two splits on
+  one graph never share an entry. A structure whose paths all hit runs no
+  product. Its entries are read-only arrays.
+* ``HinGraph.path_cache`` holds path products, keyed by edge-type prefix: a
+  read that misses resumes its product from the longest cached prefix.
+  Products keep their left-to-right order, so a cached matrix is
+  bit-identical to a fresh one.
+
+The reads sit in a cache of their own because they are small and reused in
+every generation, while products are large: sharing one bound, products
+evict the reads. Every product is held to the one flop budget
+``sparse.FLOP_BUDGET``. A prefix over it is never cached and neither is a
+read that needs it, so every structure that needs it raises
 ``MatrixBlowupError`` again from ``SparseMatrix.matmul``'s check, before any
-product is formed. The cache is single-threaded and scoped to one
-graph: a graph made by ``HinGraph.with_adjacency`` starts empty. Returned
-matrices may be cache entries and must not be modified.
+product is formed. The caches are single-threaded and scoped to one graph:
+a graph made by ``HinGraph.with_adjacency`` starts empty. Returned matrices
+may be cache entries and must not be modified.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Protocol
 
@@ -77,6 +96,14 @@ def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:
     return result
 
 
+def _distinct_paths(ms: MetaStructure) -> list[MetaPath]:
+    """One path per distinct type sequence, in sorted type-sequence order."""
+    unique = {}
+    for path in enumerate_paths(ms):
+        unique.setdefault(path.type_sequence(), path)
+    return [unique[seq] for seq in sorted(unique)]
+
+
 def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
     """Elementwise product of the row-normalized per-path commuting matrices.
 
@@ -84,14 +111,45 @@ def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
     repetition would only re-exponentiate values without changing which pairs
     connect.
     """
-    unique = {}
-    for path in enumerate_paths(ms):
-        unique.setdefault(path.type_sequence(), path)
     score = None
-    for seq in sorted(unique):
-        normalized = path_commuting_matrix(graph, unique[seq]).row_normalize()
+    for path in _distinct_paths(ms):
+        normalized = path_commuting_matrix(graph, path).row_normalize()
         score = normalized if score is None else score.hadamard(normalized)
     return score
+
+
+def _cells_digest(metric: str, *cells) -> bytes:
+    """Digest of a metric name and the int64 cell arrays it reads, shapes included."""
+    h = hashlib.blake2b(metric.encode(), digest_size=16)
+    for array in cells:
+        h.update(repr(array.shape).encode())
+        h.update(array.tobytes())
+    return h.digest()
+
+
+def _path_reads(graph: HinGraph, ms: MetaStructure, digest: bytes, read) -> list:
+    """``read`` of each distinct path's row-normalized commuting matrix, in
+    sorted type-sequence order, through the graph's read cache.
+
+    ``digest`` (see ``_cells_digest``) and a path's type sequence key its
+    read; a fresh read is made read-only before it is cached.
+    """
+    cache = graph.read_cache
+    reads = []
+    for path in _distinct_paths(ms):
+        key = (path.type_sequence(), digest)
+        value = cache.get(key)
+        if value is None:
+            value = read(path_commuting_matrix(graph, path).row_normalize())
+            if isinstance(value, SparseMatrix):
+                arrays = (value.indptr, value.indices, value.data)
+            else:
+                arrays = (value,)
+            for array in arrays:
+                array.flags.writeable = False
+            cache.put(key, value)
+        reads.append(value)
+    return reads
 
 
 def auc(pos_scores, neg_scores) -> float:
@@ -155,8 +213,14 @@ class RecommendationEvaluator:
                 f"structure endpoints ({ms.nodes[ms.source]}, {ms.nodes[ms.target]}) do not "
                 f"match target relation {et.name!r} ({et.src}, {et.dst})"
             )
-        score = structure_score_matrix(graph, ms)
-        value = auc(score.pick(split.positives[self.part]), score.pick(split.negatives[self.part]))
+        pos = np.asarray(split.positives[self.part], dtype=np.int64).reshape(-1, 2)
+        neg = np.asarray(split.negatives[self.part], dtype=np.int64).reshape(-1, 2)
+        cells = np.concatenate([pos, neg])
+        reads = _path_reads(graph, ms, _cells_digest(self.metric, cells), lambda m: m.pick(cells))
+        score = reads[0]
+        for more in reads[1:]:
+            score = score * more
+        value = auc(score[: len(pos)], score[len(pos):])
         return EvalResult("auc", value, self.part)
 
 
@@ -173,28 +237,27 @@ class NodeClassificationEvaluator:
                 f"node classification needs source and target of node type {t}, "
                 f"got ({ms.nodes[ms.source]}, {ms.nodes[ms.target]})"
             )
-        score = structure_score_matrix(graph, ms)
-
         k = split.num_classes
+        nodes = np.asarray(split.part(self.part), dtype=np.int64)
         train_idx = np.asarray(split.train, dtype=np.int64)
         train_cls = np.asarray([split.labels[i] for i in split.train], dtype=np.int64)
         majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
-        col_class = np.full(score.cols, -1, dtype=np.int64)
+        col_class = np.full(graph.count(t), -1, dtype=np.int64)
         col_class[train_idx] = train_cls
+        is_train = col_class >= 0
 
-        nodes = list(split.part(self.part))
-        preds = np.empty(len(nodes), dtype=np.int64)
-        for out_pos, node in enumerate(nodes):
-            lo, hi = score.indptr[node], score.indptr[node + 1]
-            cols = score.indices[lo:hi]
-            vals = score.data[lo:hi]
-            mask = col_class[cols] >= 0
-            if not mask.any():
-                preds[out_pos] = majority
-                continue
-            votes = np.zeros(k, dtype=np.float64)
-            np.add.at(votes, col_class[cols[mask]], vals[mask])
-            preds[out_pos] = int(np.argmax(votes))
-        gold = np.asarray([split.labels[i] for i in nodes], dtype=np.int64)
+        digest = _cells_digest(self.metric, nodes, train_idx)
+        reads = _path_reads(graph, ms, digest, lambda m: m.select(nodes, is_train))
+        score = reads[0]
+        for more in reads[1:]:
+            score = score.hadamard(more)
+
+        # votes summed row by row in column order, as a per-row loop would
+        row_ids = np.repeat(np.arange(nodes.size, dtype=np.int64), np.diff(score.indptr))
+        votes = np.bincount(
+            row_ids * k + col_class[score.indices], weights=score.data, minlength=nodes.size * k
+        ).reshape(nodes.size, k)
+        preds = np.where(np.diff(score.indptr) > 0, np.argmax(votes, axis=1), majority)
+        gold = np.asarray([split.labels[i] for i in nodes.tolist()], dtype=np.int64)
         value = macro_f1(preds, gold, k)
         return EvalResult("macro_f1", value, self.part)

@@ -176,19 +176,21 @@ def load_schema(path) -> Schema:
     return schema_from_dict(payload)
 
 
-# Byte bound of each graph's path cache. The cache pays off when a search
-# revisits edge-type prefixes whose products fit under the bound; a product
-# larger than the bound is never kept, so on such graphs nothing is cached. On
-# the 30-generation demo search an unbounded cache grows to 27 MB and runs 75
-# products; this bound runs 277 of the 1,679 an uncached search runs, for
-# about 11 MB more peak memory.
+# Byte bound of each of a graph's two caches, path products and per-path
+# metric reads. The product cache pays off when a search revisits edge-type
+# prefixes whose products fit under the bound; a product larger than the
+# bound is never kept, so on such graphs nothing is cached. On the
+# 30-generation demo search the 39 reads take 0.25 MB and products are formed
+# only when a read misses: an unbounded product cache grows to 27 MB and runs
+# 75 products, this bound runs 100 of the 1,679 an uncached search runs, for
+# about 10 MB more peak memory (80.5 MB against 71.0 MB).
 PATH_CACHE_BYTES = 8 << 20
 
 
 class PathCache:
-    """Least-recently-used map from a path key to a :class:`SparseMatrix`,
-    bounded by the bytes of the matrices' arrays. A matrix larger than the
-    whole bound is not kept. Single-threaded.
+    """Least-recently-used map from a path key to a :class:`SparseMatrix` or
+    a numpy array, bounded by the bytes of the values' arrays. A value larger
+    than the whole bound is not kept. Single-threaded.
     """
 
     def __init__(self, max_bytes: int):
@@ -203,7 +205,7 @@ class PathCache:
         return key in self._entries
 
     def get(self, key):
-        """The matrix under ``key``, now the most recently used, or None."""
+        """The value under ``key``, now the most recently used, or None."""
         value = self._entries.get(key)
         if value is not None:
             self._entries.move_to_end(key)
@@ -227,9 +229,13 @@ class HinGraph:
     schema: Schema
     node_counts: tuple[int, ...]
     adjacency: dict  # edge type id -> SparseMatrix
-    # products along edge-type paths, see evaluator.path_commuting_matrix;
-    # every graph starts empty, so a swapped adjacency never meets stale products
+    # products along edge-type paths, see evaluator.path_commuting_matrix, and
+    # per-path metric reads, see evaluator._path_reads; every graph starts
+    # empty, so a swapped adjacency never meets stale products or reads
     path_cache: PathCache = field(
+        default_factory=lambda: PathCache(PATH_CACHE_BYTES), init=False, repr=False, compare=False
+    )
+    read_cache: PathCache = field(
         default_factory=lambda: PathCache(PATH_CACHE_BYTES), init=False, repr=False, compare=False
     )
 

@@ -72,15 +72,6 @@ class SparseMatrix:
         return cls(rows, cols, indptr, c.copy(), v.copy())
 
     @classmethod
-    def from_dense(cls, array):
-        array = np.asarray(array, dtype=np.float64)
-        if np.any(array < 0):
-            raise ValueError("negative values not allowed")
-        r, c = np.nonzero(array)  # row-major, so r is sorted
-        indptr = np.searchsorted(r, np.arange(array.shape[0] + 1))
-        return cls(*array.shape, indptr.astype(np.int64), c.astype(np.int64), array[r, c])
-
-    @classmethod
     def zeros(cls, rows, cols):
         return cls(
             rows,
@@ -106,12 +97,6 @@ class SparseMatrix:
         for r, c, v in zip(row_ids.tolist(), self.indices.tolist(), self.data.tolist()):
             yield r, c, v
 
-    def to_dense(self):
-        out = np.zeros((self.rows, self.cols), dtype=np.float64)
-        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        out[row_ids, self.indices] = self.data
-        return out
-
     def pick(self, pairs):
         """Values at the given (row, col) pairs; absent cells read 0."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -128,6 +113,26 @@ class SparseMatrix:
         hit = keys[pos] == wanted
         out[hit] = self.data[pos[hit]]
         return out
+
+    def select(self, rows, keep) -> "SparseMatrix":
+        """The given rows, in the given order, with only the entries whose
+        column is marked in the boolean array ``keep``; columns keep their
+        ids and their sorted order within each row."""
+        rows = np.asarray(rows, dtype=np.int64)
+        keep = np.asarray(keep, dtype=bool)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
+            raise ValueError(f"row index out of range for {self.rows}x{self.cols} matrix")
+        if keep.shape != (self.cols,):
+            raise ValueError(f"column mask of shape {keep.shape} for {self.rows}x{self.cols} matrix")
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        # stored position of every entry of the chosen rows, row after row
+        pos = np.arange(bounds[-1], dtype=np.int64) + np.repeat(starts - bounds[:-1], lengths)
+        kept = keep[self.indices[pos]]
+        indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))[bounds]
+        pos = pos[kept]
+        return SparseMatrix(rows.size, self.cols, indptr, self.indices[pos], self.data[pos])
 
     # -- algebra ---------------------------------------------------------
 

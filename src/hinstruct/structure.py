@@ -384,47 +384,8 @@ def _signature_key(ms: MetaStructure, colors) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subgraph containment and seeding
+# seeding
 # ---------------------------------------------------------------------------
-
-
-def contains_substructure(big: MetaStructure, small: MetaStructure) -> bool:
-    """True if an injective, type- and role-preserving embedding of ``small``
-    into ``big`` maps every edge of ``small`` onto an edge of ``big``."""
-    if small.n_nodes > big.n_nodes or small.n_edges > big.n_edges:
-        return False
-    big_edges = set(big.edges)
-    assignment: dict[int, int] = {small.source: big.source, small.target: big.target}
-    if big.nodes[big.source] != small.nodes[small.source]:
-        return False
-    if big.nodes[big.target] != small.nodes[small.target]:
-        return False
-    free = [p for p in range(small.n_nodes) if p not in assignment]
-
-    def ok_so_far():
-        for a, b, e in small.edges:
-            if a in assignment and b in assignment:
-                if (assignment[a], assignment[b], e) not in big_edges:
-                    return False
-        return True
-
-    def search(i):
-        if not ok_so_far():
-            return False
-        if i == len(free):
-            return True
-        p = free[i]
-        used = set(assignment.values())
-        for q in range(big.n_nodes):
-            if q in used or big.nodes[q] != small.nodes[p]:
-                continue
-            assignment[p] = q
-            if search(i + 1):
-                return True
-            del assignment[p]
-        return False
-
-    return search(0)
 
 
 def seed_population(

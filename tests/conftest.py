@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hinstruct.hin import Schema, schema_from_dict
+from hinstruct.sparse import SparseMatrix
 from hinstruct.structure import MetaStructure, canonical_key, validate
 from hinstruct.synth import generate, toy_schema
 
@@ -184,6 +185,45 @@ def decode_sentence(sentence: str, schema: Schema) -> MetaStructure:
             edges.add((pos, nxt, et.id))
             pos, node_type = nxt, et.dst
     return MetaStructure(nodes=tuple(nodes), edges=tuple(sorted(edges)), source=0, target=1)
+
+
+def contains_substructure(big: MetaStructure, small: MetaStructure) -> bool:
+    """True if an injective, type- and role-preserving embedding of ``small``
+    into ``big`` maps every edge of ``small`` onto an edge of ``big``."""
+    if small.n_nodes > big.n_nodes or small.n_edges > big.n_edges:
+        return False
+    big_edges = set(big.edges)
+    assignment: dict[int, int] = {small.source: big.source, small.target: big.target}
+    if big.nodes[big.source] != small.nodes[small.source]:
+        return False
+    if big.nodes[big.target] != small.nodes[small.target]:
+        return False
+    free = [p for p in range(small.n_nodes) if p not in assignment]
+
+    def ok_so_far():
+        for a, b, e in small.edges:
+            if a in assignment and b in assignment:
+                if (assignment[a], assignment[b], e) not in big_edges:
+                    return False
+        return True
+
+    def search(i):
+        if not ok_so_far():
+            return False
+        if i == len(free):
+            return True
+        p = free[i]
+        used = set(assignment.values())
+        for q in range(big.n_nodes):
+            if q in used or big.nodes[q] != small.nodes[p]:
+                continue
+            assignment[p] = q
+            if search(i + 1):
+                return True
+            del assignment[p]
+        return False
+
+    return search(0)
 
 
 def brute_isomorphic(a: MetaStructure, b: MetaStructure) -> bool:
@@ -433,3 +473,25 @@ def _empty_csr(n_rows: int):
         np.empty(0, dtype=np.int64),
         np.empty(0, dtype=np.float64),
     )
+
+
+# ---------------------------------------------------------------------------
+# dense views of CSR matrices
+# ---------------------------------------------------------------------------
+
+
+def from_dense(array) -> SparseMatrix:
+    """CSR matrix of the nonzero cells of a nonnegative dense array."""
+    array = np.asarray(array, dtype=np.float64)
+    if np.any(array < 0):
+        raise ValueError("negative values not allowed")
+    r, c = np.nonzero(array)  # row-major, so r is sorted
+    indptr = np.searchsorted(r, np.arange(array.shape[0] + 1))
+    return SparseMatrix(*array.shape, indptr.astype(np.int64), c.astype(np.int64), array[r, c])
+
+
+def to_dense(m: SparseMatrix) -> np.ndarray:
+    out = np.zeros((m.rows, m.cols), dtype=np.float64)
+    row_ids = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))
+    out[row_ids, m.indices] = m.data
+    return out

@@ -29,13 +29,12 @@ from hinstruct.splits import make_recommendation_split
 from hinstruct.structure import (
     MetaStructure,
     canonical_key,
-    contains_substructure,
     enumerate_paths,
     validate,
 )
 from hinstruct.synth import generate, planted_structure, toy_schema, write_demo_config
 
-from conftest import brute_force_paths, enumerate_corpus, random_structure
+from conftest import brute_force_paths, contains_substructure, enumerate_corpus, random_structure, to_dense
 
 CHI2_CRIT_DOF3_P01 = 11.345
 
@@ -216,7 +215,7 @@ class TestCriterion5ScoringOracle:
             graph = HinGraph(schema, tuple(counts[t.name] for t in schema.node_types), adjacency)
             for _ in range(4):
                 ms = random_structure(schema, rng, max_nodes=6)
-                score = structure_score_matrix(graph, ms).to_dense()
+                score = to_dense(structure_score_matrix(graph, ms))
                 paths = enumerate_paths(ms)
                 src_t, tgt_t = ms.nodes[ms.source], ms.nodes[ms.target]
                 for s in range(graph.count(src_t)):

@@ -389,7 +389,7 @@ class TestExplain:
             ["explain", str(result_path), "--config", str(workspace["config"]), "--out", str(out)]
         )
         assert code == EXIT_OK
-        reports = json.loads((out / "explanations.json").read_text())
+        reports = json.loads((out / "explain-explanations.json").read_text())
         assert reports
         for report in reports:
             assert report["comprehension"] and report["attribution"]
@@ -408,8 +408,20 @@ class TestExplain:
             ]
         )
         assert code == EXIT_OK
-        reports = json.loads((out / "explanations.json").read_text())
+        reports = json.loads((out / "explain-explanations.json").read_text())
         assert len(reports) <= 5
+
+    def test_rerun_into_search_directory_keeps_artifacts(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        write_demo_config(config, workspace["data"], tmp_path / "run", seed=0, generations=3)
+        assert main(["search", "--config", str(config)]) == EXIT_OK
+        run = tmp_path / "run"
+        names = ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl")
+        before = {name: (run / name).read_bytes() for name in names}
+        assert main(["explain", str(run / "result.json"), "--config", str(config)]) == EXIT_OK
+        assert json.loads((run / "explain-explanations.json").read_text())
+        for name in names:
+            assert (run / name).read_bytes() == before[name], name
 
     def test_missing_result_file(self, workspace, capsys):
         code = main(["explain", "/no/such/result.json", "--config", str(workspace["config"])])

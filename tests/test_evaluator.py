@@ -20,7 +20,7 @@ from hinstruct.splits import NodeLabelSplit, RecommendationSplit
 from hinstruct.structure import MetaPath, MetaStructure, enumerate_paths
 from hinstruct.synth import toy_schema
 
-from conftest import random_structure
+from conftest import from_dense, random_structure, to_dense
 
 U, B, A, I = 0, 1, 2, 3
 RATES, RATED_BY, FRIEND, BELONGS, CONTAINS, LOCATED, HOSTS = range(7)
@@ -38,13 +38,13 @@ def toy_graph(rng=None, n_users=2, n_biz=2, friend=None, rates=None):
         rates = (rng.random((n_users, n_biz)) < 0.4).astype(float)
     belongs = (rng.random((n_biz, 2)) < 0.5).astype(float)
     located = (rng.random((n_biz, 2)) < 0.5).astype(float)
-    rates_m = SparseMatrix.from_dense(rates)
-    belongs_m = SparseMatrix.from_dense(belongs)
-    located_m = SparseMatrix.from_dense(located)
+    rates_m = from_dense(rates)
+    belongs_m = from_dense(belongs)
+    located_m = from_dense(located)
     adjacency = {
         RATES: rates_m,
         RATED_BY: rates_m.transpose(),
-        FRIEND: SparseMatrix.from_dense(friend),
+        FRIEND: from_dense(friend),
         BELONGS: belongs_m,
         CONTAINS: belongs_m.transpose(),
         LOCATED: located_m,
@@ -64,17 +64,17 @@ class TestCommutingMatrix:
         rates = np.array([[1.0, 0.0], [1.0, 1.0]])
         graph = toy_graph(friend=friend, rates=rates)
         got = path_commuting_matrix(graph, MetaPath((U, U, B), (FRIEND, RATES)))
-        assert np.allclose(got.to_dense(), [[1.0, 1.0], [1.0, 0.0]])
+        assert np.allclose(to_dense(got), [[1.0, 1.0], [1.0, 0.0]])
 
     def test_counts_path_instances(self):
         rng = np.random.default_rng(3)
         graph = toy_graph(rng, n_users=6, n_biz=5)
         path = MetaPath((U, U, B, A), (FRIEND, RATES, BELONGS))
-        got = path_commuting_matrix(graph, path).to_dense()
+        got = to_dense(path_commuting_matrix(graph, path))
         expect = (
-            graph.adjacency_of(FRIEND).to_dense()
-            @ graph.adjacency_of(RATES).to_dense()
-            @ graph.adjacency_of(BELONGS).to_dense()
+            to_dense(graph.adjacency_of(FRIEND))
+            @ to_dense(graph.adjacency_of(RATES))
+            @ to_dense(graph.adjacency_of(BELONGS))
         )
         assert np.allclose(got, expect)
 
@@ -114,12 +114,12 @@ class TestScoreMatrix:
         score = structure_score_matrix(graph, ms)
         paths = enumerate_paths(ms)
         mats = [
-            path_commuting_matrix(graph, p).row_normalize().to_dense() for p in paths
+            to_dense(path_commuting_matrix(graph, p).row_normalize()) for p in paths
         ]
         nz = np.ones_like(mats[0], dtype=bool)
         for m in mats:
             nz &= m > 0
-        assert np.array_equal(score.to_dense() > 0, nz)
+        assert np.array_equal(to_dense(score) > 0, nz)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(8)
@@ -136,11 +136,11 @@ class TestScoreMatrix:
         graph = toy_graph(rng, n_users=12, n_biz=10)
         for _ in range(25):
             ms = random_structure(graph.schema, rng, max_nodes=6)
-            score = structure_score_matrix(graph, ms).to_dense()
+            score = to_dense(structure_score_matrix(graph, ms))
             paths = enumerate_paths(ms)
             connect = None
             for p in paths:
-                m = path_commuting_matrix(graph, p).to_dense() > 0
+                m = to_dense(path_commuting_matrix(graph, p)) > 0
                 connect = m if connect is None else (connect & m)
             assert np.array_equal(score > 0, connect)
 
@@ -172,9 +172,9 @@ def cold_copy(graph):
 
 
 def dense_chain(graph, path):
-    out = graph.adjacency_of(path.edge_types[0]).to_dense()
+    out = to_dense(graph.adjacency_of(path.edge_types[0]))
     for eid in path.edge_types[1:]:
-        out = out @ graph.adjacency_of(eid).to_dense()
+        out = out @ to_dense(graph.adjacency_of(eid))
     return out
 
 
@@ -209,7 +209,7 @@ class TestPathCache:
         longer = MetaPath((U, U, B, A, B), (FRIEND, RATES, BELONGS, CONTAINS))
         got = path_commuting_matrix(graph, longer)
         assert len(calls) == 3
-        assert np.allclose(got.to_dense(), dense_chain(graph, longer))
+        assert np.allclose(to_dense(got), dense_chain(graph, longer))
         path_commuting_matrix(graph, longer)
         assert len(calls) == 3
 
@@ -218,12 +218,12 @@ class TestPathCache:
         graph = toy_graph(rng, n_users=8, n_biz=6)
         path = MetaPath((U, U, B), (FRIEND, RATES))
         before = path_commuting_matrix(graph, path)
-        rates = SparseMatrix.from_dense(np.ones((8, 6)))
+        rates = from_dense(np.ones((8, 6)))
         swapped = graph.with_adjacency(RATES, rates)
         assert len(swapped.path_cache) == 0 and len(graph.path_cache) > 0
         after = path_commuting_matrix(swapped, path)
-        assert np.allclose(after.to_dense(), dense_chain(swapped, path))
-        assert not np.allclose(after.to_dense(), before.to_dense())
+        assert np.allclose(to_dense(after), dense_chain(swapped, path))
+        assert not np.allclose(to_dense(after), to_dense(before))
         assert same_arrays(path_commuting_matrix(graph, path), before)
 
     def test_blowup_raises_every_time(self, monkeypatch):
@@ -242,7 +242,7 @@ class TestPathCache:
                 structure_score_matrix(graph, ms)
         monkeypatch.undo()
         got = path_commuting_matrix(graph, path)
-        assert np.allclose(got.to_dense(), dense_chain(graph, path))
+        assert np.allclose(to_dense(got), dense_chain(graph, path))
         assert same_arrays(structure_score_matrix(graph, ms), got.row_normalize())
 
     def test_byte_total_within_bound(self, monkeypatch):
@@ -258,7 +258,7 @@ class TestPathCache:
 
     def test_least_recently_used_evicted_first(self):
         def matrix(nnz):
-            return SparseMatrix.from_dense(np.eye(nnz))  # (nnz + 1) * 8 + nnz * 16 bytes
+            return from_dense(np.eye(nnz))  # (nnz + 1) * 8 + nnz * 16 bytes
 
         size = matrix(4).nbytes
         cache = PathCache(max_bytes=3 * size)
@@ -304,6 +304,174 @@ class TestPathCache:
             assert np.array_equal(m.indptr, indptr)
             assert np.array_equal(m.indices, indices)
             assert np.array_equal(m.data, data)
+
+
+def auc_oracle(graph, split, part, ms):
+    """AUC read off the full score matrix of a cold graph."""
+    score = structure_score_matrix(cold_copy(graph), ms)
+    return auc(score.pick(split.positives[part]), score.pick(split.negatives[part]))
+
+
+def vote_oracle(graph, split, part, ms):
+    """Macro-F1 of a per-row vote over the full score matrix of a cold graph."""
+    score = structure_score_matrix(cold_copy(graph), ms)
+    k = split.num_classes
+    train_cls = np.asarray([split.labels[i] for i in split.train], dtype=np.int64)
+    majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
+    col_class = np.full(score.cols, -1, dtype=np.int64)
+    col_class[np.asarray(split.train, dtype=np.int64)] = train_cls
+    nodes = list(split.part(part))
+    preds = []
+    for node in nodes:
+        lo, hi = score.indptr[node], score.indptr[node + 1]
+        cols, vals = score.indices[lo:hi], score.data[lo:hi]
+        mask = col_class[cols] >= 0
+        if not mask.any():
+            preds.append(majority)
+            continue
+        votes = np.zeros(k, dtype=np.float64)
+        np.add.at(votes, col_class[cols[mask]], vals[mask])
+        preds.append(int(np.argmax(votes)))
+    return macro_f1(preds, [split.labels[i] for i in nodes], k)
+
+
+def random_rec_split(rng, n_users, n_biz, n_pairs=12):
+    def pairs():
+        return [(int(rng.integers(n_users)), int(rng.integers(n_biz))) for _ in range(n_pairs)]
+
+    return RecommendationSplit(
+        target_edge_type=RATES,
+        positives={"train": [], "val": pairs(), "test": pairs()},
+        negatives={"train": [], "val": pairs(), "test": pairs()},
+        reserved=(),
+    )
+
+
+def random_label_split(rng, n_users, num_classes=3):
+    order = rng.permutation(n_users).tolist()
+    third = n_users // 3
+    return NodeLabelSplit(
+        target_node_type=U,
+        labels={i: int(rng.integers(num_classes)) for i in range(n_users)},
+        train=tuple(order[:third]),
+        val=tuple(order[third: 2 * third]),
+        test=tuple(order[2 * third:]),
+        num_classes=num_classes,
+    )
+
+
+def structures_between(graph, rng, src, dst, count):
+    found = []
+    while len(found) < count:
+        ms = random_structure(graph.schema, rng, max_nodes=7)
+        if ms.nodes[ms.source] == src and ms.nodes[ms.target] == dst:
+            found.append(ms)
+    return found
+
+
+TASKS = [
+    (RecommendationEvaluator, auc_oracle, random_rec_split, B),
+    (NodeClassificationEvaluator, vote_oracle, lambda rng, n_users, n_biz: random_label_split(rng, n_users), U),
+]
+
+
+class TestPathReads:
+    """The evaluators read cached per-path cells; the full score matrix of
+    ``structure_score_matrix`` is their oracle."""
+
+    def workload(self, rng, target):
+        graph = toy_graph(rng, n_users=14, n_biz=10)
+        return graph, structures_between(graph, rng, U, target, 25)
+
+    @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
+    def test_cold_equals_oracle(self, evaluator_cls, oracle, make_split, target):
+        rng = np.random.default_rng(53)
+        graph, structures = self.workload(rng, target)
+        split = make_split(rng, 14, 10)
+        for ms in structures:
+            for part in ("val", "test"):
+                got = evaluator_cls(part).evaluate(cold_copy(graph), split, ms).value
+                assert got == oracle(graph, split, part, ms)
+
+    @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
+    def test_warm_equals_oracle_across_splits_and_parts(self, evaluator_cls, oracle, make_split, target):
+        rng = np.random.default_rng(59)
+        graph, structures = self.workload(rng, target)
+        splits = [make_split(rng, 14, 10), make_split(rng, 14, 10)]
+        expect = {
+            (i, part, j): oracle(graph, split, part, ms)
+            for i, split in enumerate(splits) for part in ("val", "test") for j, ms in enumerate(structures)
+        }
+        for j, ms in list(enumerate(structures)) * 2:
+            for i, split in enumerate(splits):
+                for part in ("val", "test"):
+                    assert evaluator_cls(part).evaluate(graph, split, ms).value == expect[i, part, j]
+        assert len(graph.read_cache) > 0
+
+    @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
+    def test_small_bound_equals_oracle(self, monkeypatch, evaluator_cls, oracle, make_split, target):
+        monkeypatch.setattr(hin, "PATH_CACHE_BYTES", 2_000)
+        rng = np.random.default_rng(61)
+        graph, structures = self.workload(rng, target)
+        split = make_split(rng, 14, 10)
+        assert graph.read_cache.max_bytes == 2_000
+        for ms in structures + structures[::-1]:
+            got = evaluator_cls("val").evaluate(graph, split, ms).value
+            assert got == oracle(graph, split, "val", ms)
+            assert 0 <= graph.read_cache.nbytes <= 2_000
+            assert 0 <= graph.path_cache.nbytes <= 2_000
+
+    @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
+    def test_val_then_test_equals_cold_test(self, evaluator_cls, oracle, make_split, target):
+        rng = np.random.default_rng(67)
+        graph, structures = self.workload(rng, target)
+        split = make_split(rng, 14, 10)
+        for ms in structures:
+            evaluator_cls("val").evaluate(graph, split, ms)
+            warm = evaluator_cls("test").evaluate(graph, split, ms)
+            assert warm == evaluator_cls("test").evaluate(cold_copy(graph), split, ms)
+
+    @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
+    def test_blowup_raises_on_every_evaluate(self, monkeypatch, evaluator_cls, oracle, make_split, target):
+        rng = np.random.default_rng(5)
+        graph = toy_graph(rng, n_users=30, n_biz=30)
+        split = make_split(rng, 30, 30)
+        nodes = (U, U, U, target)
+        ms = MetaStructure.from_path(MetaPath(nodes, (FRIEND, FRIEND, RATES if target == B else FRIEND)))
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 5)
+        for _ in range(3):
+            with pytest.raises(MatrixBlowupError):
+                evaluator_cls("val").evaluate(graph, split, ms)
+        assert len(graph.read_cache) == 0
+        monkeypatch.undo()
+        assert evaluator_cls("val").evaluate(graph, split, ms).value == oracle(graph, split, "val", ms)
+
+    @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
+    def test_cached_reads_read_only_and_unchanged(self, evaluator_cls, oracle, make_split, target):
+        rng = np.random.default_rng(71)
+        graph, structures = self.workload(rng, target)
+        split = make_split(rng, 14, 10)
+        for ms in structures[:10]:
+            evaluator_cls("val").evaluate(graph, split, ms)
+        held = list(graph.read_cache._entries.values())
+        assert held
+
+        def arrays(read):
+            return (read.indptr, read.indices, read.data) if isinstance(read, SparseMatrix) else (read,)
+
+        snapshot = [[a.copy() for a in arrays(read)] for read in held]
+        for read in held:
+            for a in arrays(read):
+                assert not a.flags.writeable
+                if a.size:
+                    with pytest.raises(ValueError):
+                        a[0] = 7
+        for ms in structures:
+            for part in ("val", "test"):
+                evaluator_cls(part).evaluate(graph, split, ms)
+        for read, copies in zip(held, snapshot):
+            for a, copy in zip(arrays(read), copies):
+                assert np.array_equal(a, copy)
 
 
 class TestAuc:

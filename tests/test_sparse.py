@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 
 import hinstruct
-from conftest import hadamard_numpy, spgemm_numpy
+from conftest import from_dense, hadamard_numpy, spgemm_numpy, to_dense
 from hinstruct import kernels, sparse
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 
 
 def random_sparse(rng, rows, cols, density=0.25):
     dense = (rng.random((rows, cols)) < density) * rng.random((rows, cols))
-    return SparseMatrix.from_dense(dense), dense
+    return from_dense(dense), dense
 
 
 def with_empty_rows(rng, rows, cols):
     """Random matrix whose even rows are all zero."""
     dense = (rng.random((rows, cols)) < 0.5) * rng.random((rows, cols))
     dense[::2] = 0.0
-    return SparseMatrix.from_dense(dense)
+    return from_dense(dense)
 
 
 def kernel_args(a, b):
@@ -57,7 +57,7 @@ class TestConstruction:
     def test_collapse_mode_collapses_to_one(self):
         m = SparseMatrix.from_triplets(2, 2, [(0, 1, 1.0), (0, 1, 1.0)], collapse=True)
         assert m.nnz == 1
-        assert m.to_dense()[0, 1] == 1.0
+        assert to_dense(m)[0, 1] == 1.0
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -78,16 +78,16 @@ class TestConstruction:
         denses[0][::2] = 0.0
         denses += [np.zeros((4, 3)), np.zeros((0, 5))]
         for dense in denses:
-            got = SparseMatrix.from_dense(dense)
+            got = from_dense(dense)
             r, c = np.nonzero(dense)
             trips = zip(r.tolist(), c.tolist(), dense[r, c].tolist())
             want = SparseMatrix.from_triplets(*dense.shape, trips)
             assert (got.rows, got.cols) == (want.rows, want.cols)
             for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert np.array_equal(got.to_dense(), dense)
+            assert np.array_equal(to_dense(got), dense)
         with pytest.raises(ValueError, match="negative"):
-            SparseMatrix.from_dense([[0.0, -1.0]])
+            from_dense([[0.0, -1.0]])
 
 
 class TestMatmul:
@@ -97,7 +97,7 @@ class TestMatmul:
             rows, inner, cols = rng.integers(1, 12, size=3)
             a, da = random_sparse(rng, rows, inner)
             b, db = random_sparse(rng, inner, cols)
-            assert np.allclose(a.matmul(b).to_dense(), da @ db, rtol=1e-13)
+            assert np.allclose(to_dense(a.matmul(b)), da @ db, rtol=1e-13)
 
     def test_backends_agree(self):
         rng = np.random.default_rng(7)
@@ -118,7 +118,7 @@ class TestMatmul:
     def test_empty_operands(self):
         z = SparseMatrix.zeros(3, 4)
         assert z.matmul(SparseMatrix.zeros(4, 2)).nnz == 0
-        m = SparseMatrix.from_dense([[1.0, 0, 0, 0]])
+        m = from_dense([[1.0, 0, 0, 0]])
         assert m.matmul(SparseMatrix.zeros(4, 2)).nnz == 0
 
     def test_dimension_mismatch(self):
@@ -141,7 +141,7 @@ class TestElementwise:
         for _ in range(20):
             a, da = random_sparse(rng, 8, 7)
             b, db = random_sparse(rng, 8, 7)
-            assert np.allclose(a.hadamard(b).to_dense(), da * db)
+            assert np.allclose(to_dense(a.hadamard(b)), da * db)
 
     def test_backends_agree(self):
         rng = np.random.default_rng(11)
@@ -160,8 +160,8 @@ class TestElementwise:
             assert_unchanged(args, before)
 
     def test_disjoint_patterns_empty(self):
-        a = SparseMatrix.from_dense([[1.0, 0], [0, 0]])
-        b = SparseMatrix.from_dense([[0, 1.0], [0, 0]])
+        a = from_dense([[1.0, 0], [0, 0]])
+        b = from_dense([[0, 1.0], [0, 0]])
         assert a.hadamard(b).nnz == 0
 
 
@@ -169,22 +169,22 @@ class TestRowNormalize:
     def test_rows_sum_to_one_or_zero(self):
         rng = np.random.default_rng(9)
         m, _ = random_sparse(rng, 12, 6, density=0.3)
-        sums = m.row_normalize().to_dense().sum(axis=1)
+        sums = to_dense(m.row_normalize()).sum(axis=1)
         assert all(abs(s - 1.0) < 1e-12 or s == 0.0 for s in sums)
 
     def test_values(self):
-        m = SparseMatrix.from_dense([[1.0, 3.0], [0.0, 0.0]]).row_normalize()
-        assert np.allclose(m.to_dense(), [[0.25, 0.75], [0, 0]])
+        m = from_dense([[1.0, 3.0], [0.0, 0.0]]).row_normalize()
+        assert np.allclose(to_dense(m), [[0.25, 0.75], [0, 0]])
 
 
 class TestTransposePick:
     def test_transpose(self):
         rng = np.random.default_rng(13)
         m, dense = random_sparse(rng, 6, 9)
-        assert np.allclose(m.transpose().to_dense(), dense.T)
+        assert np.allclose(to_dense(m.transpose()), dense.T)
 
     def test_pick(self):
-        m = SparseMatrix.from_dense([[0, 2.0], [3.0, 0]])
+        m = from_dense([[0, 2.0], [3.0, 0]])
         got = m.pick([(0, 1), (1, 0), (0, 0), (1, 1)])
         assert np.allclose(got, [2.0, 3.0, 0.0, 0.0])
 
@@ -194,16 +194,35 @@ class TestTransposePick:
         for m in cases:
             r = rng.integers(0, 7, size=30)
             c = rng.integers(0, 5, size=30)
-            assert np.array_equal(m.pick(list(zip(r.tolist(), c.tolist()))), m.to_dense()[r, c])
+            assert np.array_equal(m.pick(list(zip(r.tolist(), c.tolist()))), to_dense(m)[r, c])
         assert m.pick([]).shape == (0,)
         for bad in [(0, 5), (7, 0), (-1, 0)]:
             with pytest.raises(ValueError, match="out of range"):
                 cases[0].pick([bad])
 
+    def test_select(self):
+        rng = np.random.default_rng(19)
+        cases = [random_sparse(rng, 7, 5)[0] for _ in range(10)] + [with_empty_rows(rng, 7, 5)]
+        cases.append(SparseMatrix.zeros(7, 5))
+        for m in cases:
+            rows = rng.integers(0, 7, size=int(rng.integers(0, 9)))
+            keep = rng.random(5) < 0.6
+            got = m.select(rows, keep)
+            assert (got.rows, got.cols) == (rows.size, 5)
+            assert np.array_equal(to_dense(got), to_dense(m)[rows] * keep)
+            for r in range(got.rows):  # columns sorted within each row
+                cols = got.indices[got.indptr[r]:got.indptr[r + 1]]
+                assert np.all(cols[1:] > cols[:-1])
+        for bad in [7, -1]:
+            with pytest.raises(ValueError, match="out of range"):
+                cases[0].select([0, bad], np.ones(5, dtype=bool))
+        with pytest.raises(ValueError, match="column mask"):
+            cases[0].select([0], np.ones(4, dtype=bool))
+
     def test_flop_estimate(self):
-        a = SparseMatrix.from_dense([[1.0, 1.0], [0.0, 1.0]])
+        a = from_dense([[1.0, 1.0], [0.0, 1.0]])
         # row products: a has 3 nonzeros; each hits the matching row of b
-        b = SparseMatrix.from_dense([[1.0, 0.0], [1.0, 1.0]])
+        b = from_dense([[1.0, 0.0], [1.0, 1.0]])
         assert kernels.spgemm_flops(a.indptr, a.indices, b.indptr) == 1 + 2 + 2
 
 

@@ -11,7 +11,6 @@ from hinstruct.structure import (
     MetaStructure,
     StructureError,
     canonical_key,
-    contains_substructure,
     enumerate_paths,
     isomorphism_invariant,
     seed_population,
@@ -23,6 +22,7 @@ from conftest import (
     brute_force_paths,
     brute_isomorphic,
     canonicalize_reference,
+    contains_substructure,
     enumerate_corpus,
     random_structure,
     reference_colors,
