@@ -200,10 +200,12 @@ def metric_block(entries) -> str:
 
 
 class TranscriptLog:
-    """Append-only JSON-lines file of every prompt/response exchange."""
+    """JSON-lines file of every prompt/response exchange, appended in call
+    order. The file starts empty: opening a log replaces an older file."""
 
     def __init__(self, path):
         self.path = Path(path)
+        self.path.write_text("", encoding="utf-8")
 
     def record(self, agent: str, system: str, user: str, response: str, model: str):
         entry = {

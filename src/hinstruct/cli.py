@@ -231,11 +231,17 @@ def _atomic_write(path: Path, text: str):
     os.replace(tmp, path)
 
 
-def _load_structure(path) -> MetaStructure:
+def _load_valid_structure(path, schema) -> MetaStructure | None:
+    """The structure in the JSON file ``path``, or None when it is invalid
+    for ``schema``; each violation is then printed to stderr."""
     path = Path(path)
     if not path.is_file():
         raise DataError(f"structure file not found: {path}")
-    return MetaStructure.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    ms = MetaStructure.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    violations = validate(ms, schema)
+    for v in violations:
+        print(f"invalid structure: {v}", file=sys.stderr)
+    return None if violations else ms
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +257,7 @@ def cmd_search(args) -> int:
     graph, split, evaluator = build_task(config, part="val")
     backend = make_backend(config.backend_spec)
     prompts = PromptLibrary(config.prompt_dir)
-    transcript_path = out_dir / "transcripts.jsonl"
-    transcript_path.unlink(missing_ok=True)
-    transcript = TranscriptLog(transcript_path)
+    transcript = TranscriptLog(out_dir / "transcripts.jsonl")
 
     result = run_search(
         config.search, graph, split, backend, evaluator,
@@ -285,24 +289,18 @@ def cmd_search(args) -> int:
 
 def cmd_translate(args) -> int:
     schema = load_schema(args.schema)
-    ms = _load_structure(args.structure)
-    violations = validate(ms, schema)
-    if violations:
-        for v in violations:
-            print(f"invalid structure: {v}", file=sys.stderr)
+    ms = _load_valid_structure(args.structure, schema)
+    if ms is None:
         return EXIT_DATA
     print(encode_metastructure(ms, schema))
     return EXIT_OK
 
 
 def cmd_evaluate(args) -> int:
-    config = RunConfig.load(args.config, args.seed, args.out)
+    config = RunConfig.load(args.config, args.seed)
     graph, split, evaluator = build_task(config, part=args.split)
-    ms = _load_structure(args.structure)
-    violations = validate(ms, graph.schema)
-    if violations:
-        for v in violations:
-            print(f"invalid structure: {v}", file=sys.stderr)
+    ms = _load_valid_structure(args.structure, graph.schema)
+    if ms is None:
         return EXIT_DATA
     result = evaluator.evaluate(graph, split, ms)
     print(f"{result.metric} {result.value:.6f}")
@@ -311,11 +309,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_neighbors(args) -> int:
     schema = load_schema(args.schema)
-    ms = _load_structure(args.structure)
-    violations = validate(ms, schema)
-    if violations:
-        for v in violations:
-            print(f"invalid structure: {v}", file=sys.stderr)
+    ms = _load_valid_structure(args.structure, schema)
+    if ms is None:
         return EXIT_DATA
     lib = build_component_library(
         schema, ComponentLimits(args.insertion_max_interior, args.grafting_max_nodes)
@@ -460,7 +455,6 @@ def build_parser() -> _Parser:
     p.add_argument("--config", required=True, help="run configuration JSON")
     p.add_argument("--split", choices=("val", "test"), default="val")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("neighbors", help="list a structure's one-step neighbors")

@@ -3,9 +3,11 @@
 A meta-path scores node pairs through its commuting matrix: the left-to-right
 product of the per-edge adjacency matrices, whose (s, t) entry counts path
 instances from s to t. A meta-structure decomposes into its source-to-target
-paths; each path matrix is row-normalized and the structure score is their
-elementwise product, so a pair scores nonzero exactly when every decomposed
-path connects it. ``structure_score_matrix`` is that definition.
+paths, the sub-logics of :func:`structure.sub_logics` that the grammar
+renders; each distinct path matrix is row-normalized and the structure
+score is their elementwise product, so a pair scores nonzero exactly when
+every decomposed path connects it. ``structure_score_matrix`` is that
+definition.
 
 Recommendation fitness is AUC over the split's positive/negative pairs;
 node-classification fitness is Macro-F1 of a score-weighted vote over train
@@ -23,7 +25,7 @@ reads are multiplied in the sorted type-sequence order
 
 Mutations add or remove one component, so the structures of a search share
 most of their paths, and the paths share prefixes. Each graph keeps two
-byte-bounded LRU caches:
+``hin.LruMemo`` caches bounded by the bytes of their values:
 
 * ``HinGraph.read_cache`` holds reads, keyed by the path's type sequence and
   a digest of the metric and its exact cells, so two parts or two splits on
@@ -55,7 +57,7 @@ import numpy as np
 
 from .hin import HinGraph
 from .sparse import SparseMatrix
-from .structure import MetaPath, MetaStructure, enumerate_paths
+from .structure import MetaPath, MetaStructure, sub_logics
 
 
 class EvaluationError(ValueError):
@@ -97,11 +99,12 @@ def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:
 
 
 def _distinct_paths(ms: MetaStructure) -> list[MetaPath]:
-    """One path per distinct type sequence, in sorted type-sequence order."""
+    """One path per distinct type sequence of the structure's sub-logics,
+    in sorted type-sequence order."""
     unique = {}
-    for path in enumerate_paths(ms):
-        unique.setdefault(path.type_sequence(), path)
-    return [unique[seq] for seq in sorted(unique)]
+    for seq, _, path in sub_logics(ms):
+        unique.setdefault(seq, path)
+    return list(unique.values())
 
 
 def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
@@ -134,22 +137,21 @@ def _path_reads(graph: HinGraph, ms: MetaStructure, digest: bytes, read) -> list
     ``digest`` (see ``_cells_digest``) and a path's type sequence key its
     read; a fresh read is made read-only before it is cached.
     """
-    cache = graph.read_cache
-    reads = []
-    for path in _distinct_paths(ms):
-        key = (path.type_sequence(), digest)
-        value = cache.get(key)
-        if value is None:
-            value = read(path_commuting_matrix(graph, path).row_normalize())
-            if isinstance(value, SparseMatrix):
-                arrays = (value.indptr, value.indices, value.data)
-            else:
-                arrays = (value,)
-            for array in arrays:
-                array.flags.writeable = False
-            cache.put(key, value)
-        reads.append(value)
-    return reads
+    return [
+        graph.read_cache.get(
+            (path.type_sequence(), digest),
+            lambda: _read_only(read(path_commuting_matrix(graph, path).row_normalize())),
+        )
+        for path in _distinct_paths(ms)
+    ]
+
+
+def _read_only(value):
+    """``value``, a :class:`SparseMatrix` or an array, with its arrays made read-only."""
+    arrays = (value.indptr, value.indices, value.data) if isinstance(value, SparseMatrix) else (value,)
+    for array in arrays:
+        array.flags.writeable = False
+    return value
 
 
 def auc(pos_scores, neg_scores) -> float:

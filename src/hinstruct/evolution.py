@@ -54,12 +54,11 @@ from .agents import (
     select_candidate,
 )
 from .evaluator import EvaluationError
-from .hin import HinGraph
+from .hin import HinGraph, LruMemo
 from .mutations import (
     CandidateSet,
     ComponentLimits,
     EmptyNeighborhoodError,
-    LruMemo,
     build_component_library,
     one_step_neighbors,
     size_limit_problems,
@@ -365,7 +364,7 @@ def mutate_population(
         keys.append(key)
         if key in answers or key in asked:
             continue
-        answer = None if memo is None else memo.find(key)
+        answer = None if memo is None else memo.get(key)
         if answer is not None:
             answers[key] = answer
         else:

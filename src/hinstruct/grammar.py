@@ -14,11 +14,12 @@ Positions on a single sub-logic are untagged, and so are the source and the
 target, which every sub-logic shares. A single-path sentence therefore has
 no tags, and tags add no ``THAT`` or ``AND`` tokens.
 
-Sentences are built from :func:`structure.canonical_form`: sub-logics are
-sorted by (type sequence, canonical positions) and tags are lettered by
-first appearance. Within the exact range of :func:`structure.canonical_key`
-isomorphic structures therefore print the same sentence, and distinct
-canonical keys print distinct sentences.
+Sentences render :func:`structure.sub_logics`, the one decomposition of a
+structure that the evaluator scores too: sub-logics in its order (type
+sequence, then canonical positions), tags lettered by first appearance.
+Within the exact range of :func:`structure.canonical_key` isomorphic
+structures therefore print the same sentence, and distinct canonical keys
+print distinct sentences.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import re
 from collections import Counter
 
 from .hin import Schema
-from .structure import MetaPath, MetaStructure, canonical_form, enumerate_walks
+from .structure import MetaPath, MetaStructure, sub_logics
 
 THAT = "THAT"
 AND = "AND"
@@ -45,18 +46,12 @@ class GrammarError(ValueError):
 def encode_metastructure(ms: MetaStructure, schema: Schema) -> str:
     """Join the structure's sub-logics with AND, ordered by path type
     sequence, tagging the interior positions that sub-logics share."""
-    form = canonical_form(ms)
-    walks = []
-    for positions, edge_types in enumerate_walks(form):
-        path = MetaPath(tuple(form.nodes[p] for p in positions), edge_types)
-        walks.append((path.type_sequence(), positions, path))
-    walks.sort(key=lambda w: w[:2])
-
-    shared = Counter(p for _, positions, _ in walks for p in positions[1:-1])
+    logics = sub_logics(ms)
+    shared = Counter(p for _, positions, _ in logics for p in positions[1:-1])
     vocabulary = _vocabulary(schema)
     names: dict[int, str] = {}
     sentences = []
-    for _, positions, path in walks:
+    for _, positions, path in logics:
         tags = {
             i: names.setdefault(p, _tag_name(len(names)))
             for i, p in enumerate(positions)

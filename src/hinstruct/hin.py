@@ -177,25 +177,28 @@ def load_schema(path) -> Schema:
 
 
 # Byte bound of each of a graph's two caches, path products and per-path
-# metric reads. The product cache pays off when a search revisits edge-type
-# prefixes whose products fit under the bound; a product larger than the
-# bound is never kept, so on such graphs nothing is cached. On the
-# 30-generation demo search the 39 reads take 0.25 MB and products are formed
-# only when a read misses: an unbounded product cache grows to 27 MB and runs
-# 75 products, this bound runs 100 of the 1,679 an uncached search runs, for
-# about 10 MB more peak memory (80.5 MB against 71.0 MB).
+# metric reads, both an LruMemo weighing each value by its nbytes. The
+# product cache pays off when a search revisits edge-type prefixes whose
+# products fit under the bound; a product larger than the bound is never
+# kept, so on such graphs nothing is cached. On the 30-generation demo search
+# the 39 reads take 0.25 MB and products are formed only when a read misses:
+# an unbounded product cache grows to 27 MB and runs 75 products, this bound
+# runs 100 of the 1,679 an uncached search runs, for about 10 MB more peak
+# memory (80.5 MB against 71.0 MB).
 PATH_CACHE_BYTES = 8 << 20
 
 
-class PathCache:
-    """Least-recently-used map from a path key to a :class:`SparseMatrix` or
-    a numpy array, bounded by the bytes of the values' arrays. A value larger
-    than the whole bound is not kept. Single-threaded.
+class LruMemo:
+    """Map that drops its least recently used entries first, bounded by the
+    summed ``weigh(value)`` of its values: 1 per value unless ``weigh`` says
+    otherwise, so by default the bound counts entries. A value heavier than
+    the whole bound is not kept. Single-threaded.
     """
 
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self.nbytes = 0
+    def __init__(self, bound: int, weigh=lambda value: 1):
+        self.bound = bound
+        self.weigh = weigh
+        self.total = 0
         self._entries: OrderedDict = OrderedDict()
 
     def __len__(self) -> int:
@@ -204,24 +207,35 @@ class PathCache:
     def __contains__(self, key) -> bool:
         return key in self._entries
 
-    def get(self, key):
-        """The value under ``key``, now the most recently used, or None."""
-        value = self._entries.get(key)
-        if value is not None:
+    def get(self, key, make=None):
+        """The value under ``key``, now the most recently used. On a miss,
+        None without ``make``; else ``make()`` is called and its value kept.
+        An exception from ``make`` keeps nothing."""
+        if key in self._entries:
             self._entries.move_to_end(key)
+            return self._entries[key]
+        if make is None:
+            return None
+        value = make()
+        self.put(key, value)
         return value
 
     def put(self, key, value):
-        """Store ``value`` as the most recently used entry and evict the least
-        recently used ones until the byte total fits the bound."""
+        """Keep ``value`` under ``key`` as the most recently used entry and
+        drop the least recently used ones until the total fits the bound."""
         if key in self._entries:
-            self.nbytes -= self._entries.pop(key).nbytes
-        if value.nbytes > self.max_bytes:
+            self.total -= self.weigh(self._entries.pop(key))
+        weight = self.weigh(value)
+        if weight > self.bound:
             return
         self._entries[key] = value
-        self.nbytes += value.nbytes
-        while self.nbytes > self.max_bytes:
-            self.nbytes -= self._entries.popitem(last=False)[1].nbytes
+        self.total += weight
+        while self.total > self.bound:
+            self.total -= self.weigh(self._entries.popitem(last=False)[1])
+
+
+def _nbytes(value) -> int:
+    return value.nbytes
 
 
 @dataclass(frozen=True)
@@ -232,11 +246,13 @@ class HinGraph:
     # products along edge-type paths, see evaluator.path_commuting_matrix, and
     # per-path metric reads, see evaluator._path_reads; every graph starts
     # empty, so a swapped adjacency never meets stale products or reads
-    path_cache: PathCache = field(
-        default_factory=lambda: PathCache(PATH_CACHE_BYTES), init=False, repr=False, compare=False
+    path_cache: LruMemo = field(
+        default_factory=lambda: LruMemo(PATH_CACHE_BYTES, _nbytes),
+        init=False, repr=False, compare=False,
     )
-    read_cache: PathCache = field(
-        default_factory=lambda: PathCache(PATH_CACHE_BYTES), init=False, repr=False, compare=False
+    read_cache: LruMemo = field(
+        default_factory=lambda: LruMemo(PATH_CACHE_BYTES, _nbytes),
+        init=False, repr=False, compare=False,
     )
 
     def count(self, tid: int) -> int:

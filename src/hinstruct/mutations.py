@@ -39,13 +39,13 @@ call.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grammar import encode_metastructure
-from .hin import DataError, Schema
+from .hin import DataError, LruMemo, Schema
 from .structure import (
     MetaPath,
     MetaStructure,
@@ -108,46 +108,6 @@ def size_limit_problems(max_nodes: int, insertion_max_interior: int, grafting_ma
     if grafting_max_nodes > max_nodes:
         problems.append((g_name, f"must not exceed {n_name} ({max_nodes}), not {grafting_max_nodes}"))
     return problems
-
-
-class LruMemo:
-    """Map bounded by its entry count that drops the least recently used
-    entry first. Single-threaded."""
-
-    def __init__(self, max_entries: int):
-        self.max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self._entries
-
-    def find(self, key):
-        """The value under ``key``, now the most recently used, or None."""
-        if key not in self._entries:
-            return None
-        self._entries.move_to_end(key)
-        return self._entries[key]
-
-    def put(self, key, value):
-        """Keep ``value`` under ``key`` as the most recently used entry."""
-        self._entries[key] = value
-        self._entries.move_to_end(key)
-        if len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def get(self, key, make):
-        """The value under ``key``, now the most recently used; on a miss,
-        ``make()`` is called and its value kept. An exception from ``make``
-        keeps nothing."""
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return self._entries[key]
-        value = make()
-        self.put(key, value)
-        return value
 
 
 @dataclass(frozen=True)

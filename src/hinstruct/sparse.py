@@ -91,12 +91,6 @@ class SparseMatrix:
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
-    def triplets(self):
-        """Yield (row, col, value) in row-major order."""
-        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        for r, c, v in zip(row_ids.tolist(), self.indices.tolist(), self.data.tolist()):
-            yield r, c, v
-
     def pick(self, pairs):
         """Values at the given (row, col) pairs; absent cells read 0."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -177,11 +171,3 @@ class SparseMatrix:
         indptr = np.zeros(self.cols + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(new_rows, minlength=self.cols))
         return SparseMatrix(self.cols, self.rows, indptr, row_ids[order], self.data[order])
-
-    def allclose(self, other: "SparseMatrix", rtol=1e-12, atol=0.0) -> bool:
-        return (
-            (self.rows, self.cols) == (other.rows, other.cols)
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.allclose(self.data, other.data, rtol=rtol, atol=atol)
-        )

@@ -4,6 +4,10 @@ A meta-structure is a typed DAG with a single source and a single target
 position; every position lies on a directed source-to-target path. The
 linear special case is a meta-path. Canonical keys identify structures up
 to type-preserving isomorphism and drive deduplication and fitness caching.
+
+:func:`sub_logics` is the one decomposition of a structure into its
+source-to-target paths, taken from its canonical form: the grammar renders
+it, the evaluator scores it, and :func:`enumerate_paths` projects it.
 """
 
 from __future__ import annotations
@@ -187,38 +191,39 @@ def reachable(adjacency, start):
     return seen
 
 
-def enumerate_walks(ms: MetaStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All simple source-to-target paths as (positions, edge types),
-    lexicographic by (positions, edge types)."""
-    succs = {}
-    for a, b, e in ms.edges:
+def sub_logics(ms: MetaStructure) -> list[tuple[tuple[int, ...], tuple[int, ...], MetaPath]]:
+    """The structure's decomposition into sub-logics: one (type sequence,
+    positions, path) per simple source-to-target path of
+    :func:`canonical_form`, sorted by type sequence, then positions.
+
+    The grammar renders this list and the evaluator scores its distinct type
+    sequences, so both read one decomposition of one form.
+    """
+    form = canonical_form(ms)
+    succs: dict[int, list[tuple[int, int]]] = {}
+    for a, b, e in form.edges:
         succs.setdefault(a, []).append((b, e))
-    for a in succs:
-        succs[a].sort()
 
-    walks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-
-    def walk(pos, node_acc, edge_acc):
-        if pos == ms.target:
-            walks.append((tuple(node_acc), tuple(edge_acc)))
-            return
-        for b, e in succs.get(pos, ()):
-            if b in node_acc:  # simple paths only; cannot occur in a DAG
-                continue
-            walk(b, node_acc + [b], edge_acc + [e])
-
-    walk(ms.source, [ms.source], [])
-    if not walks:
+    found = []
+    stack = [((form.source,), ())]
+    while stack:
+        positions, edge_types = stack.pop()
+        if positions[-1] == form.target:
+            path = MetaPath(tuple(form.nodes[p] for p in positions), edge_types)
+            found.append((path.type_sequence(), positions, path))
+            continue
+        for b, e in succs.get(positions[-1], ()):
+            if b not in positions:  # simple paths only; cannot occur in a DAG
+                stack.append((positions + (b,), edge_types + (e,)))
+    if not found:
         raise StructureError("no source-target path; structure is invalid")
-    return walks
+    found.sort(key=lambda logic: logic[:2])
+    return found
 
 
 def enumerate_paths(ms: MetaStructure) -> list[MetaPath]:
-    """All simple source-to-target paths, lexicographic by (positions, edge types)."""
-    return [
-        MetaPath(tuple(ms.nodes[p] for p in positions), edge_types)
-        for positions, edge_types in enumerate_walks(ms)
-    ]
+    """All simple source-to-target paths, in :func:`sub_logics` order."""
+    return [path for _, _, path in sub_logics(ms)]
 
 
 # ---------------------------------------------------------------------------

@@ -495,3 +495,19 @@ def to_dense(m: SparseMatrix) -> np.ndarray:
     row_ids = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))
     out[row_ids, m.indices] = m.data
     return out
+
+
+def triplets(m: SparseMatrix):
+    """Yield (row, col, value) in row-major order."""
+    row_ids = np.repeat(np.arange(m.rows, dtype=np.int64), np.diff(m.indptr))
+    yield from zip(row_ids.tolist(), m.indices.tolist(), m.data.tolist())
+
+
+def allclose(a: SparseMatrix, b: SparseMatrix, rtol=1e-12, atol=0.0) -> bool:
+    """Same shape and sparsity pattern, and data equal within tolerance."""
+    return (
+        (a.rows, a.cols) == (b.rows, b.cols)
+        and np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.allclose(a.data, b.data, rtol=rtol, atol=atol)
+    )

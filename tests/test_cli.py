@@ -423,6 +423,19 @@ class TestExplain:
         for name in names:
             assert (run / name).read_bytes() == before[name], name
 
+    def test_second_explain_replaces_transcripts(self, workspace, tmp_path, capsys):
+        result_path = workspace["root"] / "out" / "result.json"
+        if not result_path.is_file():
+            main(["search", "--config", str(workspace["config"])])
+        out = tmp_path / "twice"
+        argv = ["explain", str(result_path), "--config", str(workspace["config"]), "--out", str(out)]
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            reports = json.loads((out / "explain-explanations.json").read_text())
+            lines = (out / "explain-transcripts.jsonl").read_text().splitlines()
+            # the explainer's two steps, one exchange each with the stub
+            assert reports and len(lines) == 2 * len(reports)
+
     def test_missing_result_file(self, workspace, capsys):
         code = main(["explain", "/no/such/result.json", "--config", str(workspace["config"])])
         assert code == EXIT_DATA
@@ -432,6 +445,11 @@ class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
         code = main(["search", "--config", str(workspace["config"]), "--bogus"])
         assert code == EXIT_USAGE
+
+    def test_evaluate_takes_no_out_flag(self, workspace, structure_files, tmp_path, capsys):
+        argv = ["evaluate", str(structure_files["planted"]), "--config", str(workspace["config"])]
+        assert main([*argv, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

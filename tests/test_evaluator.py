@@ -14,13 +14,13 @@ from hinstruct.evaluator import (
     structure_score_matrix,
 )
 from hinstruct import hin, sparse
-from hinstruct.hin import HinGraph, PathCache
+from hinstruct.hin import HinGraph
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 from hinstruct.splits import NodeLabelSplit, RecommendationSplit
 from hinstruct.structure import MetaPath, MetaStructure, enumerate_paths
 from hinstruct.synth import toy_schema
 
-from conftest import from_dense, random_structure, to_dense
+from conftest import allclose, from_dense, random_structure, to_dense
 
 U, B, A, I = 0, 1, 2, 3
 RATES, RATED_BY, FRIEND, BELONGS, CONTAINS, LOCATED, HOSTS = range(7)
@@ -57,7 +57,7 @@ class TestCommutingMatrix:
     def test_single_edge_is_adjacency(self):
         graph = toy_graph()
         got = path_commuting_matrix(graph, MetaPath((U, B), (RATES,)))
-        assert got.allclose(graph.adjacency_of(RATES))
+        assert allclose(got, graph.adjacency_of(RATES))
 
     def test_hand_multiplied_friend_rates(self):
         friend = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -98,7 +98,7 @@ class TestScoreMatrix:
         ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         got = structure_score_matrix(graph, ms)
         expect = path_commuting_matrix(graph, MetaPath((U, U, B), (FRIEND, RATES))).row_normalize()
-        assert got.allclose(expect)
+        assert allclose(got, expect)
 
     def test_and_semantics_zero_dominates(self):
         friend = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -155,7 +155,7 @@ class TestScoreMatrix:
         )
         a = structure_score_matrix(graph, ms)
         b = structure_score_matrix(graph, ms)
-        assert a.allclose(b, rtol=0)
+        assert allclose(a, b, rtol=0)
 
 
 def same_arrays(a, b):
@@ -249,32 +249,12 @@ class TestPathCache:
         monkeypatch.setattr(hin, "PATH_CACHE_BYTES", 2_000)
         rng = np.random.default_rng(43)
         graph = toy_graph(rng, n_users=14, n_biz=10)
-        assert graph.path_cache.max_bytes == 2_000
+        assert graph.path_cache.bound == 2_000
         for _ in range(80):
             ms = random_structure(graph.schema, rng, max_nodes=7)
             got = structure_score_matrix(graph, ms)
-            assert 0 <= graph.path_cache.nbytes <= 2_000
+            assert 0 <= graph.path_cache.total <= 2_000
             assert same_arrays(got, structure_score_matrix(cold_copy(graph), ms))
-
-    def test_least_recently_used_evicted_first(self):
-        def matrix(nnz):
-            return from_dense(np.eye(nnz))  # (nnz + 1) * 8 + nnz * 16 bytes
-
-        size = matrix(4).nbytes
-        cache = PathCache(max_bytes=3 * size)
-        for key in "abc":
-            cache.put(key, matrix(4))
-        assert cache.nbytes == 3 * size
-        cache.get("a")
-        cache.put("d", matrix(4))
-        assert "b" not in cache and all(k in cache for k in "acd")
-        cache.put("e", matrix(4))
-        assert "c" not in cache and all(k in cache for k in "ade")
-        assert cache.nbytes == 3 * size
-        cache.put("huge", matrix(40))
-        assert "huge" not in cache and cache.nbytes == 3 * size
-        cache.put("a", matrix(1))
-        assert cache.nbytes == 2 * size + matrix(1).nbytes
 
     def test_cached_arrays_unchanged_by_evaluation(self):
         rng = np.random.default_rng(47)
@@ -414,12 +394,12 @@ class TestPathReads:
         rng = np.random.default_rng(61)
         graph, structures = self.workload(rng, target)
         split = make_split(rng, 14, 10)
-        assert graph.read_cache.max_bytes == 2_000
+        assert graph.read_cache.bound == 2_000
         for ms in structures + structures[::-1]:
             got = evaluator_cls("val").evaluate(graph, split, ms).value
             assert got == oracle(graph, split, "val", ms)
-            assert 0 <= graph.read_cache.nbytes <= 2_000
-            assert 0 <= graph.path_cache.nbytes <= 2_000
+            assert 0 <= graph.read_cache.total <= 2_000
+            assert 0 <= graph.path_cache.total <= 2_000
 
     @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
     def test_val_then_test_equals_cold_test(self, evaluator_cls, oracle, make_split, target):

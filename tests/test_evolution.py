@@ -37,13 +37,12 @@ from hinstruct.evolution import (
     _rng_digest,
 )
 from hinstruct.grammar import encode_metastructure
-from hinstruct.hin import load_graph, load_ratings, load_schema, binarize_ratings
+from hinstruct.hin import LruMemo, load_graph, load_ratings, load_schema, binarize_ratings
 from hinstruct.mutations import (
     Candidate,
     CandidateSet,
     ComponentLimits,
     EmptyNeighborhoodError,
-    LruMemo,
     build_component_library,
     one_step_neighbors,
 )

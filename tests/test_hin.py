@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from hinstruct.hin import (
     DataError,
+    LruMemo,
     SchemaError,
     binarize_ratings,
     load_graph,
@@ -13,7 +15,7 @@ from hinstruct.hin import (
     schema_from_dict,
 )
 
-from conftest import MINI_SCHEMA_DICT
+from conftest import MINI_SCHEMA_DICT, from_dense, triplets
 
 
 def write_dataset(tmp_path, schema_dict, counts, edge_files, ratings=None, labels=None):
@@ -103,7 +105,7 @@ class TestLoadGraph:
         rates = graph.adjacency_of(0)
         assert (rates.rows, rates.cols) == (3, 2)
         assert rates.nnz == 3
-        assert all(v == 1.0 for _, _, v in rates.triplets())
+        assert all(v == 1.0 for _, _, v in triplets(rates))
 
     def test_duplicate_lines_collapse(self, tmp_path, mini_schema):
         edges = self.edges()
@@ -150,7 +152,7 @@ class TestLoadGraph:
         graph = load_graph(schema, tmp_path)
         rated_by = graph.adjacency_of(schema.edge_type_by_name("rated_by").id)
         assert (rated_by.rows, rated_by.cols) == (2, 2)
-        assert sorted(rated_by.triplets()) == [(0, 0, 1.0), (1, 1, 1.0)]
+        assert sorted(triplets(rated_by)) == [(0, 0, 1.0), (1, 1, 1.0)]
 
     def test_missing_counts(self, tmp_path, mini_schema):
         write_dataset(tmp_path, MINI_SCHEMA_DICT, self.counts(), self.edges())
@@ -192,3 +194,54 @@ class TestRatingsLabels:
         path.write_text("0\t1\t9\n")
         with pytest.raises(DataError, match="expected 2 fields"):
             load_labels(path)
+
+
+class TestLruMemo:
+    @staticmethod
+    def start(weighting):
+        """A memo whose bound holds three values of one weight, a maker of
+        distinct values of that weight, and a value of another weight."""
+        if weighting == "entries":  # the union, sentence and chain memos
+            return LruMemo(3), lambda i: f"value {i}", "light"
+
+        def eye(scale):  # 5 * 8 + 4 * 16 bytes whatever the scale
+            return from_dense(scale * np.eye(4))
+
+        # a graph's product and read caches
+        return LruMemo(3 * eye(1).nbytes, lambda m: m.nbytes), eye, from_dense(np.eye(1))
+
+    @pytest.mark.parametrize("weighting", ["entries", "bytes"])
+    def test_evicts_least_recently_used(self, weighting):
+        memo, value, light = self.start(weighting)
+        unit = memo.weigh(value(1))
+        a, b, c, d, e = (value(i) for i in range(1, 6))
+        made = []
+
+        def make(v):
+            return lambda: made.append(v) or v
+
+        assert memo.get("a", make(a)) is a
+        assert memo.get("b", make(b)) is b
+        assert memo.get("c", make(c)) is c
+        assert memo.get("a", make(e)) is a  # hit: refreshes "a", makes nothing
+        assert made == [a, b, c] and memo.total == 3 * unit
+        memo.put("d", d)
+        assert "b" not in memo and all(k in memo for k in "acd") and len(memo) == 3
+        assert memo.get("b") is None
+        assert memo.get("c") is c  # refreshes "c"
+        memo.put("e", e)
+        assert "a" not in memo and all(k in memo for k in "cde")
+        assert memo.get("e") is e and memo.total == 3 * unit
+        if weighting == "bytes":  # a value heavier than the whole bound is not kept
+            memo.put("huge", from_dense(np.eye(40)))
+            assert "huge" not in memo and memo.total == 3 * unit
+        memo.put("c", light)
+        assert memo.total == 2 * unit + memo.weigh(light)
+
+        def fail():
+            raise ValueError("no")
+
+        fresh = self.start(weighting)[0]
+        with pytest.raises(ValueError):
+            fresh.get("a", fail)
+        assert len(fresh) == 0 and fresh.total == 0

@@ -9,13 +9,12 @@ import pytest
 from hinstruct import evolution, mutations
 from hinstruct.cli import EXIT_OK, main
 from hinstruct.grammar import encode_metastructure
-from hinstruct.hin import DataError
+from hinstruct.hin import DataError, LruMemo
 from hinstruct.mutations import (
     MAX_SCHEMA_WALKS,
     UNION_MEMO_ENTRIES,
     ComponentLimits,
     EmptyNeighborhoodError,
-    LruMemo,
     _graftings,
     _insertions,
     build_component_library,
@@ -470,10 +469,10 @@ class TestMemo:
         assert memo.get("c", make(3)) == 3
         assert "b" not in memo and "a" in memo and "c" in memo and len(memo) == 2
         assert made == [1, 2, 3]
-        assert memo.find("b") is None
-        assert memo.find("a") == 1  # refreshes "a"
+        assert memo.get("b") is None
+        assert memo.get("a") == 1  # refreshes "a"
         memo.put("d", 4)
-        assert "c" not in memo and memo.find("d") == 4 and len(memo) == 2
+        assert "c" not in memo and memo.get("d") == 4 and len(memo) == 2
 
     def test_lru_memo_keeps_nothing_when_make_fails(self):
         memo = LruMemo(2)

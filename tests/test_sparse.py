@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hinstruct
-from conftest import from_dense, hadamard_numpy, spgemm_numpy, to_dense
+from conftest import from_dense, hadamard_numpy, spgemm_numpy, to_dense, triplets
 from hinstruct import kernels, sparse
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 
@@ -48,7 +48,7 @@ class TestConstruction:
     def test_from_triplets_roundtrip(self):
         m = SparseMatrix.from_triplets(3, 4, [(0, 1, 2.0), (2, 3, 1.0), (0, 0, 5.0)])
         assert m.nnz == 3
-        assert sorted(m.triplets()) == [(0, 0, 5.0), (0, 1, 2.0), (2, 3, 1.0)]
+        assert sorted(triplets(m)) == [(0, 0, 5.0), (0, 1, 2.0), (2, 3, 1.0)]
 
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -10,6 +10,8 @@ from hinstruct.splits import (
 )
 from hinstruct.synth import toy_schema
 
+from conftest import triplets
+
 
 def blank_graph(n_users=40, n_biz=30):
     schema = toy_schema()
@@ -69,10 +71,10 @@ class TestRecommendationSplit:
         split, graph2 = make_recommendation_split(graph, 0, labeled_pairs(100, 100), seed=5)
         rates = graph2.adjacency_of(0)
         assert rates.nnz == len(split.reserved)
-        assert {(r, c) for r, c, _ in rates.triplets()} == set(split.reserved)
+        assert {(r, c) for r, c, _ in triplets(rates)} == set(split.reserved)
         # inverse relation rebuilt as the transpose, preventing leakage
         rated_by = graph2.adjacency_of(1)
-        assert {(c, r) for r, c, _ in rated_by.triplets()} == set(split.reserved)
+        assert {(c, r) for r, c, _ in triplets(rated_by)} == set(split.reserved)
 
     def test_negative_topup_sampled_when_no_label_zero(self):
         graph = blank_graph()

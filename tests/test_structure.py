@@ -14,6 +14,7 @@ from hinstruct.structure import (
     enumerate_paths,
     isomorphism_invariant,
     seed_population,
+    sub_logics,
     validate,
 )
 from hinstruct.synth import planted_structure, write_demo_config
@@ -111,6 +112,24 @@ class TestEnumeratePaths:
     def test_deterministic_order(self, schema):
         ms = planted_structure()
         assert enumerate_paths(ms) == enumerate_paths(ms)
+
+
+class TestSubLogics:
+    def test_paths_match_bruteforce_on_random_dags(self, schema):
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            ms = random_structure(schema, rng)
+            logics = sub_logics(ms)
+            got = sorted((path.node_types, path.edge_types) for _, _, path in logics)
+            assert got == brute_force_paths(ms)
+            assert [seq for seq, _, path in logics] == [path.type_sequence() for _, _, path in logics]
+            assert logics == sorted(logics, key=lambda logic: logic[:2])
+
+    def test_relabelling_leaves_them_unchanged(self, schema):
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            ms = random_structure(schema, rng, max_nodes=EXACT_CANONICAL_NODES)
+            assert sub_logics(relabeled(ms, rng)) == sub_logics(ms)
 
 
 class TestCanonicalKey:
