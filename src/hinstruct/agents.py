@@ -23,11 +23,14 @@ become the pool mean with confidence 0, the selector flags
 ``stub_selection_rule``'s pick); one that got none raises ``BackendError``.
 
 Threads: the search runs each individual's predictor-then-selector chain as
-one task, one thread per chain it asks in a generation and at most
-``evolution.AGENT_WORKERS``, so a backend's ``complete`` may run on that many
-threads at once. Both shipped backends allow it: the stub keeps no state, and
-the HTTP backend opens no shared session. Each task records into its own
-``TranscriptBuffer``, which the search replays into the run's
+one task. A backend whose ``in_process`` attribute is true computes its
+replies on the calling thread and never waits, so the search runs its tasks
+one after another on that thread, where threads would only contend for the
+interpreter lock. Any other backend gets one thread per chain it is asked in
+a generation, at most ``evolution.AGENT_WORKERS``, so its ``complete`` may run
+on that many threads at once. Both shipped backends allow it: the stub keeps
+no state, and the HTTP backend opens no shared session. Each task records
+into its own ``TranscriptBuffer``, which the search replays into the run's
 ``TranscriptLog`` in index order.
 
 Determinism: a backend whose ``deterministic`` property is true gives the
@@ -51,6 +54,7 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import requests
 
 from .grammar import AND, REFERENT_TAG, THAT
@@ -255,14 +259,40 @@ def sentence_clauses(sentence: str) -> Counter:
 
 
 def clause_jaccard(a: str, b: str) -> float:
-    return _multiset_jaccard(sentence_clauses(a), sentence_clauses(b))
-
-
-def _multiset_jaccard(ca: Counter, cb: Counter) -> float:
-    """|ca & cb| / |ca | cb| over clause counts; 0 when both are empty."""
+    """|A & B| / |A | B| over the two clause multisets; 0 when both are empty."""
+    ca, cb = sentence_clauses(a), sentence_clauses(b)
     inter = sum(min(n, cb[clause]) for clause, n in ca.items() if clause in cb)
     union = ca.total() + cb.total() - inter
     return inter / union if union else 0.0
+
+
+def _nearest_records(candidates, records):
+    """For each candidate sentence, the index of the first record sentence of
+    highest ``clause_jaccard`` similarity, and that similarity.
+
+    Each distinct clause gets a column of two integer count matrices, one
+    for candidates and one for records; a candidate row's intersection with
+    every record is the sum of element-wise minima, and the union is the two
+    totals minus it. Integer counts and one division per pair give the same
+    floats as ``clause_jaccard``.
+    """
+    ids, cells = {}, []
+    for row, sentence in enumerate([*records, *candidates]):
+        for clause, n in sentence_clauses(sentence).items():
+            cells.append((row, ids.setdefault(clause, len(ids)), n))
+    counts = np.zeros((len(records) + len(candidates), len(ids)), dtype=np.int64)
+    rows, cols, ns = zip(*cells)
+    counts[rows, cols] = ns
+    recs, cands = counts[: len(records)], counts[len(records) :]
+    rec_totals = recs.sum(axis=1)
+    nearest = []
+    for row in cands:
+        inter = np.minimum(row, recs).sum(axis=1)
+        union = row.sum() + rec_totals - inter
+        sims = np.divide(inter, union, out=np.zeros(len(records)), where=union > 0)
+        best = int(sims.argmax())
+        nearest.append((best, float(sims[best])))
+    return nearest
 
 
 # ---------------------------------------------------------------------------
@@ -292,10 +322,16 @@ class StubBackend:
     highest predicted score, ties to fewer edges, then the smaller canonical
     key. Explainer rule: template reports from the decomposed sentences and
     the score extremes.
+
+    ``in_process`` is true because every reply is computed on the calling
+    thread with nothing to wait for, so the search asks this backend from its
+    own thread instead of from a thread pool; a subclass that does wait, for
+    example on a socket, sets it false.
     """
 
     identity = "stub"
     deterministic = True
+    in_process = True
 
     def complete(self, system: str, user: str) -> str:
         header = user.lstrip().splitlines()[0].strip() if user.strip() else ""
@@ -316,18 +352,14 @@ class StubBackend:
             for m in _RE_CAND_PLAIN.finditer(user)
             if not m.group(2).startswith(("nodes=", "p="))
         ]
-        record_clauses = [sentence_clauses(rec_sentence) for rec_sentence, _ in records]
-        lines = []
-        for i, sentence in enumerate(candidates):
-            if not records:
-                p, c = 0.5, 0.0
-            else:
-                clauses = sentence_clauses(sentence)
-                sims = [_multiset_jaccard(clauses, rec) for rec in record_clauses]
-                best = max(range(len(records)), key=lambda j: (sims[j], -j))
-                p, c = records[best][1], sims[best]
-            lines.append(f"CANDIDATE {i}: p={p:.6f}, c={c:.6f}")
-        return "\n".join(lines)
+        if records:
+            nearest = _nearest_records(candidates, [sentence for sentence, _ in records])
+            estimates = [(records[best][1], sim) for best, sim in nearest]
+        else:
+            estimates = [(0.5, 0.0)] * len(candidates)
+        return "\n".join(
+            f"CANDIDATE {i}: p={p:.6f}, c={c:.6f}" for i, (p, c) in enumerate(estimates)
+        )
 
     def _select(self, user: str) -> str:
         rows = list(_RE_CAND_SCORED.finditer(user))

@@ -94,12 +94,16 @@ class RunConfig:
         if not path.is_file():
             raise DataError(f"config file not found: {path}")
         payload = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(payload, dict):
+            raise DataError(
+                f"config {path}: the top level must be an object, not {type(payload).__name__}"
+            )
 
         dataset_dir = Path(payload.get("dataset_dir", ""))
         if not dataset_dir.is_dir():
             raise DataError(f"dataset directory not found: {dataset_dir}")
 
-        task = payload.get("task") or {}
+        task = _section(payload, "task", path)
         kind = task.get("kind")
         if kind == "recommendation":
             target = task.get("target_relation")
@@ -110,7 +114,7 @@ class RunConfig:
         if not target:
             raise DataError("config task must name exactly one target relation or node type")
 
-        search_payload = dict(payload.get("search", {}))
+        search_payload = dict(_section(payload, "search", path))
         if seed_override is not None:
             search_payload["seed"] = seed_override
         unknown = set(search_payload) - {f.name for f in dataclasses.fields(SearchConfig)}
@@ -119,9 +123,9 @@ class RunConfig:
         try:
             search = SearchConfig(**search_payload)
         except (TypeError, ValueError) as exc:
-            raise DataError(f"invalid search config: {exc}") from exc
+            raise DataError(f"config {path}: invalid search config: {exc}") from exc
 
-        backend_spec = payload.get("backend") or {"kind": "stub"}
+        backend_spec = _section(payload, "backend", path) or {"kind": "stub"}
         if backend_spec.get("kind") not in ("stub", "http"):
             raise DataError("backend.kind must be 'stub' or 'http'")
         if backend_spec["kind"] == "http":
@@ -177,6 +181,16 @@ def _at_least_one(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
+def _section(payload: dict, name: str, path) -> dict:
+    """The config's object ``name``; empty when absent or null."""
+    value = payload.get(name)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise DataError(f"config {path}: {name} must be an object, not {value!r}")
     return value
 
 

@@ -21,23 +21,31 @@ chain is asked only for the first individual of each key that the search's
 chain memo does not hold, and every other individual of that key takes its
 answer. With any other backend every chain is asked.
 
-Phase 2 runs each chain asked as one task, on one thread per task and at most
-``AGENT_WORKERS``, since the agents mostly wait on the backend; the tasks
-touch neither the rng nor the pool nor the path cache nor the memo, so
-nothing is locked. Each task records into its own transcript buffer; the
-calling thread takes the answers in index order, replays each buffer into
-the transcript and then appends the individual's own event. So transcripts
-and events come out in the same order, with the same contents, however the
-tasks interleave and whether an answer was asked for or reused.
+Phase 2 asks each chain as one task and hands the answers back through one
+iterator, in the order of the individuals that first asked them. With an
+``in_process`` backend (see ``agents``) the iterator is a lazy ``map`` that
+asks each chain on the calling thread when its first individual's turn comes,
+since such a backend never waits and threads would only contend for the
+interpreter lock. With any other backend it is ``executor.map`` over one
+thread per task, at most ``AGENT_WORKERS``, since those agents mostly wait on
+the backend; the tasks touch neither the rng nor the pool nor the path cache
+nor the memo, so nothing is locked. Each task records into its own
+transcript buffer; the calling thread takes the answers in index order,
+replays each buffer into the transcript and then appends the individual's
+own event. So transcripts and events come out in the same order, with the
+same contents, however the tasks interleave, on whichever thread they run,
+and whether an answer was asked for or reused.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,8 +77,9 @@ from .structure import MetaStructure, canonical_key, seed_population
 
 log = logging.getLogger(__name__)
 
-# Threads that run agent tasks at once in ``mutate_population``; above the
-# default population of 5, so no chain of a generation waits for another.
+# Threads that run agent tasks at once in ``mutate_population`` for a backend
+# that is not ``in_process``; above the default population of 5, so no chain
+# of a generation waits for another.
 AGENT_WORKERS = 8
 # Chain answers a search keeps. Of the 150 chains of each seed-0 benchmark
 # search, bounds of 1/2/8/unbounded reuse 115/141/141/141 on cls-slow-agent
@@ -96,6 +105,14 @@ class SearchConfig:
     backoff: float = 1.0
 
     def __post_init__(self):
+        # the annotations are strings here; a bool is not a count
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integer = isinstance(value, int) and not isinstance(value, bool)
+            if f.type == "int" and not integer:
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
+            if f.type == "float" and not (integer or isinstance(value, float) and math.isfinite(value)):
+                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         if self.population_size < 2:
             raise ValueError("population size must be at least 2")
         if not (0.0 < self.elimination_rate < 1.0):
@@ -328,9 +345,10 @@ def mutate_population(
     order on this thread and picks the chains to ask: with a
     ``deterministic`` backend, one per chain key that ``chains`` (the
     search's memo of answers; a fresh one when None) does not hold. Phase 2
-    asks them on up to ``AGENT_WORKERS`` threads, and this thread consumes the
-    answers in index order: it replays each answer's exchanges into
-    ``transcript``, then appends the individual's mutation event. An answer
+    asks them on this thread for an ``in_process`` backend, else on up to
+    ``AGENT_WORKERS`` threads, and this thread consumes the answers in index
+    order: it replays each answer's exchanges into ``transcript``, then
+    appends the individual's mutation event. An answer
     that ended in ``BackendError`` passes its individuals through and is
     not kept in ``chains``, so a later generation asks again; any other
     answer is kept. Any other exception propagates at that individual's
@@ -374,18 +392,25 @@ def mutate_population(
         generation, len(asked), sum(key is not None for key in keys) - len(asked),
     )
 
+    choose = functools.partial(_choose, backend=backend, prompts=prompts, config=config)
     out = []
-    with ThreadPoolExecutor(max_workers=max(1, min(len(asked), AGENT_WORKERS))) as executor:
-        futures = {
-            key: executor.submit(_choose, job, backend, prompts, config) for key, job in asked.items()
-        }
+    with ExitStack() as stack:
+        if getattr(backend, "in_process", False):
+            fresh = map(choose, asked.values())
+        else:
+            executor = stack.enter_context(
+                ThreadPoolExecutor(max_workers=max(1, min(len(asked), AGENT_WORKERS)))
+            )
+            fresh = executor.map(choose, asked.values())
         for job, key in zip(jobs, keys):
             ind = job.ind
             if job.cands is None:
                 out.append(_pass_through(ind, "empty neighborhood", events, generation, job.digest))
                 continue
             if key not in answers:
-                answers[key] = futures[key].result()
+                # the first individual of each key still to ask comes in
+                # ``asked`` order, so the next fresh answer is this key's
+                answers[key] = next(fresh)
                 if memo is not None and not isinstance(answers[key][1], BackendError):
                     memo.put(key, answers[key])
             buffer, decision = answers[key]

@@ -408,6 +408,41 @@ def relabeled(ms: MetaStructure, rng: np.random.Generator) -> MetaStructure:
 
 
 # ---------------------------------------------------------------------------
+# per-pair stub predictor, the oracle for StubBackend's predictor replies
+# ---------------------------------------------------------------------------
+
+
+def stub_predict_reference(user: str) -> str:
+    """The stub's reply to a predictor prompt by the plain per-pair loop: each
+    candidate takes the value of the first pool record of highest
+    clause-multiset Jaccard similarity, and that similarity as confidence;
+    with an empty pool every candidate gets (0.5, 0.0)."""
+    from hinstruct.agents import _RE_CAND_PLAIN, _RE_RECORD, sentence_clauses
+
+    records = [(m.group(3), float(m.group(2))) for m in _RE_RECORD.finditer(user)]
+    candidates = [
+        m.group(2)
+        for m in _RE_CAND_PLAIN.finditer(user)
+        if not m.group(2).startswith(("nodes=", "p="))
+    ]
+    record_clauses = [sentence_clauses(sentence) for sentence, _ in records]
+    lines = []
+    for i, sentence in enumerate(candidates):
+        if not records:
+            p, c = 0.5, 0.0
+        else:
+            clauses = sentence_clauses(sentence)
+            sims = []
+            for rec in record_clauses:
+                union = sum((clauses | rec).values())
+                sims.append(sum((clauses & rec).values()) / union if union else 0.0)
+            best = max(range(len(records)), key=lambda j: (sims[j], -j))
+            p, c = records[best][1], sims[best]
+        lines.append(f"CANDIDATE {i}: p={p:.6f}, c={c:.6f}")
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
 # pure numpy CSR kernels, the oracle for hinstruct.kernels
 # ---------------------------------------------------------------------------
 

@@ -27,6 +27,8 @@ from hinstruct.agents import (
 )
 from hinstruct.evolution import SearchConfig
 
+from conftest import stub_predict_reference
+
 
 @pytest.fixture(scope="module")
 def prompts():
@@ -129,6 +131,33 @@ class TestStubPredictor:
             best = max(range(len(records)), key=lambda j: (sims[j], -j))
             expect.append(f"CANDIDATE {i}: p={records[best][1]:.6f}, c={sims[best]:.6f}")
         assert reply == "\n".join(expect)
+
+    CLAUSES = ("User rates Business", "is rated by User", "User is friend of User",
+               "belongs to Category", "City hosts Business")
+
+    def random_sentence(self, rng):
+        subs = []
+        for _ in range(rng.randint(1, 3)):
+            parts = [rng.choice(self.CLAUSES) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.3:  # a shared position's referent tag
+                parts[rng.randrange(len(parts))] += " (a)"
+            subs.append(" THAT ".join(parts))
+        return " AND ".join(subs)
+
+    @pytest.mark.parametrize("n_records", [0, 1, 3, 30])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_pair_reference(self, prompts, seed, n_records):
+        rng = random.Random(seed)
+        records = [(self.random_sentence(rng), rng.choice((0.1, 0.25, 0.5, 0.9))) for _ in range(n_records)]
+        if n_records > 1:
+            # every record again under another value: each best ties with a
+            # later copy, and the earlier record must win
+            records += [(sentence, 1.0 - value) for sentence, value in records]
+        candidates = [self.random_sentence(rng) for _ in range(rng.randint(1, 20))]
+        user = predictor_prompt(prompts, candidates, PoolSample(tuple(records)))
+        reply = StubBackend().complete("", user)
+        assert reply.count("\n") == len(candidates) - 1
+        assert reply == stub_predict_reference(user)
 
     def test_batched_covers_all_candidates(self, prompts):
         backend = make_stub_backend()

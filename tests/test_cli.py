@@ -216,6 +216,17 @@ class TestMalformedInput:
             ("search.grafting_max_nodes", 1),
             ("search.insertion_max_interior", 9),  # 11 positions > max_structure_nodes 10
             ("search.grafting_max_nodes", 11),
+            ("search.generations", 1.5),
+            ("search.candidate_cap", 2.5),
+            ("search.pool_sample_size", 2.5),
+            ("search.retries", 1.5),
+            ("search.seed", "0"),
+            ("search.seed", True),
+            ("search.elimination_rate", "0.2"),
+            ("search.backoff", float("inf")),
+            ("task", "recommendation"),
+            ("search", [1]),
+            ("backend", "stub"),
         ],
     )
     def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
@@ -229,6 +240,13 @@ class TestMalformedInput:
         assert name in err
         if not section:
             assert str(config) in err
+
+    def test_config_top_level_not_object(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[]")
+        assert main(["search", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(config) in err and "top level" in err
 
     @pytest.mark.parametrize("part, field", [("pool", "sentence"), ("generations", "population")])
     def test_result_missing_field(self, workspace, tmp_path, capsys, part, field):

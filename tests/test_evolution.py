@@ -552,6 +552,56 @@ class TestConcurrentMutation:
         assert events == plain_events[:failing]
 
 
+class _Threaded(StubBackend):
+    """The stub, asked from the thread pool as a backend that waits would be."""
+
+    in_process = False
+
+
+class TestInProcessDispatch:
+    """An ``in_process`` backend is asked on the calling thread, any other from threads."""
+
+    ARTIFACTS = ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl")
+
+    def search(self, planted_dir, out):
+        config = out.with_suffix(".json")
+        write_demo_config(config, planted_dir, out, seed=0, generations=4)
+        assert main(["search", "--config", str(config)]) == 0
+        return {f: (out / f).read_bytes() for f in self.ARTIFACTS}
+
+    def record_threads(self, monkeypatch):
+        """The threads ``StubBackend.complete`` ran on, and the threads started."""
+        ran, started = set(), []
+        complete, start = StubBackend.complete, threading.Thread.start
+
+        def recording(self, system, user):
+            ran.add(threading.current_thread())
+            return complete(self, system, user)
+
+        def counting(self):
+            started.append(self)
+            return start(self)
+
+        monkeypatch.setattr(StubBackend, "complete", recording)
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        return ran, started
+
+    def test_stub_search_starts_no_thread(self, planted_dir, tmp_path, monkeypatch):
+        ran, started = self.record_threads(monkeypatch)
+        self.search(planted_dir, tmp_path / "plain")
+        assert ran == {threading.current_thread()}
+        assert started == []
+
+    def test_threaded_stub_writes_identical_artifacts(self, planted_dir, tmp_path, monkeypatch):
+        plain = self.search(planted_dir, tmp_path / "plain")
+        ran, started = self.record_threads(monkeypatch)
+        monkeypatch.setattr("hinstruct.cli.make_backend", lambda spec: _Threaded())
+        assert self.search(planted_dir, tmp_path / "threaded") == plain
+        assert plain["transcripts.jsonl"]
+        # the chains ran on pool threads; the explainer runs on this one
+        assert started and ran - {threading.current_thread()}
+
+
 class _Counting:
     """Deterministic stub replies, counting prompts by task; the first
     ``failures`` calls raise ``BackendError``."""
