@@ -58,6 +58,7 @@ import numpy as np
 import requests
 
 from .grammar import AND, REFERENT_TAG, THAT
+from .hin import finite_number
 
 log = logging.getLogger(__name__)
 
@@ -427,6 +428,16 @@ def make_stub_backend() -> StubBackend:
 class HttpChatBackend:
     """Client for an HTTP chat-completion endpoint.
 
+    Settings, each checked when the backend is made (a bad one raises a
+    ``ValueError`` that names it):
+
+    * ``url``: the endpoint, a non-empty string; required.
+    * ``model``: the model name sent with each request, a non-empty string;
+      default ``"gpt-4"``.
+    * ``api_key``: sent as a bearer token when set; default None.
+    * ``temperature``: a finite number; default 0.0.
+    * ``timeout``: seconds per request, a positive finite number; default 60.0.
+
     Sends ``{"model", "messages": [{"role", "content"}, ...], "temperature"}``
     and reads the first choice's message content, which must be a string.
     An HTTP 429 raises a ``BackendError`` whose ``retry_after`` is the
@@ -439,10 +450,21 @@ class HttpChatBackend:
     """
 
     url: str
-    model: str
+    model: str = "gpt-4"
     api_key: str | None = None
     temperature: float = 0.0
     timeout: float = 60.0
+
+    def __post_init__(self):
+        for name in ("url", "model"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value):
+                raise ValueError(f"{name} must be a non-empty string, not {value!r}")
+        if not finite_number(self.temperature):
+            raise ValueError(f"temperature must be a finite number, not {self.temperature!r}")
+        if not (finite_number(self.timeout) and self.timeout > 0):
+            raise ValueError(f"timeout must be a positive number, not {self.timeout!r}")
+        self.temperature, self.timeout = float(self.temperature), float(self.timeout)
 
     @property
     def identity(self) -> str:

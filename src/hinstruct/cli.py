@@ -7,6 +7,12 @@ writes ``explain-explanations.json`` and ``explain-transcripts.jsonl``, names
 a search never writes, so a rerun into the search's directory leaves the
 search's artifacts as they were).
 
+The run config (``--config``) is checked once, when it is loaded, and the
+backend is built then; an http backend's settings are ``HttpChatBackend``'s.
+An unknown key at the top level or in ``task``, ``search`` or ``backend`` is
+rejected by name, so a misspelt setting fails the run instead of silently
+taking its default.
+
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
 error. Output files are written atomically (temp file plus rename). Log
 messages go to stderr at ``--log-level`` and above (default ``warning``);
@@ -20,7 +26,6 @@ import argparse
 import dataclasses
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass
@@ -46,6 +51,7 @@ from .hin import (
     DataError,
     SchemaError,
     binarize_ratings,
+    finite_number,
     load_graph,
     load_labels,
     load_ratings,
@@ -69,6 +75,18 @@ EXIT_BACKEND = 3
 
 DEFAULT_API_KEY_ENV = "HINSTRUCT_API_KEY"
 
+# the keys a config may hold at its top level, in ``task`` and in ``backend``
+# (``search`` takes SearchConfig's fields); an http backend's key comes from
+# the environment variable ``api_key_env``, never from the file
+_TOP_LEVEL_KEYS = (
+    "dataset_dir", "task", "rating_threshold", "split_ratio", "search", "backend",
+    "output_dir", "prompt_dir",
+)
+_TASK_KEYS = ("kind", "target_relation", "target_type")
+_BACKEND_KEYS = (
+    {f.name for f in dataclasses.fields(HttpChatBackend)} - {"api_key"} | {"kind", "api_key_env"}
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -84,7 +102,7 @@ class RunConfig:
     rating_threshold: int
     split_ratio: tuple
     search: SearchConfig
-    backend_spec: dict
+    backend: object  # the chat backend, from ``make_backend``
     output_dir: Path
     prompt_dir: Path | None
 
@@ -98,12 +116,14 @@ class RunConfig:
             raise DataError(
                 f"config {path}: the top level must be an object, not {type(payload).__name__}"
             )
+        _reject_unknown(payload, _TOP_LEVEL_KEYS, "", path)
 
-        dataset_dir = Path(payload.get("dataset_dir", ""))
+        dataset_dir = _path(payload, "dataset_dir", path)
         if not dataset_dir.is_dir():
-            raise DataError(f"dataset directory not found: {dataset_dir}")
+            raise DataError(f"config {path}: dataset directory not found: {dataset_dir}")
 
         task = _section(payload, "task", path)
+        _reject_unknown(task, _TASK_KEYS, "task.", path)
         kind = task.get("kind")
         if kind == "recommendation":
             target = task.get("target_relation")
@@ -117,42 +137,39 @@ class RunConfig:
         search_payload = dict(_section(payload, "search", path))
         if seed_override is not None:
             search_payload["seed"] = seed_override
-        unknown = set(search_payload) - {f.name for f in dataclasses.fields(SearchConfig)}
-        if unknown:
-            raise DataError(f"unknown search config keys: {sorted(unknown)}")
+        search_keys = [f.name for f in dataclasses.fields(SearchConfig)]
+        _reject_unknown(search_payload, search_keys, "search.", path)
         try:
             search = SearchConfig(**search_payload)
         except (TypeError, ValueError) as exc:
             raise DataError(f"config {path}: invalid search config: {exc}") from exc
 
         backend_spec = _section(payload, "backend", path) or {"kind": "stub"}
+        _reject_unknown(backend_spec, _BACKEND_KEYS, "backend.", path)
         if backend_spec.get("kind") not in ("stub", "http"):
-            raise DataError("backend.kind must be 'stub' or 'http'")
-        if backend_spec["kind"] == "http":
-            if not backend_spec.get("url"):
-                raise DataError("http backend needs a url")
-            temperature = backend_spec.get("temperature", 0.0)
-            if not _number(temperature):
-                raise DataError(
-                    f"config {path}: backend.temperature must be a number, not {temperature!r}"
-                )
-            timeout = backend_spec.get("timeout", 60.0)
-            if not (_number(timeout) and timeout > 0):
-                raise DataError(
-                    f"config {path}: backend.timeout must be a positive number, not {timeout!r}"
-                )
-
-        output_dir = Path(out_override or payload.get("output_dir", "hinstruct-out"))
-        prompt_dir = payload.get("prompt_dir")
-        if prompt_dir is not None:
-            prompt_dir = Path(prompt_dir)
-            if not prompt_dir.is_dir():
-                raise DataError(f"prompt directory not found: {prompt_dir}")
-
+            raise DataError(f"config {path}: backend.kind must be 'stub' or 'http'")
         try:
-            rating_threshold = int(payload.get("rating_threshold", 2))
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"config {path}: rating_threshold must be an integer: {exc}") from exc
+            backend = make_backend(backend_spec)
+        except TypeError as exc:  # a required setting is missing
+            raise DataError(f"config {path}: backend: {exc}") from exc
+        except ValueError as exc:  # the message starts with the setting's name
+            raise DataError(f"config {path}: backend.{exc}") from exc
+
+        if out_override:
+            output_dir = Path(out_override)
+        else:
+            output_dir = _path(payload, "output_dir", path, "hinstruct-out")
+        prompt_dir = None
+        if payload.get("prompt_dir") is not None:
+            prompt_dir = _path(payload, "prompt_dir", path)
+            if not prompt_dir.is_dir():
+                raise DataError(f"config {path}: prompt directory not found: {prompt_dir}")
+
+        rating_threshold = payload.get("rating_threshold", 2)
+        if type(rating_threshold) is not int:
+            raise DataError(
+                f"config {path}: rating_threshold must be an integer, not {rating_threshold!r}"
+            )
         split_ratio = payload.get("split_ratio", [3, 1, 1])
         if not (
             isinstance(split_ratio, list) and len(split_ratio) == 3
@@ -167,7 +184,7 @@ class RunConfig:
             rating_threshold=rating_threshold,
             split_ratio=tuple(split_ratio),
             search=search,
-            backend_spec=backend_spec,
+            backend=backend,
             output_dir=output_dir,
             prompt_dir=prompt_dir,
         )
@@ -194,22 +211,34 @@ def _section(payload: dict, name: str, path) -> dict:
     return value
 
 
-def _number(value) -> bool:
-    """A finite JSON number; a bool is not one."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+def _reject_unknown(section: dict, known, prefix: str, path):
+    unknown = sorted(set(section) - set(known))
+    if unknown:
+        names = ", ".join(prefix + name for name in unknown)
+        raise DataError(f"config {path}: unknown key(s) {names}; known: {', '.join(sorted(known))}")
+
+
+def _path(payload: dict, name: str, path, default=None) -> Path:
+    """The config's path ``name``, a non-empty string; ``default`` when absent."""
+    value = payload.get(name, default)
+    if value is None:
+        raise DataError(f"config {path}: {name} is missing")
+    if not (isinstance(value, str) and value):
+        raise DataError(f"config {path}: {name} must be a non-empty path string, not {value!r}")
+    return Path(value)
 
 
 def make_backend(spec: dict):
-    if spec["kind"] == "stub":
+    """The backend of a config's ``backend`` object: the stub, or an
+    ``HttpChatBackend`` given the object's other keys as they are, with its
+    key read from the environment variable ``api_key_env``."""
+    settings = dict(spec)
+    if settings.pop("kind") == "stub":
         return make_stub_backend()
-    api_key = os.environ.get(spec.get("api_key_env", DEFAULT_API_KEY_ENV))
-    return HttpChatBackend(
-        url=spec["url"],
-        model=spec.get("model", "gpt-4"),
-        api_key=api_key,
-        temperature=float(spec.get("temperature", 0.0)),
-        timeout=float(spec.get("timeout", 60.0)),
-    )
+    api_key_env = settings.pop("api_key_env", DEFAULT_API_KEY_ENV)
+    if not (isinstance(api_key_env, str) and api_key_env):
+        raise ValueError(f"api_key_env must be a non-empty string, not {api_key_env!r}")
+    return HttpChatBackend(api_key=os.environ.get(api_key_env), **settings)
 
 
 def build_task(config: RunConfig, part: str = "val"):
@@ -269,12 +298,11 @@ def cmd_search(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     graph, split, evaluator = build_task(config, part="val")
-    backend = make_backend(config.backend_spec)
     prompts = PromptLibrary(config.prompt_dir)
     transcript = TranscriptLog(out_dir / "transcripts.jsonl")
 
     result = run_search(
-        config.search, graph, split, backend, evaluator,
+        config.search, graph, split, config.backend, evaluator,
         prompts=prompts, transcript=transcript,
     )
 
@@ -346,7 +374,7 @@ def cmd_neighbors(args) -> int:
 _POOL_FIELDS = {
     "key": (lambda v: isinstance(v, str), "a string"),
     "sentence": (lambda v: isinstance(v, str), "a string"),
-    "fitness": (lambda v: _number(v) and 0 <= v <= 1, "a number in [0, 1]"),
+    "fitness": (lambda v: finite_number(v) and 0 <= v <= 1, "a number in [0, 1]"),
     "generation": (lambda v: type(v) is int, "an integer"),
 }
 
@@ -417,7 +445,6 @@ def cmd_explain(args) -> int:
         violations = validate(ms, graph.schema)
         if violations:
             raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
-    backend = make_backend(config.backend_spec)
     prompts = PromptLibrary(config.prompt_dir)
     lib = build_component_library(
         graph.schema, ComponentLimits(search.insertion_max_interior, search.grafting_max_nodes)
@@ -428,7 +455,7 @@ def cmd_explain(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     transcript = TranscriptLog(out_dir / "explain-transcripts.jsonl")
     reports = explain_top_structures(
-        search, graph, split, backend, evaluator, pool, lib, final_keys,
+        search, graph, split, config.backend, evaluator, pool, lib, final_keys,
         rng, prompts, transcript, events=[], strict_backend=True,
     )
     reports_path = out_dir / "explain-explanations.json"

@@ -62,7 +62,7 @@ from .agents import (
     select_candidate,
 )
 from .evaluator import EvaluationError
-from .hin import HinGraph, LruMemo
+from .hin import HinGraph, LruMemo, finite_number
 from .mutations import (
     CandidateSet,
     ComponentLimits,
@@ -108,10 +108,9 @@ class SearchConfig:
         # the annotations are strings here; a bool is not a count
         for f in fields(self):
             value = getattr(self, f.name)
-            integer = isinstance(value, int) and not isinstance(value, bool)
-            if f.type == "int" and not integer:
+            if f.type == "int" and not (isinstance(value, int) and not isinstance(value, bool)):
                 raise ValueError(f"{f.name} must be an integer, not {value!r}")
-            if f.type == "float" and not (integer or isinstance(value, float) and math.isfinite(value)):
+            if f.type == "float" and not finite_number(value):
                 raise ValueError(f"{f.name} must be a finite number, not {value!r}")
         if self.population_size < 2:
             raise ValueError("population size must be at least 2")

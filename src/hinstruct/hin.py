@@ -17,6 +17,7 @@ dataset ids is the preprocessor's concern.
 from __future__ import annotations
 
 import json
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,6 +31,13 @@ class SchemaError(ValueError):
 
 class DataError(ValueError):
     """Malformed or inconsistent dataset files."""
+
+
+def finite_number(value) -> bool:
+    """Whether ``value`` is a finite int or float; a bool is not a number here."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
 
 
 @dataclass(frozen=True)

@@ -524,6 +524,27 @@ class TestHttpBackend:
     def reply(self, text):
         return (200, {"choices": [{"message": {"content": text}}]})
 
+    def test_defaults(self):
+        backend = HttpChatBackend(url="http://127.0.0.1:9/")
+        assert (backend.model, backend.temperature, backend.timeout) == ("gpt-4", 0.0, 60.0)
+        assert backend.api_key is None and backend.deterministic
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("url", 5), ("url", ["x"]), ("url", ""), ("model", [1]), ("model", ""),
+         ("temperature", "hot"), ("temperature", None), ("temperature", True),
+         ("temperature", float("nan")), ("timeout", 0), ("timeout", -1), ("timeout", "abc"),
+         ("timeout", float("inf"))],
+    )
+    def test_bad_setting_named(self, field, value):
+        settings = {"url": "http://127.0.0.1:9/", field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            HttpChatBackend(**settings)
+
+    def test_integer_settings_become_floats(self):
+        backend = HttpChatBackend(url="http://127.0.0.1:9/", temperature=1, timeout=30)
+        assert (type(backend.temperature), type(backend.timeout)) == (float, float)
+
     def test_wire_format(self, chat_server):
         server, handler = chat_server
         handler.script.append(self.reply("hello back"))

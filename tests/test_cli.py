@@ -227,6 +227,14 @@ class TestMalformedInput:
             ("task", "recommendation"),
             ("search", [1]),
             ("backend", "stub"),
+            ("dataset_dir", 5),
+            ("output_dir", 5),
+            ("prompt_dir", 3),
+            ("rating_threshold", 2.7),
+            ("rating_threshold", "2"),
+            ("rating_threshold", True),
+            ("rating_treshold", 3),  # unknown key
+            ("task.target", "rates"),  # unknown key
         ],
     )
     def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
@@ -327,7 +335,8 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "field, value",
         [("temperature", "hot"), ("temperature", None), ("timeout", "abc"), ("timeout", 0),
-         ("timeout", -1)],
+         ("timeout", -1), ("url", 5), ("model", [1]), ("api_key_env", [1]),
+         ("temprature", 0.5)],
     )
     def test_bad_backend_setting(self, workspace, tmp_path, capsys, field, value):
         payload = json.loads(workspace["config"].read_text())
@@ -337,6 +346,15 @@ class TestMalformedInput:
         assert main(["search", "--config", str(config), "--out", str(tmp_path / "x")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert str(config) in err and f"backend.{field}" in err
+
+    def test_missing_dataset_dir(self, workspace, tmp_path, capsys):
+        payload = json.loads(workspace["config"].read_text())
+        del payload["dataset_dir"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        assert main(["search", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert str(config) in err and "dataset_dir is missing" in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     @pytest.mark.parametrize("command, flag", [("neighbors", "--cap"), ("explain", "--top-k")])
