@@ -126,13 +126,18 @@ class RunConfig:
         _reject_unknown(task, _TASK_KEYS, "task.", path)
         kind = task.get("kind")
         if kind == "recommendation":
-            target = task.get("target_relation")
+            target_field = "target_relation"
         elif kind == "classification":
-            target = task.get("target_type")
+            target_field = "target_type"
         else:
-            raise DataError("config task.kind must be 'recommendation' or 'classification'")
-        if not target:
-            raise DataError("config task must name exactly one target relation or node type")
+            raise DataError(
+                f"config {path}: task.kind must be 'recommendation' or 'classification', not {kind!r}"
+            )
+        target = task.get(target_field)
+        if target is None:
+            raise DataError(f"config {path}: task.{target_field} is missing; a {kind} task needs it")
+        if not (isinstance(target, str) and target):
+            raise DataError(f"config {path}: task.{target_field} must be a non-empty name, not {target!r}")
 
         search_payload = dict(_section(payload, "search", path))
         if seed_override is not None:

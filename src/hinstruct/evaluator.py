@@ -21,30 +21,30 @@ the vote reads the part's rows at the train columns. So neither evaluator
 forms the score matrix. Each distinct path of a structure contributes a
 *read*, its row-normalized commuting matrix at exactly those cells, and the
 reads are multiplied in the sorted type-sequence order
-``structure_score_matrix`` folds in, which gives the same values bit for bit.
+``structure_score_matrix`` folds in. A read never forms the commuting matrix
+either; ``_halves`` splits the path at one inner node:
+
+* the left half multiplies out the first edges for the rows the metric reads;
+* the right half multiplies out the last edges, transposed, for the columns
+  it reads;
+* the row sums come from matrix-vector products, right to left.
+
+An AUC cell is then the dot product of a row of each half, and the vote's
+read is the product of the two halves. Adjacency values are all 1 (see
+``hin.HinGraph``), so every count is an exact integer in any association
+order, and each value is divided by its row sum as ``row_normalize``
+divides: the reads equal the full matrix's cells bit for bit. Every product
+and every chunk of row dots is held to the one flop budget
+``sparse.FLOP_BUDGET`` before it allocates, so a structure over it raises
+``MatrixBlowupError`` on every evaluation.
 
 Mutations add or remove one component, so the structures of a search share
-most of their paths, and the paths share prefixes. Each graph keeps two
-``hin.LruMemo`` caches bounded by the bytes of their values:
-
-* ``HinGraph.read_cache`` holds reads, keyed by the path's type sequence and
-  a digest of the metric and its exact cells, so two parts or two splits on
-  one graph never share an entry. A structure whose paths all hit runs no
-  product. Its entries are read-only arrays.
-* ``HinGraph.path_cache`` holds path products, keyed by edge-type prefix: a
-  read that misses resumes its product from the longest cached prefix.
-  Products keep their left-to-right order, so a cached matrix is
-  bit-identical to a fresh one.
-
-The reads sit in a cache of their own because they are small and reused in
-every generation, while products are large: sharing one bound, products
-evict the reads. Every product is held to the one flop budget
-``sparse.FLOP_BUDGET``. A prefix over it is never cached and neither is a
-read that needs it, so every structure that needs it raises
-``MatrixBlowupError`` again from ``SparseMatrix.matmul``'s check, before any
-product is formed. The caches are single-threaded and scoped to one graph:
-a graph made by ``HinGraph.with_adjacency`` starts empty. Returned matrices
-may be cache entries and must not be modified.
+most of their paths. ``HinGraph.read_cache``, a ``hin.LruMemo`` bounded by the
+bytes of its values, holds reads keyed by the path's type sequence and a
+digest of the metric and its exact cells, so two parts or two splits on one
+graph never share an entry. A structure whose paths all hit runs no product.
+Entries are read-only arrays; the cache is single-threaded and scoped to one
+graph, and a graph made by ``HinGraph.with_adjacency`` starts empty.
 """
 
 from __future__ import annotations
@@ -80,21 +80,12 @@ class Evaluator(Protocol):
 
 
 def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:
-    """Product of the adjacency matrices along the path's edge types.
-
-    Starts from the longest prefix in the graph's path cache and caches every
-    prefix it multiplies out.
-    """
-    edges, cache = path.edge_types, graph.path_cache
-    done, result = 1, graph.adjacency_of(edges[0])
-    for k in range(len(edges), 1, -1):
-        hit = cache.get(edges[:k])
-        if hit is not None:
-            done, result = k, hit
-            break
-    for k in range(done, len(edges)):
-        result = result.matmul(graph.adjacency_of(edges[k]))
-        cache.put(edges[: k + 1], result)
+    """Product of the adjacency matrices along the path's edge types, left to
+    right: the definition, and the tests' oracle; the evaluators read through
+    ``_halves`` instead."""
+    result = graph.adjacency_of(path.edge_types[0])
+    for eid in path.edge_types[1:]:
+        result = result.matmul(graph.adjacency_of(eid))
     return result
 
 
@@ -131,19 +122,82 @@ def _cells_digest(metric: str, *cells) -> bytes:
 
 
 def _path_reads(graph: HinGraph, ms: MetaStructure, digest: bytes, read) -> list:
-    """``read`` of each distinct path's row-normalized commuting matrix, in
-    sorted type-sequence order, through the graph's read cache.
+    """``read(path)`` of each distinct path, in sorted type-sequence order,
+    through the graph's read cache.
 
     ``digest`` (see ``_cells_digest``) and a path's type sequence key its
     read; a fresh read is made read-only before it is cached.
     """
     return [
-        graph.read_cache.get(
-            (path.type_sequence(), digest),
-            lambda: _read_only(read(path_commuting_matrix(graph, path).row_normalize())),
-        )
+        graph.read_cache.get((path.type_sequence(), digest), lambda: _read_only(read(path)))
         for path in _distinct_paths(ms)
     ]
+
+
+def _estimated_size(m: SparseMatrix, other: SparseMatrix) -> int:
+    """Stored entries ``m.matmul(other)`` is estimated to hold: at most ``m``'s
+    rows times ``other``'s columns, and about ``m``'s entries times the mean
+    row length of ``other``."""
+    return min(m.rows * other.cols, m.nnz * other.nnz // max(other.rows, 1))
+
+
+def _halves(graph: HinGraph, path: MetaPath, rows, cols):
+    """The path's commuting matrix in two halves, restricted to the cells a
+    metric reads, and its row sums at ``rows``.
+
+    The left half is the product of the path's first edges at ``rows``; the
+    right half is the transposed product of its last edges at ``cols``, one
+    row per column. They grow from the two ends, each step extending the half
+    whose next product is estimated smaller (``_estimated_size``), until they
+    meet; small halves keep both their products and the step that joins them
+    cheap. A one-edge path has only a left half, and None for the right.
+    """
+    edges = path.edge_types
+    left = graph.adjacency_of(edges[0]).select(rows)
+    right = graph.transposed(edges[-1]).select(cols) if len(edges) > 1 else None
+    lo, hi = 1, len(edges) - 1  # edges[lo:hi] are not multiplied out yet
+    while lo < hi:
+        a, b = graph.adjacency_of(edges[lo]), graph.transposed(edges[hi - 1])
+        if _estimated_size(left, a) <= _estimated_size(right, b):
+            left, lo = left.matmul(a), lo + 1
+        else:
+            right, hi = right.matmul(b), hi - 1
+    through = np.ones(graph.count(path.node_types[-1]))
+    for eid in reversed(edges[lo:]):
+        through = graph.adjacency_of(eid).matvec(through)
+    return left, right, left.matvec(through)
+
+
+def _divisors(sums):
+    """Row sums as ``SparseMatrix.row_normalize`` divides by them."""
+    return np.where(sums == 0.0, 1.0, sums)
+
+
+def _pair_read(graph: HinGraph, path: MetaPath, cells) -> np.ndarray:
+    """The path's row-normalized commuting matrix at the (row, col) ``cells``."""
+    rows, row_at = np.unique(cells[:, 0], return_inverse=True)
+    cols, col_at = np.unique(cells[:, 1], return_inverse=True)
+    left, right, sums = _halves(graph, path, rows, cols)
+    if right is None:
+        counts = left.pick(np.column_stack([row_at, cells[:, 1]]))
+    else:
+        counts = left.row_dots(right, row_at, col_at)
+    return counts / _divisors(sums)[row_at]
+
+
+def _vote_read(graph: HinGraph, path: MetaPath, nodes, keep) -> SparseMatrix:
+    """The rows ``nodes`` of the path's row-normalized commuting matrix, with
+    only the columns marked in ``keep``, as ``SparseMatrix.select`` cuts them."""
+    cols = np.flatnonzero(keep)
+    left, right, sums = _halves(graph, path, nodes, cols)
+    if right is None:
+        counts = left.select(np.arange(left.rows), keep)
+    else:
+        product = left.matmul(right.transpose())
+        counts = SparseMatrix(left.rows, keep.size, product.indptr, cols[product.indices], product.data)
+    row_ids = np.repeat(np.arange(counts.rows, dtype=np.int64), np.diff(counts.indptr))
+    data = counts.data / _divisors(sums)[row_ids]
+    return SparseMatrix(counts.rows, counts.cols, counts.indptr, counts.indices, data)
 
 
 def _read_only(value):
@@ -218,7 +272,8 @@ class RecommendationEvaluator:
         pos = np.asarray(split.positives[self.part], dtype=np.int64).reshape(-1, 2)
         neg = np.asarray(split.negatives[self.part], dtype=np.int64).reshape(-1, 2)
         cells = np.concatenate([pos, neg])
-        reads = _path_reads(graph, ms, _cells_digest(self.metric, cells), lambda m: m.pick(cells))
+        digest = _cells_digest(self.metric, cells)
+        reads = _path_reads(graph, ms, digest, lambda path: _pair_read(graph, path, cells))
         score = reads[0]
         for more in reads[1:]:
             score = score * more
@@ -249,7 +304,7 @@ class NodeClassificationEvaluator:
         is_train = col_class >= 0
 
         digest = _cells_digest(self.metric, nodes, train_idx)
-        reads = _path_reads(graph, ms, digest, lambda m: m.select(nodes, is_train))
+        reads = _path_reads(graph, ms, digest, lambda path: _vote_read(graph, path, nodes, is_train))
         score = reads[0]
         for more in reads[1:]:
             score = score.hadamard(more)

@@ -28,7 +28,7 @@ asks each chain on the calling thread when its first individual's turn comes,
 since such a backend never waits and threads would only contend for the
 interpreter lock. With any other backend it is ``executor.map`` over one
 thread per task, at most ``AGENT_WORKERS``, since those agents mostly wait on
-the backend; the tasks touch neither the rng nor the pool nor the path cache
+the backend; the tasks touch neither the rng nor the pool nor the read cache
 nor the memo, so nothing is locked. Each task records into its own
 transcript buffer; the calling thread takes the answers in index order,
 replays each buffer into the transcript and then appends the individual's

@@ -22,6 +22,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .sparse import SparseMatrix
 
 
@@ -184,16 +186,11 @@ def load_schema(path) -> Schema:
     return schema_from_dict(payload)
 
 
-# Byte bound of each of a graph's two caches, path products and per-path
-# metric reads, both an LruMemo weighing each value by its nbytes. The
-# product cache pays off when a search revisits edge-type prefixes whose
-# products fit under the bound; a product larger than the bound is never
-# kept, so on such graphs nothing is cached. On the 30-generation demo search
-# the 39 reads take 0.25 MB and products are formed only when a read misses:
-# an unbounded product cache grows to 27 MB and runs 75 products, this bound
-# runs 100 of the 1,679 an uncached search runs, for about 10 MB more peak
-# memory (80.5 MB against 71.0 MB).
-PATH_CACHE_BYTES = 8 << 20
+# Byte bound of a graph's read cache, an LruMemo of per-path metric reads
+# weighing each value by its nbytes. A read holds one value per cell a metric
+# reads, so it is small: on the 30-generation demo search the 39 reads take
+# 0.25 MB, and every read the search repeats is a hit.
+READ_CACHE_BYTES = 8 << 20
 
 
 class LruMemo:
@@ -248,26 +245,44 @@ def _nbytes(value) -> int:
 
 @dataclass(frozen=True)
 class HinGraph:
+    """Node counts and one 0/1 adjacency matrix per edge type.
+
+    Every stored adjacency value must be 1.0, as ``load_graph`` makes them: a
+    path's commuting matrix then counts path instances in exact integers,
+    whatever order its products are formed in, which the evaluator relies on.
+    """
+
     schema: Schema
     node_counts: tuple[int, ...]
     adjacency: dict  # edge type id -> SparseMatrix
-    # products along edge-type paths, see evaluator.path_commuting_matrix, and
-    # per-path metric reads, see evaluator._path_reads; every graph starts
-    # empty, so a swapped adjacency never meets stale products or reads
-    path_cache: LruMemo = field(
-        default_factory=lambda: LruMemo(PATH_CACHE_BYTES, _nbytes),
-        init=False, repr=False, compare=False,
-    )
+    # per-path metric reads, see evaluator._path_reads, and transposed
+    # adjacency, see ``transposed``; every graph starts empty, so a swapped
+    # adjacency never meets stale reads
     read_cache: LruMemo = field(
-        default_factory=lambda: LruMemo(PATH_CACHE_BYTES, _nbytes),
+        default_factory=lambda: LruMemo(READ_CACHE_BYTES, _nbytes),
         init=False, repr=False, compare=False,
     )
+    _transposes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for eid, matrix in self.adjacency.items():
+            if not np.all(matrix.data == 1.0):
+                raise DataError(
+                    f"adjacency of edge type {self.schema.edge_type(eid).name!r} holds a value "
+                    "other than 1"
+                )
 
     def count(self, tid: int) -> int:
         return self.node_counts[tid]
 
     def adjacency_of(self, eid: int) -> SparseMatrix:
         return self.adjacency[eid]
+
+    def transposed(self, eid: int) -> SparseMatrix:
+        """The transpose of edge type ``eid``'s adjacency, formed once per graph."""
+        if eid not in self._transposes:
+            self._transposes[eid] = self.adjacency[eid].transpose()
+        return self._transposes[eid]
 
     def with_adjacency(self, eid: int, matrix: SparseMatrix) -> "HinGraph":
         et = self.schema.edge_type(eid)

@@ -1,9 +1,10 @@
 """CSR matrix kernels backed by scipy.sparse.
 
 The hot loops of structure evaluation are sparse matrix products (chains of
-per-relation adjacency matrices) and elementwise products of the per-path
-score matrices.  ``spgemm`` and ``hadamard`` hand both to ``scipy.sparse``;
-the tests check them against a pure numpy reference of their own.
+per-relation adjacency matrices), dot products of the rows of two such
+products, and elementwise products of the per-path reads.  ``spgemm``,
+``row_dots`` and ``hadamard`` hand them to ``scipy.sparse``; the tests check
+them against a pure numpy reference of their own.
 ``BACKEND`` names the production path.
 
 ``scipy.sparse`` is imported on the first product, not with this module:
@@ -56,6 +57,14 @@ def spgemm(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_c
     a = _to_scipy(a_indptr, a_indices, a_data, n_rows, b_indptr.shape[0] - 1)
     b = _to_scipy(b_indptr, b_indices, b_data, b_indptr.shape[0] - 1, n_cols)
     return _from_scipy(a @ b)
+
+
+def row_dots(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_cols, a_rows, b_rows):
+    """Dot product of row ``a_rows[k]`` of A with row ``b_rows[k]`` of B for
+    every k, via ``scipy.sparse``; A and B have ``n_cols`` columns."""
+    a = _to_scipy(a_indptr, a_indices, a_data, a_indptr.shape[0] - 1, n_cols)[a_rows]
+    b = _to_scipy(b_indptr, b_indices, b_data, b_indptr.shape[0] - 1, n_cols)[b_rows]
+    return np.asarray(a.multiply(b).sum(axis=1), dtype=np.float64).reshape(-1)
 
 
 def hadamard(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_rows, n_cols):

@@ -15,11 +15,15 @@ from . import kernels
 
 
 class MatrixBlowupError(RuntimeError):
-    """Raised when a chain product would exceed ``FLOP_BUDGET``."""
+    """Raised when a chain product, or a chunk of row dots, would exceed ``FLOP_BUDGET``."""
 
 
-# scalar multiplies one product may take; read by ``matmul`` on every call
+# scalar multiplies one product may take, and entries one chunk of
+# ``row_dots`` may gather; read on every call
 FLOP_BUDGET = 50_000_000
+# stored entries ``row_dots`` gathers per chunk, so its working memory stays
+# bounded however many rows it is asked for
+DOT_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -108,24 +112,25 @@ class SparseMatrix:
         out[hit] = self.data[pos[hit]]
         return out
 
-    def select(self, rows, keep) -> "SparseMatrix":
+    def select(self, rows, keep=None) -> "SparseMatrix":
         """The given rows, in the given order, with only the entries whose
-        column is marked in the boolean array ``keep``; columns keep their
-        ids and their sorted order within each row."""
+        column is marked in the boolean array ``keep`` (all entries without
+        it); columns keep their ids and their sorted order within each row."""
         rows = np.asarray(rows, dtype=np.int64)
-        keep = np.asarray(keep, dtype=bool)
         if rows.size and (rows.min() < 0 or rows.max() >= self.rows):
             raise ValueError(f"row index out of range for {self.rows}x{self.cols} matrix")
-        if keep.shape != (self.cols,):
-            raise ValueError(f"column mask of shape {keep.shape} for {self.rows}x{self.cols} matrix")
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        bounds = np.concatenate(([0], np.cumsum(lengths)))
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
         # stored position of every entry of the chosen rows, row after row
-        pos = np.arange(bounds[-1], dtype=np.int64) + np.repeat(starts - bounds[:-1], lengths)
-        kept = keep[self.indices[pos]]
-        indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))[bounds]
-        pos = pos[kept]
+        pos = np.arange(indptr[-1], dtype=np.int64) + np.repeat(starts - indptr[:-1], lengths)
+        if keep is not None:
+            keep = np.asarray(keep, dtype=bool)
+            if keep.shape != (self.cols,):
+                raise ValueError(f"column mask of shape {keep.shape} for {self.rows}x{self.cols} matrix")
+            kept = keep[self.indices[pos]]
+            indptr = np.concatenate(([0], np.cumsum(kept, dtype=np.int64)))[indptr]
+            pos = pos[kept]
         return SparseMatrix(rows.size, self.cols, indptr, self.indices[pos], self.data[pos])
 
     # -- algebra ---------------------------------------------------------
@@ -154,6 +159,42 @@ class SparseMatrix:
             self.rows, self.cols,
         )
         return SparseMatrix(self.rows, self.cols, indptr, indices, data)
+
+    def matvec(self, vector) -> np.ndarray:
+        """This matrix times the dense ``vector``; each row sums its products
+        in column order."""
+        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+        return np.bincount(row_ids, weights=self.data * vector[self.indices], minlength=self.rows)
+
+    def row_dots(self, other: "SparseMatrix", rows, other_rows) -> np.ndarray:
+        """Dot product of row ``rows[k]`` of this matrix with row
+        ``other_rows[k]`` of ``other``, for every k.
+
+        The rows are taken in chunks that gather about ``DOT_CHUNK`` stored
+        entries each; a chunk over ``FLOP_BUDGET`` raises before it is gathered.
+        """
+        if self.cols != other.cols:
+            raise ValueError(f"dimension mismatch: {self.cols} vs {other.cols}")
+        rows = np.asarray(rows, dtype=np.int64)
+        other_rows = np.asarray(other_rows, dtype=np.int64)
+        out = np.zeros(rows.size, dtype=np.float64)
+        if rows.size == 0:
+            return out
+        gathered = np.cumsum(np.diff(self.indptr)[rows] + np.diff(other.indptr)[other_rows])
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(gathered // DOT_CHUNK)) + 1))
+        for lo, hi in zip(starts.tolist(), np.append(starts[1:], rows.size).tolist()):
+            entries = int(gathered[hi - 1] - (gathered[lo - 1] if lo else 0))
+            if entries > FLOP_BUDGET:
+                raise MatrixBlowupError(
+                    f"matrix blowup: row dots gather {entries} entries, budget {FLOP_BUDGET}"
+                )
+            if entries:
+                out[lo:hi] = kernels.row_dots(
+                    self.indptr, self.indices, self.data,
+                    other.indptr, other.indices, other.data,
+                    self.cols, rows[lo:hi], other_rows[lo:hi],
+                )
+        return out
 
     def row_normalize(self) -> "SparseMatrix":
         """Scale each row to sum to 1; all-zero rows stay zero."""

@@ -18,7 +18,8 @@ Users come in "tastes"; each taste splits into two friendship cliques, and
 cross-taste friendships point one taste forward around a directed ring,
 which keeps two-hop friendship from leaking back into the home taste.
 
-Run ``python -m hinstruct.synth --out DIR`` to write a dataset directory.
+Run ``python -m hinstruct.synth --out DIR`` to write a dataset directory;
+``--tastes N`` scales it (the demo has 9 tastes: 288 users, 144 businesses).
 """
 
 from __future__ import annotations
@@ -33,7 +34,10 @@ import numpy as np
 from .hin import Schema, schema_from_dict
 from .structure import MetaStructure
 
-N_TASTES = 9
+N_TASTES = 9  # the demo's size; ``generate(tastes=...)`` scales the network
+# with fewer, every business is of the user's own or forward taste, so no
+# random negatives exist, and two-hop friendship leaks back home
+MIN_TASTES = 3
 SUBCLIQUE = 16  # users per friendship clique, two cliques per taste
 CATS_PER_TASTE = 2
 SHARED_PER_CAT = 6  # plus one exclusive business per clique per category
@@ -44,9 +48,7 @@ TYPE_B_NEGS_PER_USER = 2  # right taste, socially isolated (other clique's exclu
 USERS_PER_TASTE = 2 * SUBCLIQUE
 BIZ_PER_CAT = SHARED_PER_CAT + 2
 BIZ_PER_TASTE = CATS_PER_TASTE * BIZ_PER_CAT
-N_USERS = N_TASTES * USERS_PER_TASTE
-N_BIZ = N_TASTES * BIZ_PER_TASTE
-N_CATS = N_TASTES * CATS_PER_TASTE
+N_BIZ = N_TASTES * BIZ_PER_TASTE  # the demo's businesses
 
 
 def toy_schema() -> Schema:
@@ -100,8 +102,11 @@ def _biz_taste(biz):
     return biz // BIZ_PER_TASTE
 
 
-def generate(out_dir, seed: int = 0) -> dict:
-    """Write a dataset directory; returns summary counts."""
+def generate(out_dir, seed: int = 0, tastes: int = N_TASTES) -> dict:
+    """Write a dataset directory of ``tastes`` taste groups; returns summary counts."""
+    if tastes < MIN_TASTES:
+        raise ValueError(f"the network needs at least {MIN_TASTES} tastes, not {tastes}")
+    n_users, n_biz = tastes * USERS_PER_TASTE, tastes * BIZ_PER_TASTE
     rng = np.random.default_rng(seed)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -111,10 +116,10 @@ def generate(out_dir, seed: int = 0) -> dict:
     # whole same-index clique one taste forward (directed, so two-hop
     # friendship never leaks back into the home taste)
     friend_edges = []
-    for taste in range(N_TASTES):
+    for taste in range(tastes):
         for clique in range(2):
             members = [_user_id(taste, clique, j) for j in range(SUBCLIQUE)]
-            partner = [_user_id((taste + 1) % N_TASTES, clique, j) for j in range(SUBCLIQUE)]
+            partner = [_user_id((taste + 1) % tastes, clique, j) for j in range(SUBCLIQUE)]
             for a in members:
                 for b in members:
                     if a != b:
@@ -123,18 +128,18 @@ def generate(out_dir, seed: int = 0) -> dict:
                     friend_edges.append((a, b))
 
     belongs_edges = []
-    for taste in range(N_TASTES):
+    for taste in range(tastes):
         for cat in range(CATS_PER_TASTE):
             cat_id = taste * CATS_PER_TASTE + cat
             for k in range(BIZ_PER_CAT):
                 belongs_edges.append((_biz_id(taste, cat, k), cat_id))
 
-    located_edges = [(b, int(rng.integers(N_CITIES))) for b in range(N_BIZ)]
+    located_edges = [(b, int(rng.integers(N_CITIES))) for b in range(n_biz)]
 
     # preference pairs: clique members like the shared businesses plus their
     # clique's exclusive one, in every category of their own taste
     positives = set()
-    for taste in range(N_TASTES):
+    for taste in range(tastes):
         for clique in range(2):
             liked = [
                 _biz_id(taste, cat, k)
@@ -147,8 +152,8 @@ def generate(out_dir, seed: int = 0) -> dict:
                     positives.add((u, b))
 
     negatives = set()
-    for taste in range(N_TASTES):
-        partner = (taste + 1) % N_TASTES
+    for taste in range(tastes):
+        partner = (taste + 1) % tastes
         for clique in range(2):
             # what the befriended forward clique likes: the type-A confusers
             partner_liked = [
@@ -167,10 +172,10 @@ def generate(out_dir, seed: int = 0) -> dict:
 
     target_negs = len(positives)
     while len(negatives) < target_negs:
-        u = int(rng.integers(N_USERS))
-        b = int(rng.integers(N_BIZ))
+        u = int(rng.integers(n_users))
+        b = int(rng.integers(n_biz))
         taste = u // USERS_PER_TASTE
-        if _biz_taste(b) in (taste, (taste + 1) % N_TASTES):
+        if _biz_taste(b) in (taste, (taste + 1) % tastes):
             continue
         if (u, b) in positives or (u, b) in negatives:
             continue
@@ -180,7 +185,7 @@ def generate(out_dir, seed: int = 0) -> dict:
     ratings += [(u, b, 1) for u, b in sorted(negatives)]
     ratings.sort()
 
-    counts = {"user": N_USERS, "business": N_BIZ, "category": N_CATS, "city": N_CITIES}
+    counts = {"user": n_users, "business": n_biz, "category": tastes * CATS_PER_TASTE, "city": N_CITIES}
     (out_dir / "schema.json").write_text(
         json.dumps(schema.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -229,12 +234,19 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="dataset directory to create")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
+        "--tastes", type=int, default=N_TASTES,
+        help=f"taste groups, each of {USERS_PER_TASTE} users and {BIZ_PER_TASTE} businesses "
+        f"(default {N_TASTES})",
+    )
+    parser.add_argument(
         "--with-config",
         metavar="PATH",
         help="also write a ready-to-run search config pointing at the dataset",
     )
     args = parser.parse_args(argv)
-    summary = generate(args.out, seed=args.seed)
+    if args.tastes < MIN_TASTES:
+        parser.error(f"--tastes must be at least {MIN_TASTES}, not {args.tastes}")
+    summary = generate(args.out, seed=args.seed, tastes=args.tastes)
     print(json.dumps(summary, sort_keys=True))
     if args.with_config:
         write_demo_config(

@@ -502,6 +502,20 @@ def hadamard_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_r
     return indptr, indices, data
 
 
+def row_dots_numpy(a_indptr, a_indices, a_data, b_indptr, b_indices, b_data, n_cols, a_rows, b_rows):
+    """Dot product of row ``a_rows[k]`` of A with row ``b_rows[k]`` of B, one
+    pair at a time, over the columns both rows store."""
+    out = np.zeros(len(a_rows), dtype=np.float64)
+    for k, (i, j) in enumerate(zip(np.asarray(a_rows).tolist(), np.asarray(b_rows).tolist())):
+        a_lo, b_lo = a_indptr[i], b_indptr[j]
+        _, ia, ib = np.intersect1d(
+            a_indices[a_lo:a_indptr[i + 1]], b_indices[b_lo:b_indptr[j + 1]],
+            assume_unique=True, return_indices=True,
+        )
+        out[k] = np.dot(a_data[a_lo + ia], b_data[b_lo + ib])
+    return out
+
+
 def _empty_csr(n_rows: int):
     return (
         np.zeros(n_rows + 1, dtype=np.int64),

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from hinstruct import agents, evolution, grammar, hin, mutations, structure
 from hinstruct.cli import EXIT_OK, main
 from hinstruct.evaluator import RecommendationEvaluator, auc, macro_f1, structure_score_matrix
 from hinstruct.grammar import encode_metastructure
@@ -278,6 +279,36 @@ class TestCriterion8Determinism:
             same = same and a == b
         assert report(8, same, "(result, curve, events, explanations, transcripts)")
         assert same
+
+
+class TestMemoFreeReference:
+    """A search with its memos and caches off writes the same five artifacts
+    as the default search, so no memo's key leaves out something its value
+    depends on; a second default run, which shares every memo's behaviour,
+    cannot show that.
+
+    Switched off by patching, with no option in the package: every
+    ``LruMemo`` bound is 0 (unions, sentences, agent chains, path reads),
+    ``structure._canonicalize`` and ``grammar._vocabulary`` run uncached, and
+    the stub backend is neither ``in_process`` (so its chains run on worker
+    threads) nor ``deterministic`` (so no chain answer is reused). The
+    invariant rule that spares offered candidates their canonical key has no
+    such switch and stays on in both runs.
+    """
+
+    def test_memo_free_search_byte_identical(self, planted_run, monkeypatch):
+        monkeypatch.setattr(mutations, "UNION_MEMO_ENTRIES", 0)
+        monkeypatch.setattr(mutations, "SENTENCE_MEMO_ENTRIES", 0)
+        monkeypatch.setattr(evolution, "CHAIN_MEMO_ENTRIES", 0)
+        monkeypatch.setattr(hin, "READ_CACHE_BYTES", 0)
+        monkeypatch.setattr(structure, "_canonicalize", structure._canonicalize.__wrapped__)
+        monkeypatch.setattr(grammar, "_vocabulary", grammar._vocabulary.__wrapped__)
+        monkeypatch.setattr(agents.StubBackend, "in_process", False)
+        monkeypatch.setattr(agents.StubBackend, "deterministic", False)
+        out = planted_run["root"] / "memo-free"
+        assert main(["search", "--config", str(planted_run["config"]), "--out", str(out)]) == EXIT_OK
+        for name in ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl"):
+            assert (out / name).read_bytes() == (planted_run["out"] / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")

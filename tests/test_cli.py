@@ -235,6 +235,13 @@ class TestMalformedInput:
             ("rating_threshold", True),
             ("rating_treshold", 3),  # unknown key
             ("task.target", "rates"),  # unknown key
+            ("task.kind", "regression"),
+            ("task.target_relation", None),
+            ("task.target_relation", 5),
+            ("task.target_relation", [1]),
+            ("task.target_relation", ""),
+            ("task", {"kind": "classification", "target_type": 5}),
+            ("task", {"kind": "classification", "target_type": [1]}),
         ],
     )
     def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
@@ -245,9 +252,7 @@ class TestMalformedInput:
         config.write_text(json.dumps(payload))
         assert main(["search", "--config", str(config)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert name in err
-        if not section:
-            assert str(config) in err
+        assert name in err and str(config) in err
 
     def test_config_top_level_not_object(self, tmp_path, capsys):
         config = tmp_path / "config.json"

@@ -13,11 +13,16 @@ from hinstruct.evaluator import (
     path_commuting_matrix,
     structure_score_matrix,
 )
-from hinstruct import hin, sparse
-from hinstruct.hin import HinGraph
+from hinstruct import evaluator, hin, sparse, synth
+from hinstruct.hin import HinGraph, binarize_ratings, load_graph, load_ratings, load_schema
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
-from hinstruct.splits import NodeLabelSplit, RecommendationSplit
-from hinstruct.structure import MetaPath, MetaStructure, enumerate_paths
+from hinstruct.splits import (
+    NodeLabelSplit,
+    RecommendationSplit,
+    make_node_label_split,
+    make_recommendation_split,
+)
+from hinstruct.structure import MetaPath, MetaStructure, enumerate_paths, seed_population
 from hinstruct.synth import toy_schema
 
 from conftest import allclose, from_dense, random_structure, to_dense
@@ -157,75 +162,6 @@ class TestScoreMatrix:
         b = structure_score_matrix(graph, ms)
         assert allclose(a, b, rtol=0)
 
-
-def same_arrays(a, b):
-    return (
-        np.array_equal(a.indptr, b.indptr)
-        and np.array_equal(a.indices, b.indices)
-        and np.array_equal(a.data, b.data)
-    )
-
-
-def cold_copy(graph):
-    """The same network with an empty path cache."""
-    return HinGraph(graph.schema, graph.node_counts, graph.adjacency)
-
-
-def dense_chain(graph, path):
-    out = to_dense(graph.adjacency_of(path.edge_types[0]))
-    for eid in path.edge_types[1:]:
-        out = out @ to_dense(graph.adjacency_of(eid))
-    return out
-
-
-def count_matmuls(monkeypatch):
-    calls = []
-    matmul = SparseMatrix.matmul
-
-    def counted(self, *args):
-        calls.append(1)
-        return matmul(self, *args)
-
-    monkeypatch.setattr(SparseMatrix, "matmul", counted)
-    return calls
-
-
-class TestPathCache:
-    def test_warm_matches_cold_bit_for_bit(self):
-        rng = np.random.default_rng(31)
-        warm = toy_graph(rng, n_users=12, n_biz=9)
-        structures = [random_structure(warm.schema, rng, max_nodes=7) for _ in range(60)]
-        for ms in structures + structures[::-1]:
-            got = structure_score_matrix(warm, ms)
-            assert same_arrays(got, structure_score_matrix(cold_copy(warm), ms))
-        assert len(warm.path_cache) > 0
-
-    def test_resumes_from_longest_prefix(self, monkeypatch):
-        rng = np.random.default_rng(37)
-        graph = toy_graph(rng, n_users=8, n_biz=6)
-        calls = count_matmuls(monkeypatch)
-        path_commuting_matrix(graph, MetaPath((U, U, B, A), (FRIEND, RATES, BELONGS)))
-        assert len(calls) == 2
-        longer = MetaPath((U, U, B, A, B), (FRIEND, RATES, BELONGS, CONTAINS))
-        got = path_commuting_matrix(graph, longer)
-        assert len(calls) == 3
-        assert np.allclose(to_dense(got), dense_chain(graph, longer))
-        path_commuting_matrix(graph, longer)
-        assert len(calls) == 3
-
-    def test_with_adjacency_starts_empty(self):
-        rng = np.random.default_rng(41)
-        graph = toy_graph(rng, n_users=8, n_biz=6)
-        path = MetaPath((U, U, B), (FRIEND, RATES))
-        before = path_commuting_matrix(graph, path)
-        rates = from_dense(np.ones((8, 6)))
-        swapped = graph.with_adjacency(RATES, rates)
-        assert len(swapped.path_cache) == 0 and len(graph.path_cache) > 0
-        after = path_commuting_matrix(swapped, path)
-        assert np.allclose(to_dense(after), dense_chain(swapped, path))
-        assert not np.allclose(to_dense(after), to_dense(before))
-        assert same_arrays(path_commuting_matrix(graph, path), before)
-
     def test_blowup_raises_every_time(self, monkeypatch):
         rng = np.random.default_rng(5)
         graph = toy_graph(rng, n_users=30, n_biz=30)
@@ -245,45 +181,25 @@ class TestPathCache:
         assert np.allclose(to_dense(got), dense_chain(graph, path))
         assert same_arrays(structure_score_matrix(graph, ms), got.row_normalize())
 
-    def test_byte_total_within_bound(self, monkeypatch):
-        monkeypatch.setattr(hin, "PATH_CACHE_BYTES", 2_000)
-        rng = np.random.default_rng(43)
-        graph = toy_graph(rng, n_users=14, n_biz=10)
-        assert graph.path_cache.bound == 2_000
-        for _ in range(80):
-            ms = random_structure(graph.schema, rng, max_nodes=7)
-            got = structure_score_matrix(graph, ms)
-            assert 0 <= graph.path_cache.total <= 2_000
-            assert same_arrays(got, structure_score_matrix(cold_copy(graph), ms))
 
-    def test_cached_arrays_unchanged_by_evaluation(self):
-        rng = np.random.default_rng(47)
-        graph = toy_graph(rng, n_users=12, n_biz=9)
-        held = [
-            path_commuting_matrix(graph, MetaPath((U, U, B), (FRIEND, RATES))),
-            path_commuting_matrix(graph, MetaPath((U, B, U, B), (RATES, RATED_BY, RATES))),
-            structure_score_matrix(
-                graph, MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
-            ),
-        ]
-        snapshot = [(m.indptr.copy(), m.indices.copy(), m.data.copy()) for m in held]
-        split = RecommendationSplit(
-            target_edge_type=RATES,
-            positives={"train": [], "val": [(0, 1), (2, 3), (4, 5)], "test": []},
-            negatives={"train": [], "val": [(1, 1), (3, 3), (5, 5)], "test": []},
-            reserved=(),
-        )
-        evaluated = 0
-        for _ in range(60):
-            ms = random_structure(graph.schema, rng, max_nodes=7)
-            if ms.nodes[ms.source] == U and ms.nodes[ms.target] == B:
-                RecommendationEvaluator().evaluate(graph, split, ms)
-                evaluated += 1
-        assert evaluated > 5
-        for m, (indptr, indices, data) in zip(held, snapshot):
-            assert np.array_equal(m.indptr, indptr)
-            assert np.array_equal(m.indices, indices)
-            assert np.array_equal(m.data, data)
+def same_arrays(a, b):
+    return (
+        np.array_equal(a.indptr, b.indptr)
+        and np.array_equal(a.indices, b.indices)
+        and np.array_equal(a.data, b.data)
+    )
+
+
+def cold_copy(graph):
+    """The same network with an empty read cache."""
+    return HinGraph(graph.schema, graph.node_counts, graph.adjacency)
+
+
+def dense_chain(graph, path):
+    out = to_dense(graph.adjacency_of(path.edge_types[0]))
+    for eid in path.edge_types[1:]:
+        out = out @ to_dense(graph.adjacency_of(eid))
+    return out
 
 
 def auc_oracle(graph, split, part, ms):
@@ -390,7 +306,7 @@ class TestPathReads:
 
     @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
     def test_small_bound_equals_oracle(self, monkeypatch, evaluator_cls, oracle, make_split, target):
-        monkeypatch.setattr(hin, "PATH_CACHE_BYTES", 2_000)
+        monkeypatch.setattr(hin, "READ_CACHE_BYTES", 2_000)
         rng = np.random.default_rng(61)
         graph, structures = self.workload(rng, target)
         split = make_split(rng, 14, 10)
@@ -399,7 +315,6 @@ class TestPathReads:
             got = evaluator_cls("val").evaluate(graph, split, ms).value
             assert got == oracle(graph, split, "val", ms)
             assert 0 <= graph.read_cache.total <= 2_000
-            assert 0 <= graph.path_cache.total <= 2_000
 
     @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
     def test_val_then_test_equals_cold_test(self, evaluator_cls, oracle, make_split, target):
@@ -425,6 +340,21 @@ class TestPathReads:
         assert len(graph.read_cache) == 0
         monkeypatch.undo()
         assert evaluator_cls("val").evaluate(graph, split, ms).value == oracle(graph, split, "val", ms)
+
+    def test_with_adjacency_starts_empty(self):
+        rng = np.random.default_rng(41)
+        graph = toy_graph(rng, n_users=8, n_biz=6)
+        split = random_rec_split(rng, 8, 6)
+        ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
+        before = RecommendationEvaluator().evaluate(graph, split, ms)
+        (read_before,) = graph.read_cache._entries.values()
+        swapped = graph.with_adjacency(RATES, from_dense(np.ones((8, 6))))
+        assert len(swapped.read_cache) == 0 and len(graph.read_cache) == 1
+        after = RecommendationEvaluator().evaluate(swapped, split, ms)
+        assert after.value == auc_oracle(swapped, split, "val", ms)
+        (read_after,) = swapped.read_cache._entries.values()
+        assert not np.array_equal(read_after, read_before)
+        assert RecommendationEvaluator().evaluate(graph, split, ms) == before
 
     @pytest.mark.parametrize("evaluator_cls, oracle, make_split, target", TASKS)
     def test_cached_reads_read_only_and_unchanged(self, evaluator_cls, oracle, make_split, target):
@@ -628,3 +558,46 @@ class TestEvalResult:
     def test_range_enforced(self):
         with pytest.raises(EvaluationError):
             EvalResult("auc", 1.5, "val")
+
+
+@pytest.fixture(scope="module")
+def tenfold(tmp_path_factory):
+    """The schema, graph and ratings of the demo generator at 10x its size:
+    2,880 users and 1,440 businesses."""
+    path = tmp_path_factory.mktemp("tenfold-data")
+    synth.generate(path, seed=0, tastes=10 * synth.N_TASTES)
+    schema = load_schema(path / "schema.json")
+    return schema, load_graph(schema, path), binarize_ratings(load_ratings(path / "ratings.tsv"))
+
+
+class TestTenfoldGraph:
+    """On a graph large enough that the halves differ from the full product,
+    the reads of every seed structure equal the full product's cells bit for
+    bit."""
+
+    def test_pair_reads_equal_full_product(self, tenfold):
+        schema, graph, labeled = tenfold
+        rates = schema.edge_type_by_name("rates").id
+        split, graph = make_recommendation_split(graph, rates, labeled, seed=0)
+        cells = np.concatenate([np.asarray(split.positives["val"]), np.asarray(split.negatives["val"])])
+        for ms in seed_population(schema, U, B, 5):
+            (path,) = enumerate_paths(ms)
+            got = evaluator._pair_read(graph, path, cells)
+            assert np.array_equal(got, path_commuting_matrix(graph, path).row_normalize().pick(cells))
+
+    def test_vote_reads_equal_full_product(self, tenfold, monkeypatch):
+        schema, graph, _ = tenfold
+        labels = {b: b // synth.BIZ_PER_TASTE for b in range(graph.count(B))}
+        split = make_node_label_split(B, labels, seed=0)
+        nodes = np.asarray(split.val, dtype=np.int64)
+        keep = np.zeros(graph.count(B), dtype=bool)
+        keep[list(split.train)] = True
+        for ms in seed_population(schema, B, B, 5):
+            (path,) = enumerate_paths(ms)
+            got = evaluator._vote_read(graph, path, nodes, keep)
+            # the full product of the longest seed path is over the budget;
+            # the halves are not
+            with monkeypatch.context() as patch:
+                patch.setattr(sparse, "FLOP_BUDGET", 10 ** 9)
+                oracle = path_commuting_matrix(graph, path).row_normalize().select(nodes, keep)
+            assert same_arrays(got, oracle)

@@ -5,6 +5,7 @@ import pytest
 
 from hinstruct.hin import (
     DataError,
+    HinGraph,
     LruMemo,
     SchemaError,
     binarize_ratings,
@@ -159,6 +160,30 @@ class TestLoadGraph:
         (tmp_path / "counts.json").unlink()
         with pytest.raises(DataError, match="counts"):
             load_graph(mini_schema, tmp_path)
+
+
+class TestHinGraph:
+    def graph(self, mini_schema, tmp_path):
+        write_dataset(tmp_path, MINI_SCHEMA_DICT, TestLoadGraph().counts(), TestLoadGraph().edges())
+        return load_graph(mini_schema, tmp_path)
+
+    @pytest.mark.parametrize("value", [2.0, 0.5])
+    def test_adjacency_values_must_be_one(self, mini_schema, tmp_path, value):
+        graph = self.graph(mini_schema, tmp_path)
+        weighted = from_dense(np.array([[value, 0.0], [0.0, 1.0], [1.0, 0.0]]))
+        with pytest.raises(DataError, match="'rates' holds a value other than 1"):
+            graph.with_adjacency(0, weighted)
+        with pytest.raises(DataError, match="'rates' holds a value other than 1"):
+            HinGraph(mini_schema, graph.node_counts, {**graph.adjacency, 0: weighted})
+
+    def test_transposed_formed_once_per_graph(self, mini_schema, tmp_path):
+        graph = self.graph(mini_schema, tmp_path)
+        first = graph.transposed(0)
+        assert sorted(triplets(first)) == sorted((c, r, v) for r, c, v in triplets(graph.adjacency_of(0)))
+        assert graph.transposed(0) is first
+        swapped = graph.with_adjacency(0, from_dense(np.ones((3, 2))))
+        assert sorted(triplets(swapped.transposed(0))) == [(c, r, 1.0) for c in range(2) for r in range(3)]
+        assert graph.transposed(0) is first
 
 
 class TestRatingsLabels:

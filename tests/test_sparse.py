@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import hinstruct
-from conftest import from_dense, hadamard_numpy, spgemm_numpy, to_dense, triplets
+from conftest import from_dense, hadamard_numpy, row_dots_numpy, spgemm_numpy, to_dense, triplets
 from hinstruct import kernels, sparse
 from hinstruct.sparse import MatrixBlowupError, SparseMatrix
 
@@ -165,6 +165,67 @@ class TestElementwise:
         assert a.hadamard(b).nnz == 0
 
 
+class TestRowDots:
+    def cases(self, rng, integer=False):
+        def one(rows):
+            m, dense = random_sparse(rng, rows, 9, density=0.4)
+            if integer:
+                dense = np.ceil(dense * 4)
+                m = from_dense(dense)
+            return m, dense
+
+        cases = [(one(7), one(5)) for _ in range(15)]
+        cases.append(((with_empty_rows(rng, 7, 9), None), one(5)))
+        cases.append((one(7), (SparseMatrix.zeros(5, 9), None)))
+        return cases
+
+    def test_backends_agree(self):
+        rng = np.random.default_rng(23)
+        for (a, _), (b, _) in self.cases(rng):
+            rows = rng.integers(0, a.rows, size=40)
+            other_rows = rng.integers(0, b.rows, size=40)
+            args = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data)
+            before = [x.copy() for x in args]
+            want = row_dots_numpy(*args, a.cols, rows, other_rows)
+            got = kernels.row_dots(*args, a.cols, rows, other_rows)
+            assert got.dtype == np.float64 and got.shape == (40,)
+            assert np.allclose(got, want, rtol=1e-13, atol=0)
+            assert_unchanged(args, before)
+
+    def test_integer_values_exact_in_chunks(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        for (a, da), (b, db) in self.cases(rng, integer=True)[:15]:
+            rows = rng.integers(0, a.rows, size=60)
+            other_rows = rng.integers(0, b.rows, size=60)
+            want = (da[rows] * db[other_rows]).sum(axis=1)
+            assert np.array_equal(a.row_dots(b, rows, other_rows), want)
+            monkeypatch.setattr(sparse, "DOT_CHUNK", 7)
+            assert np.array_equal(a.row_dots(b, rows, other_rows), want)
+            monkeypatch.undo()
+
+    def test_chunk_over_budget_raises(self, monkeypatch):
+        a = from_dense(np.ones((2, 6)))
+        assert np.array_equal(a.row_dots(a, [0, 1], [1, 1]), [6.0, 6.0])
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 11)
+        with pytest.raises(MatrixBlowupError, match="row dots gather 12 entries"):
+            a.row_dots(a, [0], [1])
+
+    def test_no_rows_and_mismatch(self):
+        a = from_dense(np.ones((2, 3)))
+        assert a.row_dots(a, [], []).shape == (0,)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            a.row_dots(from_dense(np.ones((2, 4))), [0], [0])
+
+
+class TestMatvec:
+    def test_matches_dense(self):
+        rng = np.random.default_rng(31)
+        for m, dense in [random_sparse(rng, 6, 8) for _ in range(10)] + [(SparseMatrix.zeros(3, 4), np.zeros((3, 4)))]:
+            vector = rng.random(m.cols)
+            assert np.allclose(m.matvec(vector), dense @ vector, rtol=1e-13)
+            assert m.matvec(vector).shape == (m.rows,)
+
+
 class TestRowNormalize:
     def test_rows_sum_to_one_or_zero(self):
         rng = np.random.default_rng(9)
@@ -210,6 +271,7 @@ class TestTransposePick:
             got = m.select(rows, keep)
             assert (got.rows, got.cols) == (rows.size, 5)
             assert np.array_equal(to_dense(got), to_dense(m)[rows] * keep)
+            assert np.array_equal(to_dense(m.select(rows)), to_dense(m)[rows])
             for r in range(got.rows):  # columns sorted within each row
                 cols = got.indices[got.indptr[r]:got.indptr[r + 1]]
                 assert np.all(cols[1:] > cols[:-1])
