@@ -265,9 +265,10 @@ def build_task(config: RunConfig, part: str = "val"):
         labels_path = config.dataset_dir / "labels.tsv"
         if not labels_path.is_file():
             raise DataError(f"classification task needs label file: {labels_path}")
-        labels = load_labels(labels_path)
+        n_nodes = graph.count(nt.id)
+        labels = load_labels(labels_path, n_nodes)
         split = make_node_label_split(
-            nt.id, labels, seed=config.search.seed, ratio=config.split_ratio
+            nt.id, labels, n_nodes, seed=config.search.seed, ratio=config.split_ratio
         )
         evaluator = NodeClassificationEvaluator(part=part)
     return graph, split, evaluator

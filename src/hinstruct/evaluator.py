@@ -269,8 +269,7 @@ class RecommendationEvaluator:
                 f"structure endpoints ({ms.nodes[ms.source]}, {ms.nodes[ms.target]}) do not "
                 f"match target relation {et.name!r} ({et.src}, {et.dst})"
             )
-        pos = np.asarray(split.positives[self.part], dtype=np.int64).reshape(-1, 2)
-        neg = np.asarray(split.negatives[self.part], dtype=np.int64).reshape(-1, 2)
+        pos, neg = split.positives[self.part], split.negatives[self.part]
         cells = np.concatenate([pos, neg])
         digest = _cells_digest(self.metric, cells)
         reads = _path_reads(graph, ms, digest, lambda path: _pair_read(graph, path, cells))
@@ -295,15 +294,14 @@ class NodeClassificationEvaluator:
                 f"got ({ms.nodes[ms.source]}, {ms.nodes[ms.target]})"
             )
         k = split.num_classes
-        nodes = np.asarray(split.part(self.part), dtype=np.int64)
-        train_idx = np.asarray(split.train, dtype=np.int64)
-        train_cls = np.asarray([split.labels[i] for i in split.train], dtype=np.int64)
+        nodes = split.part(self.part)
+        train_cls = split.classes[split.train]
         majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
         col_class = np.full(graph.count(t), -1, dtype=np.int64)
-        col_class[train_idx] = train_cls
+        col_class[split.train] = train_cls
         is_train = col_class >= 0
 
-        digest = _cells_digest(self.metric, nodes, train_idx)
+        digest = _cells_digest(self.metric, nodes, split.train)
         reads = _path_reads(graph, ms, digest, lambda path: _vote_read(graph, path, nodes, is_train))
         score = reads[0]
         for more in reads[1:]:
@@ -315,6 +313,5 @@ class NodeClassificationEvaluator:
             row_ids * k + col_class[score.indices], weights=score.data, minlength=nodes.size * k
         ).reshape(nodes.size, k)
         preds = np.where(np.diff(score.indptr) > 0, np.argmax(votes, axis=1), majority)
-        gold = np.asarray([split.labels[i] for i in nodes.tolist()], dtype=np.int64)
-        value = macro_f1(preds, gold, k)
+        value = macro_f1(preds, split.classes[nodes], k)
         return EvalResult("macro_f1", value, self.part)

@@ -10,14 +10,16 @@ A dataset directory holds:
 * ``ratings.tsv`` (optional) -- ``src<TAB>dst<TAB>rating``
 * ``labels.tsv`` (optional) -- ``node_index<TAB>class_id``
 
-Node indices are dense, 0-based and per-type; mapping back to original
-dataset ids is the preprocessor's concern.
+In every file a field is a decimal integer of ASCII digits with an optional
+sign, within int64 range. Node indices are dense, 0-based and per-type;
+mapping back to original dataset ids is the preprocessor's concern.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -293,27 +295,45 @@ class HinGraph:
         return HinGraph(self.schema, self.node_counts, adj)
 
 
-def _parse_edge_lines(path: Path, n_fields: int):
-    rows = []
+def frozen_ints(values, *shape) -> np.ndarray:
+    """``values`` as a read-only int64 array of ``shape``."""
+    array = np.asarray(values, dtype=np.int64).reshape(shape)
+    array.flags.writeable = False
+    return array
+
+
+def _parse_edge_lines(path: Path, n_fields: int) -> np.ndarray:
+    """The file's rows as a read-only ``(n, n_fields)`` int64 array, parsed in
+    one pass; a file that fails is read again, line by line with the same
+    parser, to name its first bad line."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
+        if rows.shape[1] == n_fields or rows.size == 0:
+            return frozen_ints(rows, -1, n_fields)
+    except ValueError:
+        pass
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            body = line.split("#", 1)[0].strip()
-            if not body:
+            fields = line.split("#", 1)[0].split()
+            if not fields:
                 continue
-            parts = body.split()
-            if len(parts) != n_fields:
-                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            if len(fields) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
             try:
-                rows.append(tuple(int(p) for p in parts))
+                np.loadtxt([line], dtype=np.int64, comments="#")
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-integer field") from exc
-    return rows
+    raise DataError(f"{path}: expected {n_fields} integer fields per line")
 
 
 def load_graph(schema: Schema, directory) -> HinGraph:
     """Load per-relation adjacency from a dataset directory.
 
-    Duplicate edges collapse to a single unit entry. Edge types whose file is
+    Each edge file is parsed into a read-only ``(n, 2)`` int64 array of
+    (source, target) rows, range-checked against the node counts, and made a
+    0/1 matrix in which a repeated edge counts once. Edge types whose file is
     absent fall back to the transpose of their declared inverse.
     """
     directory = Path(directory)
@@ -321,11 +341,18 @@ def load_graph(schema: Schema, directory) -> HinGraph:
     if not counts_path.is_file():
         raise DataError(f"missing node counts file: {counts_path}")
     raw_counts = json.loads(counts_path.read_text(encoding="utf-8"))
+    if not isinstance(raw_counts, dict):
+        raise DataError(f"{counts_path}: expected an object, got {type(raw_counts).__name__}")
     counts = []
     for nt in schema.node_types:
         if nt.name not in raw_counts:
             raise DataError(f"counts.json lacks node type {nt.name!r}")
-        counts.append(int(raw_counts[nt.name]))
+        count = raw_counts[nt.name]
+        if type(count) is not int or count < 0:
+            raise DataError(
+                f"{counts_path}: count of node type {nt.name!r} is {count!r}, not a non-negative integer"
+            )
+        counts.append(count)
 
     loaded: dict[int, SparseMatrix] = {}
     for et in schema.edge_types:
@@ -334,14 +361,13 @@ def load_graph(schema: Schema, directory) -> HinGraph:
             continue
         pairs = _parse_edge_lines(path, 2)
         n_src, n_dst = counts[et.src], counts[et.dst]
-        for s, d in pairs:
-            if not (0 <= s < n_src):
-                raise DataError(f"{path}: source index {s} out of range for {et.name!r}")
-            if not (0 <= d < n_dst):
-                raise DataError(f"{path}: target index {d} out of range for {et.name!r}")
-        loaded[et.id] = SparseMatrix.from_triplets(
-            n_src, n_dst, ((s, d, 1.0) for s, d in pairs), collapse=True
-        )
+        bad_src = (pairs[:, 0] < 0) | (pairs[:, 0] >= n_src)
+        bad = np.flatnonzero(bad_src | (pairs[:, 1] < 0) | (pairs[:, 1] >= n_dst))
+        if bad.size:
+            s, d = pairs[bad[0]].tolist()
+            end, index = ("source", s) if bad_src[bad[0]] else ("target", d)
+            raise DataError(f"{path}: {end} index {index} out of range for {et.name!r}")
+        loaded[et.id] = SparseMatrix.from_pairs(n_src, n_dst, pairs)
 
     for et in schema.edge_types:
         if et.id in loaded:
@@ -354,25 +380,32 @@ def load_graph(schema: Schema, directory) -> HinGraph:
     return HinGraph(schema, tuple(counts), loaded)
 
 
-def binarize_ratings(ratings, threshold: int = 2):
-    """Map integer ratings to binary preference labels (1 iff rating > threshold)."""
-    out = []
-    for src, dst, rating in ratings:
-        if rating < 0:
-            raise DataError(f"negative rating for pair ({src}, {dst})")
-        out.append((src, dst, 1 if rating > threshold else 0))
-    return out
+def binarize_ratings(ratings, threshold: int = 2) -> np.ndarray:
+    """Map integer ratings to binary preference labels (1 iff rating > threshold):
+    a read-only ``(n, 3)`` int64 array of (src, dst, label) rows."""
+    ratings = np.asarray(ratings, dtype=np.int64).reshape(-1, 3)
+    negative = np.flatnonzero(ratings[:, 2] < 0)
+    if negative.size:
+        src, dst, _ = ratings[negative[0]].tolist()
+        raise DataError(f"negative rating for pair ({src}, {dst})")
+    return frozen_ints(np.column_stack([ratings[:, :2], ratings[:, 2] > threshold]), -1, 3)
 
 
-def load_ratings(path):
+def load_ratings(path) -> np.ndarray:
+    """The (src, dst, rating) rows of a ratings file, a read-only ``(n, 3)`` int64 array."""
     return _parse_edge_lines(Path(path), 3)
 
 
-def load_labels(path) -> dict[int, int]:
-    pairs = _parse_edge_lines(Path(path), 2)
-    labels: dict[int, int] = {}
-    for node, cls in pairs:
-        if node in labels and labels[node] != cls:
-            raise DataError(f"{path}: conflicting labels for node {node}")
-        labels[node] = cls
+def load_labels(path, n_nodes: int) -> np.ndarray:
+    """The (node, class) rows of a label file, a read-only ``(n, 2)`` int64
+    array in file order. Every node id must lie in ``[0, n_nodes)``, and a
+    node listed twice must get the same class both times."""
+    labels = _parse_edge_lines(Path(path), 2)
+    bad = np.flatnonzero((labels[:, 0] < 0) | (labels[:, 0] >= n_nodes))
+    if bad.size:
+        raise DataError(f"{path}: node id {labels[bad[0], 0]} out of range for {n_nodes} nodes")
+    by_node = labels[np.argsort(labels[:, 0], kind="stable")]
+    clash = np.flatnonzero((by_node[1:, 0] == by_node[:-1, 0]) & (by_node[1:, 1] != by_node[:-1, 1]))
+    if clash.size:
+        raise DataError(f"{path}: conflicting labels for node {by_node[clash[0], 0]}")
     return labels

@@ -8,7 +8,7 @@ them against a pure numpy reference of their own.
 ``BACKEND`` names the production path.
 
 ``scipy.sparse`` is imported on the first product, not with this module:
-ingest (``SparseMatrix.from_triplets``, ``transpose``), the split and the
+ingest (``SparseMatrix.from_pairs``, ``transpose``), the split and the
 ``translate`` and ``neighbors`` subcommands run on numpy alone, and loading
 scipy would add about a tenth of a second to each of them.
 

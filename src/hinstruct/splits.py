@@ -7,6 +7,9 @@ paired with an equal number of negatives. Negatives come from the label-0
 pairs, topped up by uniform sampling of unconnected pairs when short.
 
 Node classification: labeled nodes split 3:1:1.
+
+Every part is a read-only int64 array: ``(n, 2)`` rows of (src, dst) for a
+pair set, and node ids for a node set.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hin import DataError, HinGraph
+from .hin import DataError, HinGraph, frozen_ints
 from .sparse import SparseMatrix
 
 
@@ -23,24 +26,34 @@ class SplitError(DataError):
     """Split construction cannot satisfy its contract."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RecommendationSplit:
     target_edge_type: int
-    positives: dict  # part -> list[(src, dst)]
-    negatives: dict  # part -> list[(src, dst)]
-    reserved: tuple  # construction-reserved positive pairs
+    positives: dict  # part -> (n, 2) array of (src, dst)
+    negatives: dict  # part -> (n, 2) array of (src, dst)
+    reserved: np.ndarray  # construction-reserved positive pairs
+
+    def __post_init__(self):
+        for name in ("positives", "negatives"):
+            parts = {part: frozen_ints(pairs, -1, 2) for part, pairs in getattr(self, name).items()}
+            object.__setattr__(self, name, parts)
+        object.__setattr__(self, "reserved", frozen_ints(self.reserved, -1, 2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NodeLabelSplit:
     target_node_type: int
-    labels: dict  # node index -> class id
-    train: tuple
-    val: tuple
-    test: tuple
+    classes: np.ndarray  # class id of each node of the target type, -1 if unlabeled
+    train: np.ndarray
+    val: np.ndarray
+    test: np.ndarray
     num_classes: int
 
-    def part(self, name: str):
+    def __post_init__(self):
+        for name in ("classes", "train", "val", "test"):
+            object.__setattr__(self, name, frozen_ints(getattr(self, name), -1))
+
+    def part(self, name: str) -> np.ndarray:
         return {"train": self.train, "val": self.val, "test": self.test}[name]
 
 
@@ -49,6 +62,14 @@ def _part_sizes(n: int, ratio) -> tuple[int, int, int]:
     n_val = n * ratio[1] // denom
     n_test = n * ratio[2] // denom
     return n - n_val - n_test, n_val, n_test
+
+
+def _cut(items, n_train, n_val) -> dict:
+    return {
+        "train": items[:n_train],
+        "val": items[n_train : n_train + n_val],
+        "test": items[n_train + n_val :],
+    }
 
 
 def make_recommendation_split(
@@ -60,21 +81,21 @@ def make_recommendation_split(
 ):
     """Build a link-prediction split and the leak-free graph to search on.
 
-    ``labeled_pairs`` is a list of (src, dst, 0/1). Returns the split plus a
-    copy of ``graph`` whose target-relation adjacency holds exactly the
-    construction-reserved positive pairs.
+    ``labeled_pairs`` holds (src, dst, 0/1) rows, as ``binarize_ratings``
+    returns them. Returns the split plus a copy of ``graph`` whose
+    target-relation adjacency holds exactly the construction-reserved
+    positive pairs.
     """
     rng = np.random.default_rng(seed)
-    positives = [(s, d) for s, d, lab in labeled_pairs if lab == 1]
-    negatives = [(s, d) for s, d, lab in labeled_pairs if lab == 0]
-    if not positives:
+    labeled = np.asarray(labeled_pairs, dtype=np.int64).reshape(-1, 3)
+    positives = labeled[labeled[:, 2] == 1, :2]
+    negatives = labeled[labeled[:, 2] == 0, :2]
+    if not len(positives):
         raise SplitError("zero positive pairs")
 
-    order = rng.permutation(len(positives))
-    shuffled = [positives[i] for i in order]
+    shuffled = rng.permutation(positives)
     n_split = len(shuffled) // 2
-    split_pos = shuffled[:n_split]
-    reserved = tuple(shuffled[n_split:])
+    reserved = shuffled[n_split:]
 
     n_train, n_val, n_test = _part_sizes(n_split, ratio)
     if n_train == 0 or n_val == 0 or n_test == 0:
@@ -82,30 +103,18 @@ def make_recommendation_split(
             f"split too small: {len(positives)} positive pairs leave "
             f"{n_split} for a {ratio[0]}:{ratio[1]}:{ratio[2]} split"
         )
-    pos_parts = {
-        "train": split_pos[:n_train],
-        "val": split_pos[n_train : n_train + n_val],
-        "test": split_pos[n_train + n_val :],
-    }
 
-    neg_order = rng.permutation(len(negatives)) if negatives else np.empty(0, dtype=np.int64)
-    neg_pool = [negatives[i] for i in neg_order][:n_split]
+    neg_pool = rng.permutation(negatives)[:n_split]
     if len(neg_pool) < n_split:
-        neg_pool.extend(
-            _sample_unconnected(graph, target_edge_type, labeled_pairs, neg_pool, n_split - len(neg_pool), rng)
-        )
-    neg_parts = {
-        "train": neg_pool[:n_train],
-        "val": neg_pool[n_train : n_train + n_val],
-        "test": neg_pool[n_train + n_val :],
-    }
+        sampled = _sample_unconnected(graph, target_edge_type, labeled, n_split - len(neg_pool), rng)
+        neg_pool = np.concatenate([neg_pool, sampled])
 
-    split = RecommendationSplit(target_edge_type, pos_parts, neg_parts, reserved)
+    split = RecommendationSplit(
+        target_edge_type, _cut(shuffled[:n_split], n_train, n_val), _cut(neg_pool, n_train, n_val), reserved
+    )
 
     et = graph.schema.edge_type(target_edge_type)
-    target_adj = SparseMatrix.from_triplets(
-        graph.count(et.src), graph.count(et.dst), ((s, d, 1.0) for s, d in reserved), collapse=True
-    )
+    target_adj = SparseMatrix.from_pairs(graph.count(et.src), graph.count(et.dst), reserved)
     graph = graph.with_adjacency(target_edge_type, target_adj)
     # the declared inverse would otherwise leak the split pairs back in
     if et.inverse is not None and et.inverse != et.id:
@@ -113,12 +122,11 @@ def make_recommendation_split(
     return split, graph
 
 
-def _sample_unconnected(graph, target_edge_type, labeled_pairs, already, needed, rng):
+def _sample_unconnected(graph, target_edge_type, labeled, needed, rng):
     """Uniform rejection sampling of pairs with no recorded interaction."""
     et = graph.schema.edge_type(target_edge_type)
     n_src, n_dst = graph.count(et.src), graph.count(et.dst)
-    taken = {(s, d) for s, d, _ in labeled_pairs}
-    taken.update(already)
+    taken = set(zip(labeled[:, 0].tolist(), labeled[:, 1].tolist()))
     if n_src * n_dst - len(taken) < needed:
         raise SplitError("not enough unconnected pairs to sample negatives from")
     out = []
@@ -129,34 +137,33 @@ def _sample_unconnected(graph, target_edge_type, labeled_pairs, already, needed,
             continue
         taken.add((s, d))
         out.append((s, d))
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def make_node_label_split(
     target_node_type: int,
-    labels: dict,
+    labels,
+    n_nodes: int,
     seed: int,
     ratio=(3, 1, 1),
     num_classes: int | None = None,
 ) -> NodeLabelSplit:
-    if not labels:
+    """Split the labeled nodes of a type with ``n_nodes`` nodes; ``labels``
+    holds (node, class) rows with node ids in range, as ``load_labels`` returns them."""
+    labels = np.asarray(labels, dtype=np.int64).reshape(-1, 2)
+    if not len(labels):
         raise SplitError("empty label map")
     if num_classes is None:
-        num_classes = max(labels.values()) + 1
-    for node, cls in labels.items():
-        if not (0 <= cls < num_classes):
-            raise SplitError(f"label {cls} for node {node} outside [0, {num_classes})")
+        num_classes = int(labels[:, 1].max()) + 1
+    outside = np.flatnonzero((labels[:, 1] < 0) | (labels[:, 1] >= num_classes))
+    if outside.size:
+        node, cls = labels[outside[0]].tolist()
+        raise SplitError(f"label {cls} for node {node} outside [0, {num_classes})")
 
-    rng = np.random.default_rng(seed)
-    nodes = sorted(labels)
-    order = rng.permutation(len(nodes))
-    shuffled = [nodes[i] for i in order]
-    n_train, n_val, n_test = _part_sizes(len(shuffled), ratio)
+    classes = np.full(n_nodes, -1, dtype=np.int64)
+    classes[labels[:, 0]] = labels[:, 1]
+    shuffled = np.random.default_rng(seed).permutation(np.flatnonzero(classes >= 0))
+    n_train, n_val, _ = _part_sizes(len(shuffled), ratio)
     return NodeLabelSplit(
-        target_node_type=target_node_type,
-        labels=dict(labels),
-        train=tuple(shuffled[:n_train]),
-        val=tuple(shuffled[n_train : n_train + n_val]),
-        test=tuple(shuffled[n_train + n_val :]),
-        num_classes=num_classes,
+        target_node_type, classes, **_cut(shuffled, n_train, n_val), num_classes=num_classes
     )

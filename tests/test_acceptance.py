@@ -210,7 +210,7 @@ class TestCriterion5ScoringOracle:
             }
             shapes = {0: (14, 12), 1: (12, 14), 2: (14, 14), 3: (12, 3), 4: (3, 12), 5: (12, 2), 6: (2, 12)}
             adjacency = {
-                eid: SparseMatrix.from_triplets(*shapes[eid], ((s, d, 1.0) for s, d in pairs))
+                eid: SparseMatrix.from_pairs(*shapes[eid], list(pairs))
                 for eid, pairs in edge_lists.items()
             }
             graph = HinGraph(schema, tuple(counts[t.name] for t in schema.node_types), adjacency)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ import pytest
 
 from hinstruct.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from hinstruct.structure import MetaStructure
-from hinstruct.synth import planted_structure, toy_schema, write_demo_config
+from hinstruct.synth import BIZ_PER_TASTE, N_BIZ, planted_structure, toy_schema, write_demo_config
 
 U, B = 0, 1
 RATES, RATED_BY, FRIEND = 0, 1, 2
@@ -351,6 +352,44 @@ class TestMalformedInput:
         assert main(["search", "--config", str(config), "--out", str(tmp_path / "x")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert str(config) in err and f"backend.{field}" in err
+
+    @staticmethod
+    def search_copied_data(workspace, tmp_path, edit, task=None):
+        """Exit status and stderr of a search over a copy of the demo data that
+        ``edit(data_dir)`` has changed."""
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        edit(data)
+        payload = json.loads(workspace["config"].read_text())
+        payload["dataset_dir"] = str(data)
+        payload["task"] = task or payload["task"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        return main(["search", "--config", str(config), "--out", str(tmp_path / "out")]), data
+
+    @pytest.mark.parametrize("value", ["abc", [1], 12.7, True, -3])
+    def test_bad_node_count(self, workspace, tmp_path, capsys, value):
+        def edit(data):
+            counts = json.loads((data / "counts.json").read_text())
+            (data / "counts.json").write_text(json.dumps({**counts, "city": value}))
+
+        status, data = self.search_copied_data(workspace, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        assert f"{data / 'counts.json'}: count of node type 'city' is {value!r}" in err
+
+    @pytest.mark.parametrize("node", [-1, 150, 1000])
+    def test_label_node_out_of_range(self, workspace, tmp_path, capsys, node):
+        def edit(data):
+            lines = [f"{b}\t{b // BIZ_PER_TASTE}\n" for b in range(N_BIZ)]
+            lines.insert(7, f"{node}\t0\n")
+            (data / "labels.tsv").write_text("".join(lines))
+
+        task = {"kind": "classification", "target_type": "business"}
+        status, data = self.search_copied_data(workspace, tmp_path, edit, task)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        assert f"{data / 'labels.tsv'}: node id {node} out of range for {N_BIZ} nodes" in err
 
     def test_missing_dataset_dir(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["config"].read_text())

@@ -212,7 +212,7 @@ def vote_oracle(graph, split, part, ms):
     """Macro-F1 of a per-row vote over the full score matrix of a cold graph."""
     score = structure_score_matrix(cold_copy(graph), ms)
     k = split.num_classes
-    train_cls = np.asarray([split.labels[i] for i in split.train], dtype=np.int64)
+    train_cls = np.asarray([split.classes[i] for i in split.train], dtype=np.int64)
     majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
     col_class = np.full(score.cols, -1, dtype=np.int64)
     col_class[np.asarray(split.train, dtype=np.int64)] = train_cls
@@ -228,7 +228,7 @@ def vote_oracle(graph, split, part, ms):
         votes = np.zeros(k, dtype=np.float64)
         np.add.at(votes, col_class[cols[mask]], vals[mask])
         preds.append(int(np.argmax(votes)))
-    return macro_f1(preds, [split.labels[i] for i in nodes], k)
+    return macro_f1(preds, [split.classes[i] for i in nodes], k)
 
 
 def random_rec_split(rng, n_users, n_biz, n_pairs=12):
@@ -248,7 +248,7 @@ def random_label_split(rng, n_users, num_classes=3):
     third = n_users // 3
     return NodeLabelSplit(
         target_node_type=U,
-        labels={i: int(rng.integers(num_classes)) for i in range(n_users)},
+        classes=[int(rng.integers(num_classes)) for i in range(n_users)],
         train=tuple(order[:third]),
         val=tuple(order[third: 2 * third]),
         test=tuple(order[2 * third:]),
@@ -515,10 +515,9 @@ class TestEvaluateNodeClassification:
                     if a != b:
                         friend[a, b] = 1.0
         graph = toy_graph(friend=friend, rates=np.zeros((6, 2)), n_users=6, n_biz=2)
-        labels = {i: 0 if i < 3 else 1 for i in range(6)}
         split = NodeLabelSplit(
             target_node_type=U,
-            labels=labels,
+            classes=[0, 0, 0, 1, 1, 1],
             train=(0, 3),
             val=(1, 4),
             test=(2, 5),
@@ -587,8 +586,8 @@ class TestTenfoldGraph:
 
     def test_vote_reads_equal_full_product(self, tenfold, monkeypatch):
         schema, graph, _ = tenfold
-        labels = {b: b // synth.BIZ_PER_TASTE for b in range(graph.count(B))}
-        split = make_node_label_split(B, labels, seed=0)
+        labels = [(b, b // synth.BIZ_PER_TASTE) for b in range(graph.count(B))]
+        split = make_node_label_split(B, labels, graph.count(B), seed=0)
         nodes = np.asarray(split.val, dtype=np.int64)
         keep = np.zeros(graph.count(B), dtype=bool)
         keep[list(split.train)] = True

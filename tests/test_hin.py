@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hinstruct.hin import (
     HinGraph,
     LruMemo,
     SchemaError,
+    _parse_edge_lines,
     binarize_ratings,
     load_graph,
     load_labels,
@@ -161,6 +163,25 @@ class TestLoadGraph:
         with pytest.raises(DataError, match="counts"):
             load_graph(mini_schema, tmp_path)
 
+    def test_out_of_range_target_index(self, tmp_path, mini_schema):
+        edges = self.edges()
+        edges["rates"] = ["0\t0", "1\t-1", "9\t0"]
+        write_dataset(tmp_path, MINI_SCHEMA_DICT, self.counts(), edges)
+        with pytest.raises(DataError, match="rates.edges: target index -1 out of range for 'rates'"):
+            load_graph(mini_schema, tmp_path)
+
+    @pytest.mark.parametrize("value", ["abc", [1], 12.7, True, -1, None])
+    def test_count_not_a_non_negative_integer(self, tmp_path, mini_schema, value):
+        write_dataset(tmp_path, MINI_SCHEMA_DICT, {**self.counts(), "city": value}, self.edges())
+        path = re.escape(str(tmp_path / "counts.json"))
+        with pytest.raises(DataError, match=f"{path}: count of node type 'city' is"):
+            load_graph(mini_schema, tmp_path)
+
+    def test_counts_not_an_object(self, tmp_path, mini_schema):
+        write_dataset(tmp_path, MINI_SCHEMA_DICT, [1, 2, 3, 4], self.edges())
+        with pytest.raises(DataError, match=re.escape(str(tmp_path / "counts.json"))):
+            load_graph(mini_schema, tmp_path)
+
 
 class TestHinGraph:
     def graph(self, mini_schema, tmp_path):
@@ -189,10 +210,11 @@ class TestHinGraph:
 class TestRatingsLabels:
     def test_binarize_strict_threshold(self):
         labeled = binarize_ratings([(0, 1, 3), (0, 2, 1), (0, 3, 2)], threshold=2)
-        assert labeled == [(0, 1, 1), (0, 2, 0), (0, 3, 0)]
+        assert labeled.dtype == np.int64 and not labeled.flags.writeable
+        assert labeled.tolist() == [[0, 1, 1], [0, 2, 0], [0, 3, 0]]
 
     def test_binarize_custom_threshold(self):
-        assert binarize_ratings([(0, 0, 3)], threshold=3) == [(0, 0, 0)]
+        assert binarize_ratings([(0, 0, 3)], threshold=3).tolist() == [[0, 0, 0]]
 
     def test_binarize_negative_rating(self):
         with pytest.raises(DataError, match="negative rating"):
@@ -201,24 +223,93 @@ class TestRatingsLabels:
     def test_load_ratings(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("0\t1\t5\n# comment\n2\t0\t1\n")
-        assert load_ratings(path) == [(0, 1, 5), (2, 0, 1)]
+        ratings = load_ratings(path)
+        assert ratings.dtype == np.int64 and not ratings.flags.writeable
+        assert ratings.tolist() == [[0, 1, 5], [2, 0, 1]]
 
     def test_load_labels(self, tmp_path):
         path = tmp_path / "l.tsv"
         path.write_text("0\t1\n3\t0\n")
-        assert load_labels(path) == {0: 1, 3: 0}
+        assert load_labels(path, 4).tolist() == [[0, 1], [3, 0]]
 
     def test_conflicting_labels(self, tmp_path):
         path = tmp_path / "l.tsv"
         path.write_text("0\t1\n0\t2\n")
         with pytest.raises(DataError, match="conflicting"):
-            load_labels(path)
+            load_labels(path, 1)
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "l.tsv"
         path.write_text("0\t1\t9\n")
         with pytest.raises(DataError, match="expected 2 fields"):
-            load_labels(path)
+            load_labels(path, 1)
+
+    @pytest.mark.parametrize("node", [-1, 3])
+    def test_label_node_out_of_range(self, tmp_path, node):
+        path = tmp_path / "l.tsv"
+        path.write_text(f"0\t1\n{node}\t0\n")
+        with pytest.raises(DataError, match=f"{re.escape(str(path))}: node id {node} out of range for 3 nodes"):
+            load_labels(path, 3)
+
+
+def scan_lines(path, n_fields):
+    """The line-by-line parser that ingest used before the one-pass parse."""
+    rows = []
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            body = line.split("#", 1)[0].strip()
+            if not body:
+                continue
+            parts = body.split()
+            if len(parts) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
+            rows.append(tuple(int(p) for p in parts))
+    return rows
+
+
+class TestParseEdgeLines:
+    @pytest.mark.parametrize(
+        "text, n_fields",
+        [
+            pytest.param(b"# header\n0\t1\n# middle\n2\t3\n", 2, id="comments"),
+            pytest.param(b"\n0 1\n\n   \n2 3\n\n", 2, id="blank-lines"),
+            pytest.param(b"0\t1\r\n\r\n2\t3\r\n", 2, id="crlf"),
+            pytest.param(b"0\t\t1\n\t2\t3\t\n", 2, id="tabs"),
+            pytest.param(b"0 1 # a comment\n2 3#tight\n", 2, id="trailing-comment"),
+            pytest.param(b"", 2, id="empty"),
+            pytest.param(b"# only\n# comments\n", 2, id="comment-only"),
+            pytest.param(b"+1 -2\n-0 +0\n", 2, id="signed"),
+            pytest.param(b"0 1\n2 3", 2, id="no-final-newline"),
+            pytest.param(b"# src dst rating\n0\t1\t5\r\n\n2 0 -1 # signed\n", 3, id="three-fields"),
+        ],
+    )
+    def test_valid_files_equal_line_scan(self, tmp_path, text, n_fields):
+        path = tmp_path / "pairs.edges"
+        path.write_bytes(text)
+        rows = _parse_edge_lines(path, n_fields)
+        assert rows.dtype == np.int64 and not rows.flags.writeable
+        assert rows.shape == (len(scan_lines(path, n_fields)), n_fields)
+        assert rows.tolist() == [list(row) for row in scan_lines(path, n_fields)]
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            pytest.param(b"# c\n\n0 1\n0 1 2\n", 4, "expected 2 fields, got 3", id="extra-field"),
+            pytest.param(b"# c\n\n0\n0 1\n", 3, "expected 2 fields, got 1", id="first-row-short"),
+            pytest.param(b"# c\n\n0 1 2\n3 4 5\n", 3, "expected 2 fields, got 3", id="every-row-long"),
+            pytest.param(b"# c\n\n0 1\n0 x\n", 4, "non-integer field", id="letter"),
+            pytest.param(b"# c\r\n\r\n0 1\r\n1.5 2\r\n", 4, "non-integer field", id="float-crlf"),
+            # Python's int() takes these two; the one-pass parser does not
+            pytest.param("# c\n\n1_0 2\n".encode(), 3, "non-integer field", id="underscore"),
+            pytest.param("# c\n\n\u0661 2\n".encode(), 3, "non-integer field", id="arabic-digit"),
+            pytest.param(b"# c\n\n99999999999999999999 2\n", 3, "non-integer field", id="over-int64"),
+        ],
+    )
+    def test_malformed_files_name_their_line(self, tmp_path, text, lineno, message):
+        path = tmp_path / "pairs.edges"
+        path.write_bytes(text)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:{lineno}: {message}$"):
+            _parse_edge_lines(path, 2)
 
 
 class TestLruMemo:
