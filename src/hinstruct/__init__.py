@@ -63,7 +63,6 @@ from .mutations import (
     Candidate,
     CandidateSet,
     ComponentLibrary,
-    ComponentLimits,
     EmptyNeighborhoodError,
     build_component_library,
     neighbors_deletion,

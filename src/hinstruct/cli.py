@@ -56,9 +56,9 @@ from .hin import (
     load_labels,
     load_ratings,
     load_schema,
+    read_json,
 )
 from .mutations import (
-    ComponentLimits,
     EmptyNeighborhoodError,
     build_component_library,
     one_step_neighbors,
@@ -109,9 +109,7 @@ class RunConfig:
     @classmethod
     def load(cls, path, seed_override=None, out_override=None) -> "RunConfig":
         path = Path(path)
-        if not path.is_file():
-            raise DataError(f"config file not found: {path}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = read_json(path, "config file")
         if not isinstance(payload, dict):
             raise DataError(
                 f"config {path}: the top level must be an object, not {type(payload).__name__}"
@@ -255,7 +253,8 @@ def build_task(config: RunConfig, part: str = "val"):
         ratings_path = config.dataset_dir / "ratings.tsv"
         if not ratings_path.is_file():
             raise DataError(f"recommendation task needs ratings file: {ratings_path}")
-        labeled = binarize_ratings(load_ratings(ratings_path), config.rating_threshold)
+        ratings = load_ratings(ratings_path, graph.count(et.src), graph.count(et.dst))
+        labeled = binarize_ratings(ratings, config.rating_threshold)
         split, graph = make_recommendation_split(
             graph, et.id, labeled, seed=config.search.seed, ratio=config.split_ratio
         )
@@ -283,10 +282,7 @@ def _atomic_write(path: Path, text: str):
 def _load_valid_structure(path, schema) -> MetaStructure | None:
     """The structure in the JSON file ``path``, or None when it is invalid
     for ``schema``; each violation is then printed to stderr."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"structure file not found: {path}")
-    ms = MetaStructure.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    ms = MetaStructure.from_dict(read_json(path, "structure file"))
     violations = validate(ms, schema)
     for v in violations:
         print(f"invalid structure: {v}", file=sys.stderr)
@@ -361,18 +357,17 @@ def cmd_neighbors(args) -> int:
     if ms is None:
         return EXIT_DATA
     lib = build_component_library(
-        schema, ComponentLimits(args.insertion_max_interior, args.grafting_max_nodes)
+        schema, args.max_nodes, args.insertion_max_interior, args.grafting_max_nodes
     )
     rng = np.random.default_rng(args.seed)
     try:
-        cands = one_step_neighbors(ms, lib, schema, rng, cap=args.cap, max_nodes=args.max_nodes)
+        cands = one_step_neighbors(ms, lib, rng, args.cap)
     except EmptyNeighborhoodError:
         print("neighbors=0 sampled=false")
         return EXIT_OK
     print(f"neighbors={len(cands.candidates)} sampled={str(cands.sampled).lower()}")
     for c in cands.candidates:
-        sentence = encode_metastructure(c.structure, schema)
-        print(f"{json.dumps(c.descriptor, sort_keys=True)}\t{c.key}\t{sentence}")
+        print(f"{json.dumps(c.descriptor, sort_keys=True)}\t{c.key}\t{lib.sentence(c.structure)}")
     return EXIT_OK
 
 
@@ -392,9 +387,7 @@ def _read_result(path: Path):
     Every pool entry is checked field by field; a failure is a ``DataError``
     naming the file, the entry and the field.
     """
-    if not path.is_file():
-        raise DataError(f"result file not found: {path}")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = read_json(path, "result file")
     generations = payload.get("generations") if isinstance(payload, dict) else None
     if not (isinstance(generations, list) and generations):
         raise DataError(f"result file has no generations: {path}")
@@ -453,7 +446,7 @@ def cmd_explain(args) -> int:
             raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
     prompts = PromptLibrary(config.prompt_dir)
     lib = build_component_library(
-        graph.schema, ComponentLimits(search.insertion_max_interior, search.grafting_max_nodes)
+        graph.schema, search.max_structure_nodes, search.insertion_max_interior, search.grafting_max_nodes
     )
     rng = np.random.default_rng(search.seed)
 
@@ -507,11 +500,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("neighbors", help="list a structure's one-step neighbors")
     p.add_argument("structure", help="meta-structure JSON file")
     p.add_argument("--schema", required=True, help="schema JSON file")
-    p.add_argument("--cap", type=_at_least_one, default=20)
+    p.add_argument("--cap", type=_at_least_one, default=SearchConfig.candidate_cap)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=10, dest="max_nodes")
-    p.add_argument("--insertion-max-interior", type=int, default=1, dest="insertion_max_interior")
-    p.add_argument("--grafting-max-nodes", type=int, default=3, dest="grafting_max_nodes")
+    p.add_argument("--max-nodes", type=int, default=SearchConfig.max_structure_nodes)
+    p.add_argument("--insertion-max-interior", type=int, default=SearchConfig.insertion_max_interior)
+    p.add_argument("--grafting-max-nodes", type=int, default=SearchConfig.grafting_max_nodes)
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("explain", help="re-run the explainer on a search result")
@@ -552,7 +545,6 @@ def main(argv=None) -> int:
         EvaluationError,
         MatrixBlowupError,
         FileNotFoundError,
-        json.JSONDecodeError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -65,7 +65,6 @@ from .evaluator import EvaluationError
 from .hin import HinGraph, LruMemo, finite_number
 from .mutations import (
     CandidateSet,
-    ComponentLimits,
     EmptyNeighborhoodError,
     build_component_library,
     one_step_neighbors,
@@ -335,7 +334,7 @@ def _choose(job, backend, prompts, config):
 
 
 def mutate_population(
-    population, lib, schema, backend, pool, config: SearchConfig, rng, prompts, transcript, events,
+    population, lib, backend, pool, config: SearchConfig, rng, prompts, transcript, events,
     generation, chains: LruMemo | None = None,
 ):
     """Replace each individual with its agent-chosen one-step neighbor.
@@ -356,15 +355,12 @@ def mutate_population(
     jobs = []
     for ind in population:
         try:
-            cands = one_step_neighbors(
-                ind.structure, lib, schema, rng,
-                cap=config.candidate_cap, max_nodes=config.max_structure_nodes,
-            )
+            cands = one_step_neighbors(ind.structure, lib, rng, config.candidate_cap)
         except EmptyNeighborhoodError:
             jobs.append(_MutationJob(ind, _rng_digest(rng)))
             continue
         sample = pool.sample(rng, config.pool_sample_size)
-        sentences = tuple(lib.sentence(c.structure, schema) for c in cands.candidates)
+        sentences = tuple(lib.sentence(c.structure) for c in cands.candidates)
         jobs.append(_MutationJob(ind, _rng_digest(rng), cands, sentences, sample))
 
     memo = None
@@ -515,15 +511,13 @@ def run_search(
     prompts = prompts or PromptLibrary()
     rng = np.random.default_rng(config.seed)
     lib = build_component_library(
-        schema, ComponentLimits(config.insertion_max_interior, config.grafting_max_nodes)
+        schema, config.max_structure_nodes, config.insertion_max_interior, config.grafting_max_nodes
     )
     src_t, dst_t = task_endpoints(schema, split)
     seeds = seed_population(
         schema, src_t, dst_t, config.population_size, config.max_structure_nodes
     )
-    population = [
-        Individual(ms, canonical_key(ms), lib.sentence(ms, schema)) for ms in seeds
-    ]
+    population = [Individual(ms, canonical_key(ms), lib.sentence(ms)) for ms in seeds]
 
     pool = PerformancePool()
     chains = LruMemo(CHAIN_MEMO_ENTRIES)
@@ -558,7 +552,7 @@ def run_search(
                     }
                 )
             population = mutate_population(
-                population, lib, schema, backend, pool, config, rng, prompts,
+                population, lib, backend, pool, config, rng, prompts,
                 transcript, events, generation, chains,
             )
         population = evaluate_population(
@@ -596,7 +590,6 @@ def explain_top_structures(
     With ``strict_backend`` a backend failure propagates instead of merely
     skipping the affected report.
     """
-    schema = graph.schema
     distinct = []
     for key in final_keys:
         if key not in distinct:
@@ -614,16 +607,12 @@ def explain_top_structures(
     for record in records:
         ms = MetaStructure.from_dict(record.structure)
         try:
-            cands = one_step_neighbors(
-                ms, lib, schema, rng,
-                cap=config.explain_neighbors, max_nodes=config.max_structure_nodes,
-            )
+            cands = one_step_neighbors(ms, lib, rng, config.explain_neighbors)
         except EmptyNeighborhoodError:
             log.warning("no neighbors to contrast %s against; skipping report", record.key)
             continue
         neighbor_inds = [
-            Individual(c.structure, c.key, lib.sentence(c.structure, schema))
-            for c in cands.candidates
+            Individual(c.structure, c.key, lib.sentence(c.structure)) for c in cands.candidates
         ]
         try:
             evaluated = evaluate_population(

@@ -177,15 +177,23 @@ def schema_from_dict(payload: dict) -> Schema:
     return Schema(tuple(nodes), tuple(edges))
 
 
-def load_schema(path) -> Schema:
+def read_json(path, what: str):
+    """The JSON value in the UTF-8 file ``path``. A file that is missing,
+    unreadable, not UTF-8 or not valid JSON is a ``DataError`` naming
+    ``what`` and the path."""
     path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{what} not found: {path}")
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise DataError(f"cannot read schema file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"schema file {path} is not valid JSON: {exc}") from exc
-    return schema_from_dict(payload)
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise DataError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_schema(path) -> Schema:
+    return schema_from_dict(read_json(path, "schema file"))
 
 
 # Byte bound of a graph's read cache, an LruMemo of per-path metric reads
@@ -305,17 +313,21 @@ def frozen_ints(values, *shape) -> np.ndarray:
 def _parse_edge_lines(path: Path, n_fields: int) -> np.ndarray:
     """The file's rows as a read-only ``(n, n_fields)`` int64 array, parsed in
     one pass; a file that fails is read again, line by line with the same
-    parser, to name its first bad line."""
+    parser, to name its first bad line or its first byte that is not UTF-8."""
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             rows = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2, encoding="utf-8")
         if rows.shape[1] == n_fields or rows.size == 0:
             return frozen_ints(rows, -1, n_fields)
-    except ValueError:
+    except ValueError:  # UnicodeDecodeError among them
         pass
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with path.open("rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: byte {raw[exc.start]:#04x} is not UTF-8") from None
             fields = line.split("#", 1)[0].split()
             if not fields:
                 continue
@@ -328,6 +340,19 @@ def _parse_edge_lines(path: Path, n_fields: int) -> np.ndarray:
     raise DataError(f"{path}: expected {n_fields} integer fields per line")
 
 
+def _check_ids(path, rows: np.ndarray, counts, names, scope=None):
+    """Raise a ``DataError`` naming ``path`` at the first row of ``rows``
+    whose id in column ``j`` lies outside ``[0, counts[j])``, naming the
+    column ``names[j]`` and the id; the message ends with ``scope``, by
+    default the column's node count."""
+    ids = rows[:, : len(counts)]
+    bad = np.argwhere((ids < 0) | (ids >= np.asarray(counts, dtype=np.int64)))
+    if bad.size:
+        i, j = bad[0]
+        scope = scope or f"{counts[j]} nodes"
+        raise DataError(f"{path}: {names[j]} {ids[i, j]} out of range for {scope}")
+
+
 def load_graph(schema: Schema, directory) -> HinGraph:
     """Load per-relation adjacency from a dataset directory.
 
@@ -338,9 +363,7 @@ def load_graph(schema: Schema, directory) -> HinGraph:
     """
     directory = Path(directory)
     counts_path = directory / "counts.json"
-    if not counts_path.is_file():
-        raise DataError(f"missing node counts file: {counts_path}")
-    raw_counts = json.loads(counts_path.read_text(encoding="utf-8"))
+    raw_counts = read_json(counts_path, "node counts file")
     if not isinstance(raw_counts, dict):
         raise DataError(f"{counts_path}: expected an object, got {type(raw_counts).__name__}")
     counts = []
@@ -361,12 +384,7 @@ def load_graph(schema: Schema, directory) -> HinGraph:
             continue
         pairs = _parse_edge_lines(path, 2)
         n_src, n_dst = counts[et.src], counts[et.dst]
-        bad_src = (pairs[:, 0] < 0) | (pairs[:, 0] >= n_src)
-        bad = np.flatnonzero(bad_src | (pairs[:, 1] < 0) | (pairs[:, 1] >= n_dst))
-        if bad.size:
-            s, d = pairs[bad[0]].tolist()
-            end, index = ("source", s) if bad_src[bad[0]] else ("target", d)
-            raise DataError(f"{path}: {end} index {index} out of range for {et.name!r}")
+        _check_ids(path, pairs, (n_src, n_dst), ("source index", "target index"), repr(et.name))
         loaded[et.id] = SparseMatrix.from_pairs(n_src, n_dst, pairs)
 
     for et in schema.edge_types:
@@ -391,9 +409,13 @@ def binarize_ratings(ratings, threshold: int = 2) -> np.ndarray:
     return frozen_ints(np.column_stack([ratings[:, :2], ratings[:, 2] > threshold]), -1, 3)
 
 
-def load_ratings(path) -> np.ndarray:
-    """The (src, dst, rating) rows of a ratings file, a read-only ``(n, 3)`` int64 array."""
-    return _parse_edge_lines(Path(path), 3)
+def load_ratings(path, n_src: int, n_dst: int) -> np.ndarray:
+    """The (src, dst, rating) rows of a ratings file, a read-only ``(n, 3)``
+    int64 array. Every source id must lie in ``[0, n_src)`` and every target
+    id in ``[0, n_dst)``."""
+    ratings = _parse_edge_lines(Path(path), 3)
+    _check_ids(path, ratings, (n_src, n_dst), ("source id", "target id"))
+    return ratings
 
 
 def load_labels(path, n_nodes: int) -> np.ndarray:
@@ -401,9 +423,7 @@ def load_labels(path, n_nodes: int) -> np.ndarray:
     array in file order. Every node id must lie in ``[0, n_nodes)``, and a
     node listed twice must get the same class both times."""
     labels = _parse_edge_lines(Path(path), 2)
-    bad = np.flatnonzero((labels[:, 0] < 0) | (labels[:, 0] >= n_nodes))
-    if bad.size:
-        raise DataError(f"{path}: node id {labels[bad[0], 0]} out of range for {n_nodes} nodes")
+    _check_ids(path, labels, (n_nodes,), ("node id",))
     by_node = labels[np.argsort(labels[:, 0], kind="stable")]
     clash = np.flatnonzero((by_node[1:, 0] == by_node[:-1, 0]) & (by_node[1:, 1] != by_node[:-1, 1]))
     if clash.size:

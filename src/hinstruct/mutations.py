@@ -6,6 +6,11 @@ existing positions to open a branch, DELETION removes an interior position
 and reconnects its neighbors through admissible edge types. Components are
 schema meta-paths enumerated up to configured size limits.
 
+A :class:`ComponentLibrary` owns every fixed input of a neighbourhood: the
+schema it was built from, the structure-size limit and the components, so a
+library is scoped to one schema and one size limit. Each neighbourhood
+function takes the origin and the library.
+
 Every emitted neighbor is schema-valid, distinct from the origin, and
 deduplicated by canonical key.
 
@@ -28,12 +33,11 @@ keyed, and the first of each key is kept, so the union is exactly the one
 that keying every candidate gives. Of the distinct candidates, only those
 :func:`one_step_neighbors` offers get their key, as :class:`Candidate`.
 
-The distinct union of the three operations is a pure function of the
-origin, the library, the schema and the size limit. Each
-:class:`ComponentLibrary` keeps the unions of its ``UNION_MEMO_ENTRIES``
-most recently used origins, and sentences by canonical form, so a library
-is scoped to one search. Only the cap sample draws from the RNG, on every
-call.
+Given its library, the distinct union of the three operations is a pure
+function of the origin. Each library keeps the unions of its
+``UNION_MEMO_ENTRIES`` most recently used origins, keyed by the origin alone,
+and sentences keyed by canonical form alone, so a library is scoped to one
+search. Only the cap sample draws from the RNG, on every call.
 """
 
 from __future__ import annotations
@@ -77,12 +81,6 @@ class EmptyNeighborhoodError(RuntimeError):
     """The structure has no valid one-step neighbors."""
 
 
-@dataclass(frozen=True)
-class ComponentLimits:
-    insertion_max_interior: int = 1
-    grafting_max_nodes: int = 3
-
-
 def size_limit_problems(max_nodes: int, insertion_max_interior: int, grafting_max_nodes: int, names):
     """(name, problem) pairs for the limits out of range, empty when all are
     usable; ``names`` names the three limits in the caller's terms.
@@ -112,9 +110,12 @@ def size_limit_problems(max_nodes: int, insertion_max_interior: int, grafting_ma
 
 @dataclass(frozen=True)
 class ComponentLibrary:
+    schema: Schema
+    max_nodes: int  # positions a neighbour may have
     insertion: tuple[MetaPath, ...]
     grafting: tuple[MetaPath, ...]
-    # distinct unions of one_step_neighbors and sentences by canonical form;
+    # distinct unions of one_step_neighbors by origin and sentences by
+    # canonical form;
     # every library starts empty
     unions: LruMemo = field(
         default_factory=lambda: LruMemo(UNION_MEMO_ENTRIES), init=False, repr=False, compare=False
@@ -123,12 +124,10 @@ class ComponentLibrary:
         default_factory=lambda: LruMemo(SENTENCE_MEMO_ENTRIES), init=False, repr=False, compare=False
     )
 
-    def sentence(self, ms: MetaStructure, schema: Schema) -> str:
-        """``encode_metastructure(ms, schema)``, kept by canonical form: the
-        sentence is a pure function of the form and the schema."""
-        return self.sentences.get(
-            (canonical_form(ms), schema), lambda: encode_metastructure(ms, schema)
-        )
+    def sentence(self, ms: MetaStructure) -> str:
+        """``encode_metastructure(ms, self.schema)``, kept by canonical form:
+        the sentence is a pure function of the form and the schema."""
+        return self.sentences.get(canonical_form(ms), lambda: encode_metastructure(ms, self.schema))
 
 
 @dataclass(frozen=True)
@@ -144,32 +143,39 @@ class CandidateSet:
     sampled: bool
 
 
-def build_component_library(schema: Schema, limits: ComponentLimits | None = None) -> ComponentLibrary:
-    limits = limits or ComponentLimits()
-    insertion_cap = 2 + limits.insertion_max_interior
-    paths = _schema_paths(schema, max(insertion_cap, limits.grafting_max_nodes))
+def build_component_library(
+    schema: Schema, max_nodes: int, insertion_max_interior: int, grafting_max_nodes: int
+) -> ComponentLibrary:
+    """The library of ``schema`` for neighbours of up to ``max_nodes``
+    positions: insertion components of up to ``insertion_max_interior``
+    interior positions and grafting components of up to
+    ``grafting_max_nodes`` positions."""
+    insertion_cap = 2 + insertion_max_interior
+    paths = _schema_paths(schema, max(insertion_cap, grafting_max_nodes))
     return ComponentLibrary(
+        schema,
+        max_nodes,
         insertion=tuple(p for p in paths if p.n_nodes <= insertion_cap),
-        grafting=tuple(p for p in paths if p.n_nodes <= limits.grafting_max_nodes),
+        grafting=tuple(p for p in paths if p.n_nodes <= grafting_max_nodes),
     )
 
 
-def _schema_paths(schema: Schema, max_nodes: int) -> list[MetaPath]:
-    """Exhaustive meta-paths of 2..max_nodes nodes, ordered by size then types.
+def _schema_paths(schema: Schema, limit: int) -> list[MetaPath]:
+    """Exhaustive meta-paths of 2..limit nodes, ordered by size then types.
 
     Walks grow one position per level. Before a level is built its size is
-    counted, and a ``DataError`` naming ``max_nodes`` stops the build when
-    the walks would number more than ``MAX_SCHEMA_WALKS``.
+    counted, and a ``DataError`` naming ``limit`` stops the build when the
+    walks would number more than ``MAX_SCHEMA_WALKS``.
     """
     out_edges = {
         nt.id: sorted(schema.out_edge_types(nt.id), key=lambda e: e.id) for nt in schema.node_types
     }
     level = [((nt.id,), ()) for nt in schema.node_types]
     found = []
-    for n_nodes in range(2, max_nodes + 1):
+    for n_nodes in range(2, limit + 1):
         if len(found) + sum(len(out_edges[nodes[-1]]) for nodes, _ in level) > MAX_SCHEMA_WALKS:
             raise DataError(
-                f"component limit {max_nodes}: schema walks of up to {n_nodes} positions "
+                f"component limit {limit}: schema walks of up to {n_nodes} positions "
                 f"number more than {MAX_SCHEMA_WALKS:,}; lower the component limits"
             )
         level = [
@@ -192,52 +198,50 @@ def _dedup_edges(edges):
     return tuple(out)
 
 
-def neighbors_insertion(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
-                        max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _distinct(_insertions(ms, lib, max_nodes), ms)
+def _attach(ms: MetaStructure, edges, comp: MetaPath, u: int, w: int) -> MetaStructure:
+    """``ms`` over ``edges`` with ``comp`` laid from position ``u`` to
+    position ``w``, its interior as new positions."""
+    mapped = [u, *range(ms.n_nodes, ms.n_nodes + comp.n_nodes - 2), w]
+    laid = ((mapped[i], mapped[i + 1], ce) for i, ce in enumerate(comp.edge_types))
+    return MetaStructure(
+        nodes=ms.nodes + comp.node_types[1:-1],
+        edges=_dedup_edges([*edges, *laid]),
+        source=ms.source,
+        target=ms.target,
+    )
 
 
-def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary, schema: Schema,
-                       max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _distinct(_graftings(ms, lib, max_nodes), ms)
+def neighbors_insertion(ms: MetaStructure, lib: ComponentLibrary) -> list[tuple[MetaStructure, dict]]:
+    return _distinct(_insertions(ms, lib), ms)
 
 
-def neighbors_deletion(ms: MetaStructure, schema: Schema,
-                       max_nodes: int = 10) -> list[tuple[MetaStructure, dict]]:
-    return _distinct(_valid(_deletions(ms, schema), schema), ms)
+def neighbors_grafting(ms: MetaStructure, lib: ComponentLibrary) -> list[tuple[MetaStructure, dict]]:
+    return _distinct(_graftings(ms, lib), ms)
 
 
-def _insertions(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
+def neighbors_deletion(ms: MetaStructure, lib: ComponentLibrary) -> list[tuple[MetaStructure, dict]]:
+    return _distinct(_valid(_deletions(ms, lib), lib), ms)
+
+
+def _insertions(ms: MetaStructure, lib: ComponentLibrary):
     """(candidate, descriptor) pairs of INSERTION, all valid for a valid
     origin."""
     for idx, (u, v, e) in enumerate(ms.edges):
+        rest = ms.edges[:idx] + ms.edges[idx + 1 :]
         for comp in lib.insertion:
             if comp.node_types[0] != ms.nodes[u] or comp.node_types[-1] != ms.nodes[v]:
                 continue
-            interior = comp.node_types[1:-1]
-            if ms.n_nodes + len(interior) > max_nodes:
+            if ms.n_nodes + comp.n_nodes - 2 > lib.max_nodes:
                 continue
-            base = ms.n_nodes
-            mapped = [u] + [base + i for i in range(len(interior))] + [v]
-            edges = [edge for j, edge in enumerate(ms.edges) if j != idx]
-            edges.extend(
-                (mapped[i], mapped[i + 1], ce) for i, ce in enumerate(comp.edge_types)
-            )
-            cand = MetaStructure(
-                nodes=ms.nodes + interior,
-                edges=_dedup_edges(edges),
-                source=ms.source,
-                target=ms.target,
-            )
             desc = {
                 "op": "insertion",
                 "edge": [u, v, e],
                 "component": list(comp.type_sequence()),
             }
-            yield cand, desc
+            yield _attach(ms, rest, comp, u, v), desc
 
 
-def _graftings(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
+def _graftings(ms: MetaStructure, lib: ComponentLibrary):
     """(candidate, descriptor) pairs of GRAFTING, all valid for a valid
     origin: anchor pairs whose branch would leave the target, enter the
     source or close a cycle are skipped unbuilt (``u == w`` is one, as a
@@ -248,8 +252,7 @@ def _graftings(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
     below = [reachable(succs, w) for w in range(ms.n_nodes)]
     for comp in lib.grafting:
         first_t, last_t = comp.node_types[0], comp.node_types[-1]
-        interior = comp.node_types[1:-1]
-        if ms.n_nodes + len(interior) > max_nodes:
+        if ms.n_nodes + comp.n_nodes - 2 > lib.max_nodes:
             continue
         for u in range(ms.n_nodes):
             if ms.nodes[u] != first_t or u == ms.target:
@@ -257,27 +260,15 @@ def _graftings(ms: MetaStructure, lib: ComponentLibrary, max_nodes: int):
             for w in range(ms.n_nodes):
                 if ms.nodes[w] != last_t or w == ms.source or below[w][u]:
                     continue
-                base = ms.n_nodes
-                mapped = [u] + [base + i for i in range(len(interior))] + [w]
-                edges = list(ms.edges)
-                edges.extend(
-                    (mapped[i], mapped[i + 1], ce) for i, ce in enumerate(comp.edge_types)
-                )
-                cand = MetaStructure(
-                    nodes=ms.nodes + interior,
-                    edges=_dedup_edges(edges),
-                    source=ms.source,
-                    target=ms.target,
-                )
                 desc = {
                     "op": "grafting",
                     "anchors": [u, w],
                     "component": list(comp.type_sequence()),
                 }
-                yield cand, desc
+                yield _attach(ms, ms.edges, comp, u, w), desc
 
 
-def _deletions(ms: MetaStructure, schema: Schema):
+def _deletions(ms: MetaStructure, lib: ComponentLibrary):
     """Raw (candidate, descriptor) pairs of DELETION, valid or not."""
     for v in range(ms.n_nodes):
         if v in (ms.source, ms.target):
@@ -290,7 +281,7 @@ def _deletions(ms: MetaStructure, schema: Schema):
             if p == s:
                 continue
             admissible = sorted(
-                et.id for et in schema.edge_types_between(ms.nodes[p], ms.nodes[s])
+                et.id for et in lib.schema.edge_types_between(ms.nodes[p], ms.nodes[s])
             )
             if admissible:
                 pair_choices.append([(p, s, eid) for eid in admissible])
@@ -312,9 +303,9 @@ def _deletions(ms: MetaStructure, schema: Schema):
             yield cand, desc
 
 
-def _valid(raw, schema: Schema):
+def _valid(raw, lib: ComponentLibrary):
     """The pairs of ``raw`` whose candidate ``validate`` accepts."""
-    return ((cand, desc) for cand, desc in raw if not validate(cand, schema))
+    return ((cand, desc) for cand, desc in raw if not validate(cand, lib.schema))
 
 
 def _distinct(pairs, origin: MetaStructure):
@@ -342,33 +333,25 @@ def _distinct(pairs, origin: MetaStructure):
     return out
 
 
-def _union(ms: MetaStructure, lib: ComponentLibrary, schema: Schema, max_nodes: int):
+def _union(ms: MetaStructure, lib: ComponentLibrary):
     """Distinct (candidate, descriptor) pairs of the three operations, in
     operation order."""
-    pairs = itertools.chain(
-        _insertions(ms, lib, max_nodes),
-        _graftings(ms, lib, max_nodes),
-        _valid(_deletions(ms, schema), schema),
-    )
+    pairs = itertools.chain(_insertions(ms, lib), _graftings(ms, lib), _valid(_deletions(ms, lib), lib))
     return tuple(_distinct(pairs, ms))
 
 
 def one_step_neighbors(
-    ms: MetaStructure,
-    lib: ComponentLibrary,
-    schema: Schema,
-    rng: np.random.Generator,
-    cap: int = 20,
-    max_nodes: int = 10,
+    ms: MetaStructure, lib: ComponentLibrary, rng: np.random.Generator, cap: int
 ) -> CandidateSet:
-    """Union of the three operations, deduplicated, uniformly capped.
+    """Union of the three operations over ``lib``, deduplicated, uniformly
+    capped at ``cap``.
 
     ``ms`` must be valid. The union comes from ``lib``'s memo when ``lib``
-    has built it for an equal ``ms``, ``schema`` and ``max_nodes`` among its
-    last ``UNION_MEMO_ENTRIES`` origins; the cap sample is drawn afresh, and
-    only the candidates it offers are keyed.
+    has built it for an equal ``ms`` among its last ``UNION_MEMO_ENTRIES``
+    origins; the cap sample is drawn afresh, and only the candidates it
+    offers are keyed.
     """
-    union = lib.unions.get((ms, schema, max_nodes), lambda: _union(ms, lib, schema, max_nodes))
+    union = lib.unions.get(ms, lambda: _union(ms, lib))
     if not union:
         raise EmptyNeighborhoodError("structure has no valid one-step neighbors")
 

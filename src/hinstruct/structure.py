@@ -309,18 +309,12 @@ def _canonicalize(ms: MetaStructure):
         ordering = sorted(range(n), key=lambda p: (colors[p], p))
         return _signature_key(ms, colors), _relabel(ms, ordering)
 
-    if perms == 1:
-        # discrete: the one ordering puts each position at its color
-        ordering = [g[0] for g in ordered_groups]
-        new_index = colors
-        edges = tuple(sorted((colors[a], colors[b], e) for a, b, e in ms.edges))
-    else:
-        edges = None
-        for candidate in _orderings(ordered_groups):
-            index = {old: i for i, old in enumerate(candidate)}
-            relabeled = tuple(sorted((index[a], index[b], e) for a, b, e in ms.edges))
-            if edges is None or relabeled < edges:
-                edges, ordering, new_index = relabeled, candidate, index
+    edges = None
+    for candidate in _orderings(ordered_groups):
+        index = {old: i for i, old in enumerate(candidate)}
+        relabeled = tuple(sorted((index[a], index[b], e) for a, b, e in ms.edges))
+        if edges is None or relabeled < edges:
+            edges, ordering, new_index = relabeled, candidate, index
     form = MetaStructure(
         nodes=tuple(ms.nodes[p] for p in ordering),
         edges=edges,
@@ -398,7 +392,7 @@ def seed_population(
     source_type: int,
     target_type: int,
     size: int,
-    max_nodes: int = 10,
+    max_nodes: int,
 ) -> list[MetaStructure]:
     """The ``size`` shortest meta-paths between the task's endpoint types,
     found by breadth-first search over the schema graph and converted to

@@ -267,13 +267,13 @@ def enumerate_corpus(schema: Schema, max_nodes: int):
     return corpus
 
 
-def raw_graftings(ms: MetaStructure, lib, max_nodes: int):
+def raw_graftings(ms: MetaStructure, lib):
     """Every (candidate, descriptor) pair of GRAFTING, valid or not: each
     component hung between every ordered pair of distinct positions whose
     types match its ends, with no anchor filter."""
     for comp in lib.grafting:
         interior = comp.node_types[1:-1]
-        if ms.n_nodes + len(interior) > max_nodes:
+        if ms.n_nodes + len(interior) > lib.max_nodes:
             continue
         for u, w in itertools.permutations(range(ms.n_nodes), 2):
             if (ms.nodes[u], ms.nodes[w]) != (comp.node_types[0], comp.node_types[-1]):
@@ -287,8 +287,7 @@ def raw_graftings(ms: MetaStructure, lib, max_nodes: int):
             yield cand, {"op": "grafting", "anchors": [u, w], "component": list(comp.type_sequence())}
 
 
-def neighbors_oracle(ms: MetaStructure, lib, schema: Schema, rng: np.random.Generator,
-                     cap: int = 20, max_nodes: int = 10):
+def neighbors_oracle(ms: MetaStructure, lib, rng: np.random.Generator, cap: int):
     """``one_step_neighbors`` by its definition, with no memo and no
     construction-time shortcut: ``validate`` on every raw candidate of
     insertion, grafting and deletion in that order, the origin and repeated
@@ -297,12 +296,10 @@ def neighbors_oracle(ms: MetaStructure, lib, schema: Schema, rng: np.random.Gene
     or None for an empty neighbourhood."""
     from hinstruct.mutations import _deletions, _insertions
 
-    raw = itertools.chain(
-        _insertions(ms, lib, max_nodes), raw_graftings(ms, lib, max_nodes), _deletions(ms, schema)
-    )
+    raw = itertools.chain(_insertions(ms, lib), raw_graftings(ms, lib), _deletions(ms, lib))
     seen, union = {canonical_key(ms)}, []
     for cand, desc in raw:
-        if validate(cand, schema):
+        if validate(cand, lib.schema):
             continue
         key = canonical_key(cand)
         if key not in seen:

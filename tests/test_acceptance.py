@@ -105,12 +105,12 @@ class TestCriterion2PathEnumeration:
 class TestCriterion3MutationFuzz:
     def test_ten_thousand_draws_all_valid(self, schema):
         rng = np.random.default_rng(303)
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         origins = [random_structure(schema, rng, max_nodes=7) for _ in range(250)]
         ops = (
-            lambda ms: neighbors_insertion(ms, lib, schema),
-            lambda ms: neighbors_grafting(ms, lib, schema),
-            lambda ms: neighbors_deletion(ms, schema),
+            lambda ms: neighbors_insertion(ms, lib),
+            lambda ms: neighbors_grafting(ms, lib),
+            lambda ms: neighbors_deletion(ms, lib),
         )
         violations = 0
         emitted = 0

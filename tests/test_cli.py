@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from hinstruct.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
+from hinstruct.evolution import SearchConfig
 from hinstruct.structure import MetaStructure
 from hinstruct.synth import BIZ_PER_TASTE, N_BIZ, planted_structure, toy_schema, write_demo_config
 
@@ -143,6 +144,14 @@ class TestNeighbors:
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
+
+    def test_defaults_are_search_config_defaults(self):
+        args = build_parser().parse_args(["neighbors", "s.json", "--schema", "schema.json"])
+        config = SearchConfig()
+        assert (args.cap, args.max_nodes, args.insertion_max_interior, args.grafting_max_nodes) == (
+            config.candidate_cap, config.max_structure_nodes, config.insertion_max_interior,
+            config.grafting_max_nodes,
+        )
 
 
 class TestSearch:
@@ -390,6 +399,59 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert status == EXIT_DATA
         assert f"{data / 'labels.tsv'}: node id {node} out of range for {N_BIZ} nodes" in err
+
+    @pytest.mark.parametrize(
+        "row, says",
+        [("9999\t0\t5", "source id 9999"), ("-1\t0\t5", "source id -1"), ("0\t144\t5", "target id 144")],
+    )
+    def test_rating_id_out_of_range(self, workspace, tmp_path, capsys, row, says):
+        def edit(data):
+            lines = (data / "ratings.tsv").read_text().splitlines(keepends=True)
+            lines[1] = row + "\n"
+            (data / "ratings.tsv").write_text("".join(lines))
+
+        status, data = self.search_copied_data(workspace, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        assert f"{data / 'ratings.tsv'}: {says} out of range for " in err
+
+    def test_edge_file_not_utf8(self, workspace, tmp_path, capsys):
+        def edit(data):
+            with open(data / "friend.edges", "ab") as fh:
+                fh.write(b"\xff")
+
+        status, data = self.search_copied_data(workspace, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        assert f"{data / 'friend.edges'}:" in err and "byte 0xff is not UTF-8" in err
+
+    def test_counts_not_json(self, workspace, tmp_path, capsys):
+        def edit(data):
+            (data / "counts.json").write_text('{"user": 288,')
+
+        status, data = self.search_copied_data(workspace, tmp_path, edit)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        assert f"node counts file {data / 'counts.json'} is not valid JSON: Expecting property name" in err
+
+    @pytest.mark.parametrize(
+        "command, what",
+        [("search", "config file"), ("explain", "result file"), ("translate", "structure file"),
+         ("evaluate", "structure file"), ("neighbors", "structure file")],
+    )
+    def test_file_not_json(self, workspace, tmp_path, capsys, command, what):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"nodes": [0,')
+        config, schema = str(workspace["config"]), str(workspace["schema"])
+        argv = {
+            "search": ["search", "--config", str(bad)],
+            "explain": ["explain", str(bad), "--config", config, "--out", str(tmp_path / "x")],
+            "translate": ["translate", str(bad), "--schema", schema],
+            "evaluate": ["evaluate", str(bad), "--config", config],
+            "neighbors": ["neighbors", str(bad), "--schema", schema],
+        }[command]
+        assert main(argv) == EXIT_DATA
+        assert f"{what} {bad} is not valid JSON" in capsys.readouterr().err
 
     def test_missing_dataset_dir(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["config"].read_text())

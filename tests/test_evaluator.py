@@ -566,7 +566,8 @@ def tenfold(tmp_path_factory):
     path = tmp_path_factory.mktemp("tenfold-data")
     synth.generate(path, seed=0, tastes=10 * synth.N_TASTES)
     schema = load_schema(path / "schema.json")
-    return schema, load_graph(schema, path), binarize_ratings(load_ratings(path / "ratings.tsv"))
+    graph = load_graph(schema, path)
+    return schema, graph, binarize_ratings(load_ratings(path / "ratings.tsv", graph.count(U), graph.count(B)))
 
 
 class TestTenfoldGraph:
@@ -579,7 +580,7 @@ class TestTenfoldGraph:
         rates = schema.edge_type_by_name("rates").id
         split, graph = make_recommendation_split(graph, rates, labeled, seed=0)
         cells = np.concatenate([np.asarray(split.positives["val"]), np.asarray(split.negatives["val"])])
-        for ms in seed_population(schema, U, B, 5):
+        for ms in seed_population(schema, U, B, 5, 10):
             (path,) = enumerate_paths(ms)
             got = evaluator._pair_read(graph, path, cells)
             assert np.array_equal(got, path_commuting_matrix(graph, path).row_normalize().pick(cells))
@@ -591,7 +592,7 @@ class TestTenfoldGraph:
         nodes = np.asarray(split.val, dtype=np.int64)
         keep = np.zeros(graph.count(B), dtype=bool)
         keep[list(split.train)] = True
-        for ms in seed_population(schema, B, B, 5):
+        for ms in seed_population(schema, B, B, 5, 10):
             (path,) = enumerate_paths(ms)
             got = evaluator._vote_read(graph, path, nodes, keep)
             # the full product of the longest seed path is over the budget;

@@ -41,7 +41,6 @@ from hinstruct.hin import LruMemo, load_graph, load_ratings, load_schema, binari
 from hinstruct.mutations import (
     Candidate,
     CandidateSet,
-    ComponentLimits,
     EmptyNeighborhoodError,
     build_component_library,
     one_step_neighbors,
@@ -182,7 +181,7 @@ class TestPerformancePool:
 def planted_task(planted_dir):
     schema = load_schema(planted_dir / "schema.json")
     graph = load_graph(schema, planted_dir)
-    labeled = binarize_ratings(load_ratings(planted_dir / "ratings.tsv"))
+    labeled = binarize_ratings(load_ratings(planted_dir / "ratings.tsv", graph.count(U), graph.count(B)))
     split, graph = make_recommendation_split(graph, 0, labeled, seed=0)
     return graph, split
 
@@ -210,14 +209,14 @@ class TestMutatePopulation:
         graph, split = planted_task
         schema = graph.schema
         config = SearchConfig(backoff=0.0)
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         seed_ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         ind = Individual(seed_ms, canonical_key(seed_ms), encode_metastructure(seed_ms, schema), 0.8)
         pool = PerformancePool()
         pool.insert(PoolRecord(ind.key, ind.sentence, 0.8, 0, seed_ms.to_dict()))
         events = []
         out = mutate_population(
-            [ind], lib, schema, make_stub_backend(), pool, config,
+            [ind], lib, make_stub_backend(), pool, config,
             np.random.default_rng(0), PromptLibrary(), None, events, 0,
         )
         assert len(out) == 1
@@ -231,7 +230,7 @@ class TestMutatePopulation:
         graph, split = planted_task
         schema = graph.schema
         config = SearchConfig(backoff=0.0)
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         seed_ms = MetaStructure((U, B), ((0, 1, RATES),), 0, 1)
         ind = Individual(seed_ms, canonical_key(seed_ms), encode_metastructure(seed_ms, schema), 0.5)
         target = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
@@ -242,7 +241,7 @@ class TestMutatePopulation:
             )
         )
         out = mutate_population(
-            [ind], lib, schema, make_stub_backend(), pool, config,
+            [ind], lib, make_stub_backend(), pool, config,
             np.random.default_rng(0), PromptLibrary(), None, [], 0,
         )
         assert out[0].key == canonical_key(target)
@@ -258,12 +257,12 @@ class TestMutatePopulation:
                 raise BackendError("down")
 
         config = SearchConfig(backoff=0.0, retries=2)
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         seed_ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         ind = Individual(seed_ms, canonical_key(seed_ms), encode_metastructure(seed_ms, schema), 0.8)
         events = []
         out = mutate_population(
-            [ind], lib, schema, Dead(), PerformancePool(), config,
+            [ind], lib, Dead(), PerformancePool(), config,
             np.random.default_rng(0), PromptLibrary(), None, events, 0,
         )
         assert out[0] is ind
@@ -447,10 +446,7 @@ class TestConcurrentMutation:
         rng = np.random.default_rng(0)
         digests, blocks = [], []
         for ind in population:
-            cands = one_step_neighbors(
-                ind.structure, lib, schema, rng,
-                cap=self.config.candidate_cap, max_nodes=self.config.max_structure_nodes,
-            )
+            cands = one_step_neighbors(ind.structure, lib, rng, self.config.candidate_cap)
             pool.sample(rng, self.config.pool_sample_size)
             digests.append(_rng_digest(rng))
             blocks.append(
@@ -460,10 +456,10 @@ class TestConcurrentMutation:
             )
         return digests, blocks
 
-    def mutate(self, population, lib, schema, backend, transcript=None):
+    def mutate(self, population, lib, backend, transcript=None):
         events = []
         out = mutate_population(
-            population, lib, schema, backend, self.pool(population), self.config,
+            population, lib, backend, self.pool(population), self.config,
             np.random.default_rng(0), PromptLibrary(), transcript, events, 0,
         )
         return out, events
@@ -502,9 +498,9 @@ class TestConcurrentMutation:
     def test_agent_calls_overlap(self, planted_task, n):
         graph, _ = planted_task
         schema = graph.schema
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         backend = _Scripted(gate=min(n, AGENT_WORKERS))
-        out, events = self.mutate(self.population(schema, n), lib, schema, backend)
+        out, events = self.mutate(self.population(schema, n), lib, backend)
         assert backend.peak >= 2
         assert len(out) == n
         assert all("note" not in e for e in events)
@@ -512,11 +508,11 @@ class TestConcurrentMutation:
     def test_one_failure_passes_through_with_serial_digest(self, planted_task):
         graph, _ = planted_task
         schema = graph.schema
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         population = self.population(schema, 4)
         digests, blocks = self.phase_one(population, lib, schema, self.pool(population))
         backend = _Scripted(marker=blocks[1], error=BackendError("model down"))
-        out, events = self.mutate(population, lib, schema, backend)
+        out, events = self.mutate(population, lib, backend)
         assert [e["rng"] for e in events] == digests
         assert [e["origin"] for e in events] == [ind.key for ind in population]
         assert out[1] is population[1]
@@ -529,12 +525,12 @@ class TestConcurrentMutation:
     def test_other_exception_propagates_after_earlier_individuals(self, planted_task, tmp_path, failing):
         graph, _ = planted_task
         schema = graph.schema
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         population = self.population(schema, 4)
         _, blocks = self.phase_one(population, lib, schema, self.pool(population))
 
         plain = TranscriptLog(tmp_path / "plain.jsonl")
-        _, plain_events = self.mutate(population, lib, schema, make_stub_backend(), plain)
+        _, plain_events = self.mutate(population, lib, make_stub_backend(), plain)
         plain_lines = (tmp_path / "plain.jsonl").read_text().splitlines()
         # the stub answers each prompt at once: one predictor and one selector exchange each
         assert len(plain_lines) == 2 * len(population)
@@ -545,7 +541,7 @@ class TestConcurrentMutation:
         events = []
         with pytest.raises(ValueError, match="parser bug"):
             mutate_population(
-                population, lib, schema, backend, self.pool(population), self.config,
+                population, lib, backend, self.pool(population), self.config,
                 np.random.default_rng(0), PromptLibrary(), TranscriptLog(log_path), events, 0,
             )
         assert log_path.read_text().splitlines() == plain_lines[: 2 * failing]
@@ -633,23 +629,23 @@ class TestChainMemo:
 
     def start(self, schema, n):
         """The library, n copies of one individual and a pool holding only it."""
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
         ind = Individual(ms, canonical_key(ms), encode_metastructure(ms, schema), 0.5)
         pool = PerformancePool()
         pool.insert(PoolRecord(ind.key, ind.sentence, 0.5, 0, ms.to_dict()))
         return lib, [ind] * n, pool
 
-    def mutate(self, schema, lib, population, pool, backend, chains=None, transcript=None, events=None):
+    def mutate(self, lib, population, pool, backend, chains=None, transcript=None, events=None):
         return mutate_population(
-            population, lib, schema, backend, pool, self.config, np.random.default_rng(0),
+            population, lib, backend, pool, self.config, np.random.default_rng(0),
             PromptLibrary(), transcript, [] if events is None else events, 0, chains,
         )
 
     def test_equal_keys_give_byte_equal_prompts(self, schema):
         # the chain key is the offered keys in order plus the pool sample:
         # candidates numbered differently but equal in key must ask the same
-        lib = build_component_library(schema)
+        lib = build_component_library(schema, 10, 1, 3)
         rng = np.random.default_rng(5)
         sample = PoolSample(
             tuple((encode_metastructure(random_structure(schema, rng), schema), 0.1 * i) for i in range(4))
@@ -658,7 +654,7 @@ class TestChainMemo:
         while checked < 25:
             origin = random_structure(schema, rng, max_nodes=6)
             try:
-                cands = one_step_neighbors(origin, lib, schema, rng, cap=6)
+                cands = one_step_neighbors(origin, lib, rng, cap=6)
             except EmptyNeighborhoodError:
                 continue
             checked += 1
@@ -681,7 +677,7 @@ class TestChainMemo:
         lib, population, pool = self.start(schema, 5)
         backend, events = _Counting(), []
         log_path = tmp_path / "t.jsonl"
-        out = self.mutate(schema, lib, population, pool, backend, transcript=TranscriptLog(log_path), events=events)
+        out = self.mutate(lib, population, pool, backend, transcript=TranscriptLog(log_path), events=events)
         assert backend.calls == {self.PREDICT: 1, self.SELECT: 1}
         lines = log_path.read_text().splitlines()
         assert len(lines) == 10 and lines[2:] == lines[:2] * 4
@@ -695,15 +691,15 @@ class TestChainMemo:
         chains = LruMemo(8)
         backend = _Counting(failures=self.config.retries)
         events = []
-        out = self.mutate(schema, lib, population, pool, backend, chains, events=events)
+        out = self.mutate(lib, population, pool, backend, chains, events=events)
         # both individuals share the one failed ask
         assert out == population and all("model down" in e["note"] for e in events)
         assert backend.calls == {self.PREDICT: self.config.retries}
-        out = self.mutate(schema, lib, population, pool, backend, chains)
+        out = self.mutate(lib, population, pool, backend, chains)
         assert out[0].key != population[0].key
         assert backend.calls == {self.PREDICT: self.config.retries + 1, self.SELECT: 1}
         # a chain that got its answer is kept for the next generation
-        self.mutate(schema, lib, population, pool, backend, chains)
+        self.mutate(lib, population, pool, backend, chains)
         assert backend.calls == {self.PREDICT: self.config.retries + 1, self.SELECT: 1}
 
     @pytest.mark.parametrize("temperature, calls", [(0.7, 6), (0.0, 2)])
@@ -721,6 +717,6 @@ class TestChainMemo:
         monkeypatch.setattr("hinstruct.agents.requests.post", post)
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m", temperature=temperature)
         assert backend.deterministic == (temperature == 0)
-        out = self.mutate(schema, lib, population, pool, backend)
+        out = self.mutate(lib, population, pool, backend)
         assert len(sent) == calls
         assert len({ind.key for ind in out}) == 1

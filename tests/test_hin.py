@@ -86,7 +86,7 @@ class TestSchema:
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text("{not json")
-        with pytest.raises(SchemaError, match="not valid JSON"):
+        with pytest.raises(DataError, match=f"schema file {re.escape(str(path))} is not valid JSON"):
             load_schema(path)
 
 
@@ -182,6 +182,13 @@ class TestLoadGraph:
         with pytest.raises(DataError, match=re.escape(str(tmp_path / "counts.json"))):
             load_graph(mini_schema, tmp_path)
 
+    def test_counts_not_json(self, tmp_path, mini_schema):
+        write_dataset(tmp_path, MINI_SCHEMA_DICT, self.counts(), self.edges())
+        (tmp_path / "counts.json").write_text('{"user": 3,')
+        path = re.escape(str(tmp_path / "counts.json"))
+        with pytest.raises(DataError, match=f"^node counts file {path} is not valid JSON: Expecting property name"):
+            load_graph(mini_schema, tmp_path)
+
 
 class TestHinGraph:
     def graph(self, mini_schema, tmp_path):
@@ -223,9 +230,24 @@ class TestRatingsLabels:
     def test_load_ratings(self, tmp_path):
         path = tmp_path / "r.tsv"
         path.write_text("0\t1\t5\n# comment\n2\t0\t1\n")
-        ratings = load_ratings(path)
+        ratings = load_ratings(path, 3, 2)
         assert ratings.dtype == np.int64 and not ratings.flags.writeable
         assert ratings.tolist() == [[0, 1, 5], [2, 0, 1]]
+
+    @pytest.mark.parametrize(
+        "row, says",
+        [
+            ("3\t1\t5", "source id 3 out of range for 3 nodes"),
+            ("-1\t1\t5", "source id -1 out of range for 3 nodes"),
+            ("0\t2\t5", "target id 2 out of range for 2 nodes"),
+            ("9\t-4\t5", "source id 9 out of range for 3 nodes"),  # the first bad id of the row
+        ],
+    )
+    def test_rating_id_out_of_range(self, tmp_path, row, says):
+        path = tmp_path / "r.tsv"
+        path.write_text(f"0\t1\t5\n{row}\n")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: {says}$"):
+            load_ratings(path, 3, 2)
 
     def test_load_labels(self, tmp_path):
         path = tmp_path / "l.tsv"
@@ -303,6 +325,8 @@ class TestParseEdgeLines:
             pytest.param("# c\n\n1_0 2\n".encode(), 3, "non-integer field", id="underscore"),
             pytest.param("# c\n\n\u0661 2\n".encode(), 3, "non-integer field", id="arabic-digit"),
             pytest.param(b"# c\n\n99999999999999999999 2\n", 3, "non-integer field", id="over-int64"),
+            pytest.param(b"# c\n\n0 1\n0 1\xff\n", 4, "byte 0xff is not UTF-8", id="not-utf8"),
+            pytest.param(b"# caf\xe9\n0 1\n", 1, "byte 0xe9 is not UTF-8", id="latin1-comment"),
         ],
     )
     def test_malformed_files_name_their_line(self, tmp_path, text, lineno, message):

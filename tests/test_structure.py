@@ -290,7 +290,7 @@ class TestIsomorphismInvariant:
 
 class TestSeedPopulation:
     def test_toy_task_seeds(self, schema):
-        seeds = seed_population(schema, U, B, 5)
+        seeds = seed_population(schema, U, B, 5, 10)
         assert len(seeds) == 5
         for ms in seeds:
             assert validate(ms, schema) == []
@@ -300,22 +300,22 @@ class TestSeedPopulation:
         assert seeds[1].nodes == (U, U, B)
 
     def test_single_seed(self, schema):
-        seeds = seed_population(schema, U, B, 1)
+        seeds = seed_population(schema, U, B, 1, 10)
         assert len(seeds) == 1 and seeds[0].n_edges == 1
 
     def test_disconnected_types_error(self, mini_schema):
         # mini schema has no edges out of category
         with pytest.raises(StructureError, match="no schema path"):
-            seed_population(mini_schema, 2, 3, 3)
+            seed_population(mini_schema, 2, 3, 3, 10)
 
     def test_padding_with_duplicates(self, mini_schema):
         # only one meta-path of each length from category? business->category only
-        seeds = seed_population(mini_schema, 1, 2, 4, max_nodes=2)
+        seeds = seed_population(mini_schema, 1, 2, 4, 2)
         assert len(seeds) == 4
         assert len({canonical_key(s) for s in seeds}) == 1
 
     def test_self_task_seeds(self, schema):
-        seeds = seed_population(schema, U, U, 3)
+        seeds = seed_population(schema, U, U, 3, 10)
         for ms in seeds:
             assert ms.nodes[ms.source] == U and ms.nodes[ms.target] == U
 
