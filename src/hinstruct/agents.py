@@ -29,8 +29,9 @@ one after another on that thread, where threads would only contend for the
 interpreter lock. Any other backend gets one thread per chain it is asked in
 a generation, at most ``evolution.AGENT_WORKERS``, so its ``complete`` may run
 on that many threads at once. Both shipped backends allow it: the stub keeps
-no state, and the HTTP backend opens no shared session. Each task records
-into its own ``TranscriptBuffer``, which the search replays into the run's
+no state, and the HTTP backend makes one ``urlopen`` call per request and
+shares no state between calls. Each task records into its own
+``TranscriptBuffer``, which the search replays into the run's
 ``TranscriptLog`` in index order.
 
 Determinism: a backend whose ``deterministic`` property is true gives the
@@ -51,11 +52,14 @@ import string
 import time
 from collections import Counter
 from dataclasses import dataclass
+from http.client import HTTPException
 from importlib import resources
 from pathlib import Path
+from urllib.error import HTTPError
+from urllib.parse import urlsplit
+from urllib.request import Request, urlopen
 
 import numpy as np
-import requests
 
 from .grammar import AND, REFERENT_TAG, THAT
 from .hin import finite_number
@@ -424,6 +428,15 @@ def make_stub_backend() -> StubBackend:
     return StubBackend()
 
 
+def _http_url(url: str) -> bool:
+    """Whether ``url`` is an http or https URL with a host."""
+    try:
+        parts = urlsplit(url)
+    except ValueError:  # a malformed IPv6 host
+        return False
+    return parts.scheme in ("http", "https") and bool(parts.hostname)
+
+
 @dataclass
 class HttpChatBackend:
     """Client for an HTTP chat-completion endpoint.
@@ -431,7 +444,9 @@ class HttpChatBackend:
     Settings, each checked when the backend is made (a bad one raises a
     ``ValueError`` that names it):
 
-    * ``url``: the endpoint, a non-empty string; required.
+    * ``url``: the endpoint, an ``http`` or ``https`` URL with a host;
+      required. Other schemes that ``urlopen`` would open (``file:``,
+      ``ftp:``, ``data:``) are refused.
     * ``model``: the model name sent with each request, a non-empty string;
       default ``"gpt-4"``.
     * ``api_key``: sent as a bearer token when set; default None.
@@ -441,7 +456,15 @@ class HttpChatBackend:
     Sends ``{"model", "messages": [{"role", "content"}, ...], "temperature"}``
     and reads the first choice's message content, which must be a string.
     An HTTP 429 raises a ``BackendError`` whose ``retry_after`` is the
-    ``Retry-After`` header in whole seconds, capped at ``timeout``.
+    ``Retry-After`` header in whole seconds, capped at ``timeout``. Any other
+    HTTP error, connection or timeout failure, or reply without that content
+    is a ``BackendError`` with no ``retry_after``.
+
+    Each call is one ``urllib.request.urlopen`` through the default opener,
+    so proxies come from the environment (``HTTP_PROXY``, ``HTTPS_PROXY``,
+    ``NO_PROXY``), and an ``https`` server is verified against the system's
+    trust store (``ssl.create_default_context``). Nothing is shared between
+    calls: each opens its own connection.
 
     At ``temperature`` 0 the model is asked for its greedy answer, so the
     backend is ``deterministic`` and a search reuses its replies to a
@@ -460,6 +483,8 @@ class HttpChatBackend:
             value = getattr(self, name)
             if not (isinstance(value, str) and value):
                 raise ValueError(f"{name} must be a non-empty string, not {value!r}")
+        if not _http_url(self.url):
+            raise ValueError(f"url must be an http or https URL with a host, not {self.url!r}")
         if not finite_number(self.temperature):
             raise ValueError(f"temperature must be a finite number, not {self.temperature!r}")
         if not (finite_number(self.timeout) and self.timeout > 0):
@@ -486,16 +511,20 @@ class HttpChatBackend:
             ],
             "temperature": self.temperature,
         }
+        request = Request(self.url, data=json.dumps(payload).encode(), headers=headers, method="POST")
         try:
-            response = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-            if response.status_code == 429:
+            with urlopen(request, timeout=self.timeout) as response:
+                body = response.read()
+            content = json.loads(body)["choices"][0]["message"]["content"]
+        except HTTPError as exc:  # a status >= 400; its open response is closed here
+            exc.close()
+            if exc.code == 429:
                 raise BackendError(
                     "chat completion rate limited (HTTP 429)",
-                    retry_after=self._retry_after(response.headers.get("Retry-After")),
-                )
-            response.raise_for_status()
-            content = response.json()["choices"][0]["message"]["content"]
-        except (requests.RequestException, KeyError, IndexError, TypeError, ValueError) as exc:
+                    retry_after=self._retry_after(exc.headers.get("Retry-After")),
+                ) from exc
+            raise BackendError(f"chat completion failed: {exc}") from exc
+        except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"chat completion failed: {exc}") from exc
         if not isinstance(content, str):
             raise BackendError(f"chat completion content is {type(content).__name__}, not a string")

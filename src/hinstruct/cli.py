@@ -281,8 +281,13 @@ def _atomic_write(path: Path, text: str):
 
 def _load_valid_structure(path, schema) -> MetaStructure | None:
     """The structure in the JSON file ``path``, or None when it is invalid
-    for ``schema``; each violation is then printed to stderr."""
-    ms = MetaStructure.from_dict(read_json(path, "structure file"))
+    for ``schema``; each violation is then printed to stderr. A payload that
+    is not a structure is a ``StructureError`` naming the file."""
+    payload = read_json(path, "structure file")
+    try:
+        ms = MetaStructure.from_dict(payload)
+    except StructureError as exc:
+        raise StructureError(f"structure file {path}: {exc}") from exc
     violations = validate(ms, schema)
     for v in violations:
         print(f"invalid structure: {v}", file=sys.stderr)

@@ -124,6 +124,8 @@ class Schema:
 
 def schema_from_dict(payload: dict) -> Schema:
     """Validate a schema mapping and build a :class:`Schema`."""
+    if not isinstance(payload, dict):
+        raise SchemaError(f"the top level must be an object, not {type(payload).__name__}")
     raw_nodes = payload.get("node_types")
     if not raw_nodes:
         raise SchemaError("schema declares no node types")
@@ -134,7 +136,7 @@ def schema_from_dict(payload: dict) -> Schema:
             NodeType(id=int(n["id"]), name=str(n["name"]), noun=str(n.get("noun", n["name"])))
             for n in raw_nodes
         ]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"malformed node type entry: {exc}") from exc
     nodes.sort(key=lambda n: n.id)
     if [n.id for n in nodes] != list(range(len(nodes))):
@@ -193,7 +195,12 @@ def read_json(path, what: str):
 
 
 def load_schema(path) -> Schema:
-    return schema_from_dict(read_json(path, "schema file"))
+    """The schema in the JSON file ``path``; a ``SchemaError`` names the file."""
+    payload = read_json(path, "schema file")
+    try:
+        return schema_from_dict(payload)
+    except SchemaError as exc:
+        raise SchemaError(f"schema file {path}: {exc}") from exc
 
 
 # Byte bound of a graph's read cache, an LruMemo of per-path metric reads

@@ -83,6 +83,9 @@ class MetaStructure:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "MetaStructure":
+        if not isinstance(payload, dict):
+            kind = type(payload).__name__
+            raise StructureError(f"malformed meta-structure payload: must be an object, not {kind}")
         try:
             return cls(
                 nodes=tuple(int(t) for t in payload["nodes"]),
@@ -90,7 +93,9 @@ class MetaStructure:
                 source=int(payload["source"]),
                 target=int(payload["target"]),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise StructureError(f"malformed meta-structure payload: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise StructureError(f"malformed meta-structure payload: {exc}") from exc
 
     @classmethod

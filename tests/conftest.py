@@ -1,6 +1,10 @@
+import io
 import itertools
+import json
 import math
 import re
+from http.client import HTTPMessage
+from urllib.error import HTTPError
 
 import numpy as np
 import pytest
@@ -437,6 +441,31 @@ def stub_predict_reference(user: str) -> str:
             p, c = records[best][1], sims[best]
         lines.append(f"CANDIDATE {i}: p={p:.6f}, c={c:.6f}")
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# socket-free chat transport for HttpChatBackend
+# ---------------------------------------------------------------------------
+
+
+def fake_urlopen(answer):
+    """Stand-in for ``urllib.request.urlopen`` that serves each request
+    without a socket. ``answer(body)`` takes the request's decoded JSON body
+    and returns ``(status, payload, headers)``: below 400 the JSON payload is
+    the response, otherwise it is raised as the ``HTTPError`` urllib raises,
+    carrying ``headers``."""
+
+    def urlopen(request, timeout=None):
+        status, payload, headers = answer(json.loads(request.data))
+        data = io.BytesIO(json.dumps(payload).encode())
+        if status < 400:
+            return data
+        message = HTTPMessage()
+        for name, value in headers.items():
+            message[name] = value
+        raise HTTPError(request.full_url, status, "error", message, data)
+
+    return urlopen
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
@@ -27,7 +28,7 @@ from hinstruct.agents import (
 )
 from hinstruct.evolution import SearchConfig
 
-from conftest import stub_predict_reference
+from conftest import fake_urlopen, stub_predict_reference
 
 
 @pytest.fixture(scope="module")
@@ -488,18 +489,20 @@ class TestTranscripts:
 
 
 class _ChatHandler(BaseHTTPRequestHandler):
-    script = None  # list of (status, payload) set per test
-    requests_seen = None
+    script = None  # list of (status, payload) or (status, payload, headers) set per test
+    received = None
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append(
+        type(self).received.append(
             {"body": body, "auth": self.headers.get("Authorization")}
         )
-        status, payload = type(self).script.pop(0)
+        status, payload, *headers = type(self).script.pop(0)
         data = json.dumps(payload).encode()
         self.send_response(status)
+        for name, value in dict(*headers).items():
+            self.send_header(name, value)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -513,11 +516,12 @@ class _ChatHandler(BaseHTTPRequestHandler):
 def chat_server():
     server = HTTPServer(("127.0.0.1", 0), _ChatHandler)
     _ChatHandler.script = []
-    _ChatHandler.requests_seen = []
+    _ChatHandler.received = []
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     yield server, _ChatHandler
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -556,7 +560,7 @@ class TestHttpBackend:
         )
         out = backend.complete("be brief", "say hello")
         assert out == "hello back"
-        seen = handler.requests_seen[0]
+        seen = handler.received[0]
         assert seen["auth"] == "Bearer secret-key"
         assert seen["body"]["model"] == "test-model"
         assert seen["body"]["temperature"] == 0.25
@@ -586,7 +590,7 @@ class TestHttpBackend:
             backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0
         )
         assert out[0] .p_hat == pytest.approx(0.4)
-        assert len(handler.requests_seen) == 2
+        assert len(handler.received) == 2
 
     def test_end_to_end_selection_over_http(self, chat_server, prompts):
         server, handler = chat_server
@@ -600,23 +604,38 @@ class TestHttpBackend:
         assert decision.index == 1 and not decision.fallback
         assert "simpler" in decision.rationale
 
+    def test_429_from_server_carries_retry_after(self, chat_server):
+        server, handler = chat_server
+        handler.script.append((429, {"error": "slow down"}, {"Retry-After": "4"}))
+        backend = HttpChatBackend(url=f"http://127.0.0.1:{server.server_port}/", model="m", timeout=30.0)
+        with pytest.raises(BackendError, match="429") as info:
+            backend.complete("s", "u")
+        assert info.value.retry_after == 4.0
+        assert len(handler.received) == 1
+
+    def test_refused_connection_is_backend_error(self):
+        with socket.socket() as bound:  # bound but not listening: connections are refused
+            bound.bind(("127.0.0.1", 0))
+            backend = HttpChatBackend(url=f"http://127.0.0.1:{bound.getsockname()[1]}/", model="m")
+            with pytest.raises(BackendError, match="chat completion failed") as info:
+                backend.complete("s", "u")
+        assert info.value.retry_after is None
+
+    @pytest.mark.parametrize(
+        "url", ["file:///etc/passwd", "ftp://127.0.0.1/chat", "data:,hello", "http:///v1/chat"]
+    )
+    def test_non_http_url_refused(self, url):
+        with pytest.raises(ValueError, match="^url must be an http or https URL"):
+            HttpChatBackend(url=url)
+
 
 class _Reply:
-    """Just enough of ``requests.Response`` for ``HttpChatBackend.complete``."""
+    """One scripted reply of ``fake_urlopen``: status, JSON payload, headers."""
 
     def __init__(self, status_code, payload=None, headers=None):
         self.status_code = status_code
         self.payload = payload
         self.headers = headers or {}
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            import requests
-
-            raise requests.HTTPError(f"{self.status_code} error")
-
-    def json(self):
-        return self.payload
 
 
 def _content(text):
@@ -624,25 +643,26 @@ def _content(text):
 
 
 class TestHttpReplyChecks:
-    def patch_post(self, monkeypatch, replies):
+    def patch_urlopen(self, monkeypatch, replies):
         calls = []
 
-        def post(url, json=None, headers=None, timeout=None):
-            calls.append(json)
-            return replies.pop(0)
+        def answer(body):
+            calls.append(body)
+            reply = replies.pop(0)
+            return reply.status_code, reply.payload, reply.headers
 
-        monkeypatch.setattr("hinstruct.agents.requests.post", post)
+        monkeypatch.setattr("hinstruct.agents.urlopen", fake_urlopen(answer))
         return calls
 
     @pytest.mark.parametrize("content", [None, 3, ["text"], {"text": "x"}])
     def test_non_string_content_is_backend_error(self, monkeypatch, content):
-        self.patch_post(monkeypatch, [_content(content)])
+        self.patch_urlopen(monkeypatch, [_content(content)])
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
         with pytest.raises(BackendError, match="not a string"):
             backend.complete("s", "u")
 
     def test_null_content_costs_one_attempt(self, monkeypatch, prompts):
-        calls = self.patch_post(monkeypatch, [_content(None), _content("CANDIDATE 0: p=0.4, c=0.9")])
+        calls = self.patch_urlopen(monkeypatch, [_content(None), _content("CANDIDATE 0: p=0.4, c=0.9")])
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
         out = predict_candidates(
             backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0
@@ -663,7 +683,7 @@ class TestHttpReplyChecks:
         ],
     )
     def test_429_carries_retry_after(self, monkeypatch, header, expected):
-        self.patch_post(monkeypatch, [_Reply(429, {"error": "slow down"}, header)])
+        self.patch_urlopen(monkeypatch, [_Reply(429, {"error": "slow down"}, header)])
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m", timeout=30.0)
         with pytest.raises(BackendError, match="429") as info:
             backend.complete("s", "u")
@@ -672,7 +692,7 @@ class TestHttpReplyChecks:
     def test_429_then_reply_through_agent_layer(self, monkeypatch, prompts):
         slept = []
         monkeypatch.setattr("hinstruct.agents.time.sleep", slept.append)
-        calls = self.patch_post(
+        calls = self.patch_urlopen(
             monkeypatch,
             [_Reply(429, {}, {"Retry-After": "9"}), _content("CANDIDATE 0: p=0.2, c=0.5")],
         )
@@ -685,7 +705,7 @@ class TestHttpReplyChecks:
         assert out[0].p_hat == pytest.approx(0.2)
 
     def test_other_errors_carry_no_retry_after(self, monkeypatch):
-        self.patch_post(monkeypatch, [_Reply(503, {}, {"Retry-After": "9"})])
+        self.patch_urlopen(monkeypatch, [_Reply(503, {}, {"Retry-After": "9"})])
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m")
         with pytest.raises(BackendError) as info:
             backend.complete("s", "u")

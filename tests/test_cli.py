@@ -351,7 +351,7 @@ class TestMalformedInput:
         "field, value",
         [("temperature", "hot"), ("temperature", None), ("timeout", "abc"), ("timeout", 0),
          ("timeout", -1), ("url", 5), ("model", [1]), ("api_key_env", [1]),
-         ("temprature", 0.5)],
+         ("temprature", 0.5), ("url", "file:///etc/passwd"), ("url", "ftp://127.0.0.1/v1")],
     )
     def test_bad_backend_setting(self, workspace, tmp_path, capsys, field, value):
         payload = json.loads(workspace["config"].read_text())
@@ -452,6 +452,27 @@ class TestMalformedInput:
         }[command]
         assert main(argv) == EXIT_DATA
         assert f"{what} {bad} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ("5", "int"), ('"x"', "str")])
+    def test_schema_top_level_not_object(self, workspace, structure_files, tmp_path, capsys, text, kind):
+        schema = tmp_path / "schema.json"
+        schema.write_text(text)
+        assert main(["translate", str(structure_files["direct"]), "--schema", str(schema)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"schema file {schema}: the top level must be an object, not {kind}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "payload, says",
+        [({"nodes": [0, 1]}, "missing field 'edges'"), ([1], "must be an object, not list"),
+         (5, "must be an object, not int")],
+    )
+    def test_structure_file_not_a_structure(self, workspace, tmp_path, capsys, payload, says):
+        bad = tmp_path / "structure.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["translate", str(bad), "--schema", str(workspace["schema"])]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"structure file {bad}: malformed meta-structure payload: {says}" in err
 
     def test_missing_dataset_dir(self, workspace, tmp_path, capsys):
         payload = json.loads(workspace["config"].read_text())
@@ -624,3 +645,15 @@ class TestExitCodes:
             ["explain", str(result_path), "--config", str(config), "--out", str(tmp_path / "x")]
         )
         assert code == EXIT_BACKEND
+
+
+class TestStartup:
+    def test_cli_import_loads_no_third_party_http_client(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = "import sys, hinstruct.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -2,7 +2,6 @@ import json
 import sys
 import threading
 import time
-import types
 import zlib
 from collections import Counter
 
@@ -49,7 +48,7 @@ from hinstruct.splits import make_recommendation_split
 from hinstruct.structure import MetaStructure, canonical_key
 from hinstruct.synth import planted_structure, toy_schema, write_demo_config
 
-from conftest import random_structure, relabeled
+from conftest import fake_urlopen, random_structure, relabeled
 
 U, B = 0, 1
 RATES, RATED_BY, FRIEND = 0, 1, 2
@@ -708,13 +707,12 @@ class TestChainMemo:
         lib, population, pool = self.start(schema, 3)
         stub, sent = make_stub_backend(), []
 
-        def post(url, json=None, headers=None, timeout=None):
-            sent.append(json)
-            system, user = (m["content"] for m in json["messages"])
-            payload = {"choices": [{"message": {"content": stub.complete(system, user)}}]}
-            return types.SimpleNamespace(status_code=200, raise_for_status=lambda: None, json=lambda: payload)
+        def answer(body):
+            sent.append(body)
+            system, user = (m["content"] for m in body["messages"])
+            return 200, {"choices": [{"message": {"content": stub.complete(system, user)}}]}, {}
 
-        monkeypatch.setattr("hinstruct.agents.requests.post", post)
+        monkeypatch.setattr("hinstruct.agents.urlopen", fake_urlopen(answer))
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m", temperature=temperature)
         assert backend.deterministic == (temperature == 0)
         out = self.mutate(lib, population, pool, backend)

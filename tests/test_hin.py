@@ -83,6 +83,18 @@ class TestSchema:
         }
         assert schema_from_dict(ok).edge_type(0).inverse == 0
 
+    @pytest.mark.parametrize("text, kind", [("[]", "list"), ("5", "int"), ('"x"', "str")])
+    def test_top_level_not_object(self, tmp_path, text, kind):
+        path = tmp_path / "schema.json"
+        path.write_text(text)
+        says = f"schema file {re.escape(str(path))}: the top level must be an object, not {kind}"
+        with pytest.raises(SchemaError, match=says):
+            load_schema(path)
+
+    def test_node_type_id_not_a_number(self):
+        with pytest.raises(SchemaError, match="malformed node type entry: invalid literal"):
+            schema_from_dict({"node_types": [{"id": "x", "name": "a"}]})
+
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "schema.json"
         path.write_text("{not json")
