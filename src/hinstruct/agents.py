@@ -667,7 +667,8 @@ def explain(
     transcript: TranscriptLog | None = None,
 ) -> ExplainerReport:
     """Two chained prompts: structural comprehension, then performance
-    attribution over the quick-evaluated neighbors."""
+    attribution over the neighbors, structures the search evaluated one
+    mutation away from the target."""
     neighbors = tuple(neighbors)
     if not neighbors:
         raise ValueError("explainer needs at least one neighbor")

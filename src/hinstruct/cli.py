@@ -2,10 +2,11 @@
 
 Subcommands: ``search`` (full evolutionary run), ``translate`` (structure to
 sentence), ``evaluate`` (score one structure), ``neighbors`` (list one-step
-neighbors), ``explain`` (re-run the differential explainer on a result; it
-writes ``explain-explanations.json`` and ``explain-transcripts.jsonl``, names
-a search never writes, so a rerun into the search's directory leaves the
-search's artifacts as they were).
+neighbors), ``explain`` (re-run the differential explainer on a search's
+``result.json`` and ``events.jsonl``, loading only the schema, into
+``explain-explanations.json`` and ``explain-transcripts.jsonl``: names a
+search never writes, so a rerun into its directory writes its reports again
+and leaves its artifacts as they were).
 
 The run config (``--config``) is checked once, when it is loaded, and the
 backend is built then; an http backend's settings are ``HttpChatBackend``'s.
@@ -435,32 +436,62 @@ def _read_result(path: Path):
     return pool, final_keys, {key: structures[key] for key in final_keys}
 
 
+def _read_events(path: Path, pool: PerformancePool) -> list:
+    """The events of a search's ``events.jsonl``: one JSON object a line, and
+    every ``mutation`` event's ``origin`` and ``chosen`` a key of ``pool``."""
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read event log {path}: {exc}") from exc
+    events = []
+    for lineno, line in enumerate(lines, 1):
+        try:
+            event = json.loads(line)
+        except ValueError:  # not JSON, or not UTF-8
+            event = None
+        if not isinstance(event, dict):
+            raise DataError(f"{path}:{lineno}: not a JSON object")
+        if event.get("event") == "mutation":
+            for name in ("origin", "chosen"):
+                key = event.get(name)
+                if not (isinstance(key, str) and key in pool):
+                    raise DataError(f"{path}:{lineno}: mutation field {name!r} is {key!r}, not a pool key")
+        events.append(event)
+    return events
+
+
 def cmd_explain(args) -> int:
-    config = RunConfig.load(args.config, args.seed, args.out)
+    config = RunConfig.load(args.config, out_override=args.out)
     result_path = Path(args.result)
     pool, final_keys, finals = _read_result(result_path)
+    schema = load_schema(config.dataset_dir / "schema.json")
+    if config.task_kind == "recommendation":
+        et = schema.edge_type_by_name(config.target)
+        endpoints, metric = (et.src, et.dst), RecommendationEvaluator.metric
+    else:
+        nt = schema.node_type_by_name(config.target)
+        endpoints, metric = (nt.id, nt.id), NodeClassificationEvaluator.metric
+    for where, ms in finals.values():
+        violations = validate(ms, schema)
+        if violations:
+            raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
+        if (ms.nodes[ms.source], ms.nodes[ms.target]) != endpoints:
+            raise DataError(
+                f"{where} field 'structure' joins node types {ms.nodes[ms.source]} and "
+                f"{ms.nodes[ms.target]}; the configured {config.task_kind} task joins {endpoints}"
+            )
+    events = _read_events(result_path.parent / "events.jsonl", pool)
 
     search = config.search
     if args.top_k is not None:
         search = dataclasses.replace(search, explain_top_k=args.top_k)
 
-    graph, split, evaluator = build_task(config, part="val")
-    for where, ms in finals.values():
-        violations = validate(ms, graph.schema)
-        if violations:
-            raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
-    prompts = PromptLibrary(config.prompt_dir)
-    lib = build_component_library(
-        graph.schema, search.max_structure_nodes, search.insertion_max_interior, search.grafting_max_nodes
-    )
-    rng = np.random.default_rng(search.seed)
-
     out_dir = config.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     transcript = TranscriptLog(out_dir / "explain-transcripts.jsonl")
     reports = explain_top_structures(
-        search, graph, split, config.backend, evaluator, pool, lib, final_keys,
-        rng, prompts, transcript, events=[], strict_backend=True,
+        search, config.backend, metric, pool, events, final_keys,
+        PromptLibrary(config.prompt_dir), transcript, strict_backend=True,
     )
     reports_path = out_dir / "explain-explanations.json"
     _atomic_write(
@@ -512,11 +543,10 @@ def build_parser() -> _Parser:
     p.add_argument("--grafting-max-nodes", type=int, default=SearchConfig.grafting_max_nodes)
     p.set_defaults(func=cmd_neighbors)
 
-    p = sub.add_parser("explain", help="re-run the explainer on a search result")
-    p.add_argument("result", help="result JSON from a search run")
+    p = sub.add_parser("explain", help="re-run the explainer on a search's result and event log")
+    p.add_argument("result", help="result JSON from a search run, with its events.jsonl beside it")
     p.add_argument("--config", required=True, help="run configuration JSON")
     p.add_argument("--top-k", type=_at_least_one, default=None, dest="top_k")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_explain)
 

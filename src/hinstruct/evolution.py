@@ -11,6 +11,10 @@ Everything is deterministic given the configuration seed and the stub
 backend; the event log captures each evaluation, elimination, reproduction
 draw, and mutation decision together with an rng-state digest.
 
+The explainer then contrasts each of the best distinct final structures with
+the pool records one mutation event links to it; it draws and evaluates
+nothing, so a rerun on the saved pool and event log writes the same reports.
+
 Mutation runs in two phases. Phase 1, on the calling thread and in index
 order, draws every individual's neighbourhood and pool sample, encodes the
 candidates and takes the rng digest of its mutation event. It then picks
@@ -162,7 +166,6 @@ class PerformancePool:
 
     def __init__(self):
         self._records: dict[str, PoolRecord] = {}
-        self.evaluator_calls = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -244,7 +247,7 @@ def reproduce(survivors, size: int, rng: np.random.Generator):
     return population, [int(i) for i in draws]
 
 
-def evaluate_population(population, evaluator, graph, split, pool, generation, events, rng, phase="search"):
+def evaluate_population(population, evaluator, graph, split, pool, generation, events, rng):
     """Fitness for each individual, via the pool cache or a fresh evaluation."""
     out = []
     for ind in population:
@@ -260,11 +263,9 @@ def evaluate_population(population, evaluator, graph, split, pool, generation, e
                 structure=ind.structure.to_dict(),
             )
             pool.insert(record)
-            pool.evaluator_calls += 1
         events.append(
             {
                 "event": "evaluation",
-                "phase": phase,
                 "generation": generation,
                 "key": ind.key,
                 "fitness": record.fitness,
@@ -575,69 +576,60 @@ def run_search(
     )
     if aborted is None and gen_records:
         result.explanations = explain_top_structures(
-            config, graph, split, backend, evaluator, pool, lib,
-            gen_records[-1].population, rng, prompts, transcript, events,
+            config, backend, evaluator.metric, pool, events,
+            gen_records[-1].population, prompts, transcript,
         )
     return result
 
 
-def explain_top_structures(
-    config, graph, split, backend, evaluator, pool, lib, final_keys, rng, prompts,
-    transcript, events, strict_backend: bool = False,
-):
-    """Differential explanations for the top-k distinct final structures.
+def search_neighbors(events, key: str, limit: int) -> list[str]:
+    """The first ``limit`` distinct keys, in event-log order, that a mutation
+    event links to ``key``: its ``chosen`` where ``origin`` is ``key``, its
+    ``origin`` where ``chosen`` is. A pass-through links nothing."""
+    linked = (
+        e["chosen"] if e["origin"] == key else e["origin"]
+        for e in events
+        if e.get("event") == "mutation" and e["origin"] != e["chosen"]
+        and key in (e["origin"], e["chosen"])
+    )
+    return list(dict.fromkeys(linked))[:limit]
 
-    With ``strict_backend`` a backend failure propagates instead of merely
-    skipping the affected report.
+
+def explain_top_structures(
+    config, backend, metric: str, pool, events, final_keys, prompts, transcript,
+    strict_backend: bool = False,
+):
+    """Differential explanations for the top-k distinct final structures,
+    each against its ``search_neighbors`` and their pool fitnesses; a target
+    with none is skipped. With ``strict_backend`` a backend failure
+    propagates instead of merely skipping the affected report.
     """
-    distinct = []
-    for key in final_keys:
-        if key not in distinct:
-            distinct.append(key)
-    records = [pool.get(key) for key in distinct]
-    records.sort(key=_record_rank)
+    records = sorted(map(pool.get, dict.fromkeys(final_keys)), key=_record_rank)
     if config.explain_top_k > len(records):
         log.warning(
             "explain_top_k=%d exceeds %d distinct final structures; explaining all",
             config.explain_top_k, len(records),
         )
-    records = records[: config.explain_top_k]
 
     reports = []
-    for record in records:
-        ms = MetaStructure.from_dict(record.structure)
-        try:
-            cands = one_step_neighbors(ms, lib, rng, config.explain_neighbors)
-        except EmptyNeighborhoodError:
+    for record in records[: config.explain_top_k]:
+        keys = search_neighbors(events, record.key, config.explain_neighbors)
+        if not keys:
             log.warning("no neighbors to contrast %s against; skipping report", record.key)
             continue
-        neighbor_inds = [
-            Individual(c.structure, c.key, lib.sentence(c.structure)) for c in cands.candidates
-        ]
+        target, *neighbors = (
+            EvaluatedStructure(key=r.key, sentence=r.sentence, metric=metric, value=r.fitness)
+            for r in [record, *map(pool.get, keys)]
+        )
         try:
-            evaluated = evaluate_population(
-                neighbor_inds, evaluator, graph, split, pool,
-                config.generations, events, rng, phase="explain",
-            )
-            target = EvaluatedStructure(
-                key=record.key, sentence=record.sentence,
-                metric=evaluator.metric, value=record.fitness,
-            )
-            neighbors = tuple(
-                EvaluatedStructure(
-                    key=ind.key, sentence=ind.sentence,
-                    metric=evaluator.metric, value=ind.fitness,
-                )
-                for ind in evaluated
-            )
             reports.append(
                 explain(
                     backend, target, neighbors, prompts,
                     retries=config.retries, backoff=config.backoff, transcript=transcript,
                 )
             )
-        except (BackendError, EvaluationError, MatrixBlowupError) as exc:
-            if strict_backend and isinstance(exc, BackendError):
+        except BackendError as exc:
+            if strict_backend:
                 raise
             log.warning("explainer skipped %s: %s", record.key, exc)
     return reports

@@ -122,6 +122,14 @@ class Schema:
         }
 
 
+def json_int(value, where: str) -> int:
+    """``value`` if it is a JSON integer, else a ``ValueError`` naming ``where``:
+    a float or a bool is not an id."""
+    if type(value) is not int:
+        raise ValueError(f"invalid literal for integer {where}: {value!r}")
+    return value
+
+
 def schema_from_dict(payload: dict) -> Schema:
     """Validate a schema mapping and build a :class:`Schema`."""
     if not isinstance(payload, dict):
@@ -133,7 +141,7 @@ def schema_from_dict(payload: dict) -> Schema:
 
     try:
         nodes = [
-            NodeType(id=int(n["id"]), name=str(n["name"]), noun=str(n.get("noun", n["name"])))
+            NodeType(id=json_int(n["id"], f"id of {n!r}"), name=str(n["name"]), noun=str(n.get("noun", n["name"])))
             for n in raw_nodes
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -147,12 +155,12 @@ def schema_from_dict(payload: dict) -> Schema:
     try:
         edges = [
             EdgeType(
-                id=int(e["id"]),
+                id=json_int(e["id"], f"id of {e!r}"),
                 name=str(e["name"]),
-                src=int(e["src"]),
-                dst=int(e["dst"]),
+                src=json_int(e["src"], f"src of {e!r}"),
+                dst=json_int(e["dst"], f"dst of {e!r}"),
                 verb=str(e.get("verb", "")),
-                inverse=None if e.get("inverse") is None else int(e["inverse"]),
+                inverse=None if e.get("inverse") is None else json_int(e["inverse"], f"inverse of {e!r}"),
             )
             for e in raw_edges
         ]

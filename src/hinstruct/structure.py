@@ -19,7 +19,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 
-from .hin import Schema
+from .hin import Schema, json_int
 
 log = logging.getLogger(__name__)
 
@@ -88,10 +88,10 @@ class MetaStructure:
             raise StructureError(f"malformed meta-structure payload: must be an object, not {kind}")
         try:
             return cls(
-                nodes=tuple(int(t) for t in payload["nodes"]),
-                edges=tuple((int(a), int(b), int(e)) for a, b, e in payload["edges"]),
-                source=int(payload["source"]),
-                target=int(payload["target"]),
+                nodes=tuple(json_int(t, "node type") for t in payload["nodes"]),
+                edges=tuple(tuple(json_int(v, "edge entry") for v in (a, b, e)) for a, b, e in payload["edges"]),
+                source=json_int(payload["source"], "source"),
+                target=json_int(payload["target"], "target"),
             )
         except KeyError as exc:
             raise StructureError(f"malformed meta-structure payload: missing field {exc}") from exc

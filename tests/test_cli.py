@@ -318,6 +318,7 @@ class TestMalformedInput:
             ("generation", 0.5),
             ("structure", "x"),
             ("structure", {"nodes": [0, 99], "edges": [[0, 1, 0]], "source": 0, "target": 1}),
+            ("structure", {"nodes": [0, 1], "edges": [[0, 1.9, 0]], "source": 0, "target": 1}),
         ],
     )
     def test_result_bad_pool_field(self, workspace, tmp_path, capsys, field, value):
@@ -462,10 +463,22 @@ class TestMalformedInput:
         assert f"schema file {schema}: the top level must be an object, not {kind}" in err
         assert "Traceback" not in err
 
+    def test_schema_id_not_an_integer(self, workspace, structure_files, tmp_path, capsys):
+        payload = json.loads(workspace["schema"].read_text())
+        payload["node_types"][0]["id"] = 0.7
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(payload))
+        assert main(["translate", str(structure_files["direct"]), "--schema", str(schema)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"schema file {schema}: malformed node type entry: invalid literal for integer id" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "payload, says",
         [({"nodes": [0, 1]}, "missing field 'edges'"), ([1], "must be an object, not list"),
-         (5, "must be an object, not int")],
+         (5, "must be an object, not int"),
+         ({"nodes": [0.7, True], "edges": [[0, 1.9, "0"]], "source": 0, "target": 1.5},
+          "invalid literal for integer node type: 0.7")],
     )
     def test_structure_file_not_a_structure(self, workspace, tmp_path, capsys, payload, says):
         bad = tmp_path / "structure.json"
@@ -603,6 +616,72 @@ class TestExplain:
         code = main(["explain", "/no/such/result.json", "--config", str(workspace["config"])])
         assert code == EXIT_DATA
 
+    @pytest.fixture
+    def run_dir(self, workspace, capsys):
+        """The output directory of the workspace's search, run once."""
+        run = workspace["root"] / "out"
+        if not (run / "result.json").is_file():
+            assert main(["search", "--config", str(workspace["config"])]) == EXIT_OK
+            capsys.readouterr()
+        return run
+
+    def test_rerun_reproduces_search_reports(self, workspace, run_dir, tmp_path, capsys):
+        out = tmp_path / "fresh"
+        argv = ["explain", str(run_dir / "result.json"), "--config", str(workspace["config"]), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        reports = (run_dir / "explanations.json").read_bytes()
+        assert (out / "explain-explanations.json").read_bytes() == reports
+        n = len(json.loads(reports))
+        assert n > 0
+        tail = (run_dir / "transcripts.jsonl").read_text().splitlines()[-2 * n:]
+        assert (out / "explain-transcripts.jsonl").read_text().splitlines() == tail
+
+    def test_does_not_load_the_graph(self, workspace, run_dir, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("explain loaded the graph")
+
+        monkeypatch.setattr("hinstruct.cli.load_graph", refuse)
+        argv = ["explain", str(run_dir / "result.json"), "--config", str(workspace["config"]),
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_OK
+
+    def test_task_of_another_kind_refused(self, workspace, run_dir, tmp_path, capsys):
+        payload = json.loads(workspace["config"].read_text())
+        payload["task"] = {"kind": "classification", "target_type": "business"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        result = run_dir / "result.json"
+        argv = ["explain", str(result), "--config", str(config), "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"result file {result}: pool[" in err
+        assert "joins node types 0 and 1; the configured classification task joins (1, 1)" in err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "[1, 2]", "{oops", "origin", "chosen"])
+    def test_bad_event_log(self, workspace, run_dir, tmp_path, capsys, case):
+        shutil.copy(run_dir / "result.json", tmp_path / "result.json")
+        events = tmp_path / "events.jsonl"
+        lines = (run_dir / "events.jsonl").read_text().splitlines()
+        if case == "missing":
+            says = f"cannot read event log {events}"
+        elif case in ("origin", "chosen"):
+            i = next(i for i, line in enumerate(lines) if json.loads(line)["event"] == "mutation")
+            event = json.loads(lines[i])
+            event[case] = "nowhere"
+            lines[i] = json.dumps(event)
+            says = f"{events}:{i + 1}: mutation field {case!r} is 'nowhere', not a pool key"
+        else:
+            lines[4] = case
+            says = f"{events}:5: not a JSON object"
+        if case != "missing":
+            events.write_text("\n".join(lines) + "\n")
+        argv = ["explain", str(tmp_path / "result.json"), "--config", str(workspace["config"]),
+                "--out", str(tmp_path / "x")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert says in err and "Traceback" not in err
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, workspace, capsys):
@@ -612,6 +691,11 @@ class TestExitCodes:
     def test_evaluate_takes_no_out_flag(self, workspace, structure_files, tmp_path, capsys):
         argv = ["evaluate", str(structure_files["planted"]), "--config", str(workspace["config"])]
         assert main([*argv, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+    def test_explain_takes_no_seed_flag(self, workspace, tmp_path, capsys):
+        argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
+        assert main([*argv, "--seed", "0", "--out", str(tmp_path / "x")]) == EXIT_USAGE
         assert not (tmp_path / "x").exists()
 
     def test_unknown_command_is_usage_error(self, capsys):

@@ -28,9 +28,11 @@ from hinstruct.evolution import (
     SearchConfig,
     eliminate,
     evaluate_population,
+    explain_top_structures,
     mutate_population,
     reproduce,
     run_search,
+    search_neighbors,
     _choose,
     _MutationJob,
     _rng_digest,
@@ -194,10 +196,19 @@ class TestEvaluatePopulation:
         pool = PerformancePool()
         events = []
         rng = np.random.default_rng(0)
-        evaluator = RecommendationEvaluator("val")
-        out1 = evaluate_population([ind], evaluator, graph, split, pool, 0, events, rng)
-        out2 = evaluate_population([ind, ind], evaluator, graph, split, pool, 1, events, rng)
-        assert pool.evaluator_calls == 1
+        calls = []
+        inner = RecommendationEvaluator("val")
+
+        class Counting:
+            metric = "auc"
+
+            def evaluate(self, graph, split, ms):
+                calls.append(canonical_key(ms))
+                return inner.evaluate(graph, split, ms)
+
+        out1 = evaluate_population([ind], Counting(), graph, split, pool, 0, events, rng)
+        out2 = evaluate_population([ind, ind], Counting(), graph, split, pool, 1, events, rng)
+        assert calls == [ind.key] and len(pool) == 1
         assert out1[0].fitness == out2[0].fitness == out2[1].fitness
         cached_flags = [e["cached"] for e in events if e["event"] == "evaluation"]
         assert cached_flags == [False, True, True]
@@ -277,9 +288,7 @@ class TestRunSearch:
         )
         assert len(result.generations) == 1
         assert result.generations[0].generation == 0
-        search_evals = [
-            e for e in result.events if e["event"] == "evaluation" and e["phase"] == "search"
-        ]
+        search_evals = [e for e in result.events if e["event"] == "evaluation"]
         assert len(search_evals) == config.population_size
         assert set(result.generations[0].population) == {e["key"] for e in search_evals}
         assert result.final_best is not None
@@ -325,7 +334,7 @@ class TestRunSearch:
 
         result = run_search(config, graph, split, make_stub_backend(), Counting())
         assert len(calls) == len(set(calls))
-        assert len(calls) == result.pool.evaluator_calls == len(result.pool)
+        assert len(calls) == len(result.pool)
 
     def test_event_log_deterministic(self, planted_task):
         graph, split = planted_task
@@ -367,6 +376,63 @@ class TestRunSearch:
         assert result.aborted is not None
         assert len(result.pool) == 3
         assert result.final_best is not None
+
+
+def _mutation(origin, chosen):
+    return {"event": "mutation", "generation": 0, "origin": origin, "chosen": chosen, "rng": "-"}
+
+
+class TestExplainFromHistory:
+    EVENTS = [
+        _mutation("t", "t"),  # a pass-through links nothing
+        _mutation("a", "t"),
+        {"event": "evaluation", "generation": 1, "key": "b", "fitness": 0.3, "cached": False},
+        _mutation("t", "b"),
+        _mutation("c", "d"),
+        _mutation("t", "a"),
+        _mutation("c", "t"),
+        _mutation("t", "d"),
+    ]
+
+    def test_neighbors_both_directions_in_event_order(self):
+        assert search_neighbors(self.EVENTS, "t", 10) == ["a", "b", "c", "d"]
+        assert search_neighbors(self.EVENTS, "d", 10) == ["c", "t"]
+
+    def test_neighbors_capped(self):
+        assert search_neighbors(self.EVENTS, "t", 2) == ["a", "b"]
+        assert search_neighbors(self.EVENTS, "t", 1) == ["a"]
+
+    def test_no_neighbors(self):
+        assert search_neighbors(self.EVENTS, "x", 10) == []
+        assert search_neighbors([_mutation("x", "x")], "x", 10) == []
+
+    def test_reports_from_pool_records(self, caplog):
+        pool = PerformancePool()
+        for key, fitness in [("t", 0.9), ("alone", 0.95), ("a", 0.1), ("b", 0.2), ("c", 0.3), ("d", 0.4)]:
+            structure = {"nodes": [U, B], "edges": [[0, 1, RATES]], "source": 0, "target": 1}
+            pool.insert(PoolRecord(key, f"sentence {key}", fitness, 0, structure))
+        config = SearchConfig(explain_top_k=3, explain_neighbors=3, backoff=0.0)
+        with caplog.at_level("WARNING", logger="hinstruct.evolution"):
+            reports = explain_top_structures(
+                config, make_stub_backend(), "auc", pool, self.EVENTS,
+                ["t", "alone", "t"], PromptLibrary(), None,
+            )
+        assert "no neighbors to contrast alone against" in caplog.text
+        (report,) = reports
+        assert report.target.to_dict() == {"key": "t", "sentence": "sentence t", "metric": "auc", "value": 0.9}
+        assert [(n.key, n.sentence, n.metric, n.value) for n in report.neighbors] == [
+            ("a", "sentence a", "auc", 0.1), ("b", "sentence b", "auc", 0.2), ("c", "sentence c", "auc", 0.3),
+        ]
+
+    def test_search_reports_use_search_neighbors(self, planted_task):
+        graph, split = planted_task
+        config = SearchConfig(generations=3, backoff=0.0)
+        result = run_search(config, graph, split, make_stub_backend(), RecommendationEvaluator("val"))
+        assert result.explanations
+        for report in result.explanations:
+            keys = search_neighbors(result.events, report.target.key, config.explain_neighbors)
+            assert [n.key for n in report.neighbors] == keys
+            assert [n.value for n in report.neighbors] == [result.pool.get(k).fitness for k in keys]
 
 
 class _Jittery:

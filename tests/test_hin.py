@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 
@@ -94,6 +95,19 @@ class TestSchema:
     def test_node_type_id_not_a_number(self):
         with pytest.raises(SchemaError, match="malformed node type entry: invalid literal"):
             schema_from_dict({"node_types": [{"id": "x", "name": "a"}]})
+
+    @pytest.mark.parametrize(
+        "part, field, value",
+        [("node_types", "id", 0.7), ("node_types", "id", True), ("edge_types", "id", 0.2),
+         ("edge_types", "src", 0.9), ("edge_types", "dst", "1"), ("edge_types", "inverse", 3.0)],
+    )
+    def test_id_not_an_integer(self, part, field, value):
+        payload = copy.deepcopy(MINI_SCHEMA_DICT)
+        payload[part][-1][field] = value
+        entry = "node type" if part == "node_types" else "edge type"
+        says = f"malformed {entry} entry: invalid literal for integer {field} of .*: {re.escape(repr(value))}$"
+        with pytest.raises(SchemaError, match=says):
+            schema_from_dict(payload)
 
     def test_unparseable_file(self, tmp_path):
         path = tmp_path / "schema.json"

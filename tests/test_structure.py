@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,24 @@ class TestCanonicalKey:
     def test_stable_across_calls(self, schema):
         ms = planted_structure()
         assert canonical_key(ms) == canonical_key(MetaStructure.from_dict(ms.to_dict()))
+
+
+class TestFromDict:
+    @pytest.mark.parametrize(
+        "field, value, says",
+        [
+            ("nodes", [0.7, 1], "node type: 0.7"),
+            ("nodes", [0, True], "node type: True"),
+            ("edges", [[0, 1.9, 0]], "edge entry: 1.9"),
+            ("edges", [[0, 1, "0"]], "edge entry: '0'"),
+            ("source", 0.0, "source: 0.0"),
+            ("target", 1.5, "target: 1.5"),
+        ],
+    )
+    def test_ids_must_be_integers(self, field, value, says):
+        payload = {"nodes": [U, B], "edges": [[0, 1, RATES]], "source": 0, "target": 1, field: value}
+        with pytest.raises(StructureError, match=f"invalid literal for integer {re.escape(says)}$"):
+            MetaStructure.from_dict(payload)
 
 
 @pytest.fixture(scope="module")
