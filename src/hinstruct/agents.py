@@ -117,9 +117,6 @@ class EvaluatedStructure:
     metric: str
     value: float
 
-    def to_dict(self) -> dict:
-        return {"key": self.key, "sentence": self.sentence, "metric": self.metric, "value": self.value}
-
 
 @dataclass(frozen=True)
 class ExplainerReport:
@@ -127,14 +124,6 @@ class ExplainerReport:
     neighbors: tuple[EvaluatedStructure, ...]
     comprehension: str
     attribution: str
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target.to_dict(),
-            "neighbors": [n.to_dict() for n in self.neighbors],
-            "comprehension": self.comprehension,
-            "attribution": self.attribution,
-        }
 
 
 @dataclass(frozen=True)
@@ -584,8 +573,8 @@ def predict_candidates(
     sentences,
     sample: PoolSample,
     prompts: PromptLibrary,
-    retries: int = 3,
-    backoff: float = 1.0,
+    retries: int,
+    backoff: float,
     transcript: TranscriptLog | None = None,
 ) -> list[PredictorOutput]:
     """Ask the predictor for a (score, confidence) estimate per candidate.
@@ -624,8 +613,8 @@ def select_candidate(
     backend,
     candidates,
     prompts: PromptLibrary,
-    retries: int = 3,
-    backoff: float = 1.0,
+    retries: int,
+    backoff: float,
     transcript: TranscriptLog | None = None,
 ) -> SelectorDecision:
     """Ask the selector to pick one candidate; falls back to the stub rule
@@ -662,8 +651,8 @@ def explain(
     target: EvaluatedStructure,
     neighbors,
     prompts: PromptLibrary,
-    retries: int = 3,
-    backoff: float = 1.0,
+    retries: int,
+    backoff: float,
     transcript: TranscriptLog | None = None,
 ) -> ExplainerReport:
     """Two chained prompts: structural comprehension, then performance

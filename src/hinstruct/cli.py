@@ -274,6 +274,15 @@ def build_task(config: RunConfig, part: str = "val"):
     return graph, split, evaluator
 
 
+def _output_dir(path: Path) -> Path:
+    """``path``, made with its parents unless it is a directory already."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create output directory {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text, encoding="utf-8")
@@ -302,8 +311,7 @@ def _load_valid_structure(path, schema) -> MetaStructure | None:
 
 def cmd_search(args) -> int:
     config = RunConfig.load(args.config, args.seed, args.out)
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config.output_dir)
 
     graph, split, evaluator = build_task(config, part="val")
     prompts = PromptLibrary(config.prompt_dir)
@@ -324,7 +332,7 @@ def cmd_search(args) -> int:
     )
     _atomic_write(
         out_dir / "explanations.json",
-        json.dumps([r.to_dict() for r in result.explanations], indent=2, sort_keys=True) + "\n",
+        json.dumps([dataclasses.asdict(r) for r in result.explanations], indent=2, sort_keys=True) + "\n",
     )
 
     if result.aborted is not None:
@@ -486,8 +494,7 @@ def cmd_explain(args) -> int:
     if args.top_k is not None:
         search = dataclasses.replace(search, explain_top_k=args.top_k)
 
-    out_dir = config.output_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config.output_dir)
     transcript = TranscriptLog(out_dir / "explain-transcripts.jsonl")
     reports = explain_top_structures(
         search, config.backend, metric, pool, events, final_keys,
@@ -496,7 +503,7 @@ def cmd_explain(args) -> int:
     reports_path = out_dir / "explain-explanations.json"
     _atomic_write(
         reports_path,
-        json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True) + "\n",
+        json.dumps([dataclasses.asdict(r) for r in reports], indent=2, sort_keys=True) + "\n",
     )
     print(f"wrote {len(reports)} explanation report(s) to {reports_path}")
     return EXIT_OK

@@ -56,7 +56,7 @@ from typing import Protocol
 import numpy as np
 
 from .hin import HinGraph
-from .sparse import SparseMatrix
+from .sparse import SparseMatrix, row_divisors
 from .structure import MetaPath, MetaStructure, sub_logics
 
 
@@ -168,11 +168,6 @@ def _halves(graph: HinGraph, path: MetaPath, rows, cols):
     return left, right, left.matvec(through)
 
 
-def _divisors(sums):
-    """Row sums as ``SparseMatrix.row_normalize`` divides by them."""
-    return np.where(sums == 0.0, 1.0, sums)
-
-
 def _pair_read(graph: HinGraph, path: MetaPath, cells) -> np.ndarray:
     """The path's row-normalized commuting matrix at the (row, col) ``cells``."""
     rows, row_at = np.unique(cells[:, 0], return_inverse=True)
@@ -182,7 +177,7 @@ def _pair_read(graph: HinGraph, path: MetaPath, cells) -> np.ndarray:
         counts = left.pick(np.column_stack([row_at, cells[:, 1]]))
     else:
         counts = left.row_dots(right, row_at, col_at)
-    return counts / _divisors(sums)[row_at]
+    return counts / row_divisors(sums)[row_at]
 
 
 def _vote_read(graph: HinGraph, path: MetaPath, nodes, keep) -> SparseMatrix:
@@ -195,9 +190,7 @@ def _vote_read(graph: HinGraph, path: MetaPath, nodes, keep) -> SparseMatrix:
     else:
         product = left.matmul(right.transpose())
         counts = SparseMatrix(left.rows, keep.size, product.indptr, cols[product.indices], product.data)
-    row_ids = np.repeat(np.arange(counts.rows, dtype=np.int64), np.diff(counts.indptr))
-    data = counts.data / _divisors(sums)[row_ids]
-    return SparseMatrix(counts.rows, counts.cols, counts.indptr, counts.indices, data)
+    return counts.divide_rows(sums)
 
 
 def _read_only(value):

@@ -151,15 +151,6 @@ class PoolRecord:
     generation: int
     structure: dict
 
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "sentence": self.sentence,
-            "fitness": self.fitness,
-            "generation": self.generation,
-            "structure": self.structure,
-        }
-
 
 class PerformancePool:
     """Insert-once record of every evaluated structure across the run."""
@@ -443,15 +434,6 @@ class GenerationRecord:
     mean_fitness: float
     population: tuple
 
-    def to_dict(self) -> dict:
-        return {
-            "generation": self.generation,
-            "best_key": self.best_key,
-            "best_fitness": self.best_fitness,
-            "mean_fitness": self.mean_fitness,
-            "population": list(self.population),
-        }
-
 
 @dataclass
 class SearchResult:
@@ -466,9 +448,9 @@ class SearchResult:
     def to_dict(self) -> dict:
         return {
             "config": asdict(self.config),
-            "generations": [g.to_dict() for g in self.generations],
-            "final_best": None if self.final_best is None else self.final_best.to_dict(),
-            "pool": [r.to_dict() for r in self.pool.records()],
+            "generations": [asdict(g) for g in self.generations],
+            "final_best": None if self.final_best is None else asdict(self.final_best),
+            "pool": [asdict(r) for r in self.pool.records()],
             "aborted": self.aborted,
         }
 

@@ -189,13 +189,7 @@ def _schema_paths(schema: Schema, limit: int) -> list[MetaPath]:
 
 
 def _dedup_edges(edges):
-    seen = set()
-    out = []
-    for edge in edges:
-        if edge not in seen:
-            seen.add(edge)
-            out.append(edge)
-    return tuple(out)
+    return tuple(dict.fromkeys(edges))
 
 
 def _attach(ms: MetaStructure, edges, comp: MetaPath, u: int, w: int) -> MetaStructure:

@@ -1,8 +1,22 @@
 """Minimal CSR sparse matrix used for adjacency and score matrices.
 
-Values are nonnegative float64; indices int64. Matrices are immutable after
-construction and safe to share between threads. Heavy operations dispatch to
-:mod:`hinstruct.kernels`, which runs them on ``scipy.sparse``.
+Values are nonnegative float64; indices int64, with column indices sorted
+within each row. Matrices are immutable after construction and safe to share
+between threads.
+
+``SparseMatrix`` is the one owner of the CSR format: construction, selection,
+transposition and matrix-vector products run on numpy, and the three
+products (``matmul``, ``hadamard``, ``row_dots``) hand a CSR view of their
+operands to ``scipy.sparse`` and convert its result back. The tests check the
+products against a pure numpy reference of their own. ``scipy.sparse`` is
+imported on the first product, not with this module: ingest (``from_pairs``,
+``transpose``), the split and the ``translate`` and ``neighbors`` subcommands
+run on numpy alone, and loading scipy would add about a tenth of a second to
+each of them.
+
+:mod:`hinstruct.kernels` keeps only what the benchmark reads: the backend
+name and ``spgemm_flops``, the flop estimate ``matmul`` checks its budget
+with and the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
@@ -114,22 +128,12 @@ class SparseMatrix:
             raise MatrixBlowupError(
                 f"matrix blowup: product needs {flops} multiplies, budget {FLOP_BUDGET}"
             )
-        indptr, indices, data = kernels.spgemm(
-            self.indptr, self.indices, self.data,
-            other.indptr, other.indices, other.data,
-            self.rows, other.cols,
-        )
-        return SparseMatrix(self.rows, other.cols, indptr, indices, data)
+        return SparseMatrix._from_scipy(self._scipy() @ other._scipy())
 
     def hadamard(self, other: "SparseMatrix") -> "SparseMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch for elementwise product")
-        indptr, indices, data = kernels.hadamard(
-            self.indptr, self.indices, self.data,
-            other.indptr, other.indices, other.data,
-            self.rows, self.cols,
-        )
-        return SparseMatrix(self.rows, self.cols, indptr, indices, data)
+        return SparseMatrix._from_scipy(self._scipy().multiply(other._scipy()))
 
     def matvec(self, vector) -> np.ndarray:
         """This matrix times the dense ``vector``; each row sums its products
@@ -160,21 +164,21 @@ class SparseMatrix:
                     f"matrix blowup: row dots gather {entries} entries, budget {FLOP_BUDGET}"
                 )
             if entries:
-                out[lo:hi] = kernels.row_dots(
-                    self.indptr, self.indices, self.data,
-                    other.indptr, other.indices, other.data,
-                    self.cols, rows[lo:hi], other_rows[lo:hi],
-                )
+                products = self._scipy()[rows[lo:hi]].multiply(other._scipy()[other_rows[lo:hi]])
+                out[lo:hi] = np.asarray(products.sum(axis=1), dtype=np.float64).reshape(-1)
         return out
 
     def row_normalize(self) -> "SparseMatrix":
         """Scale each row to sum to 1; all-zero rows stay zero."""
         if self.nnz == 0:
             return self
+        return self.divide_rows(self.matvec(np.ones(self.cols)))
+
+    def divide_rows(self, sums) -> "SparseMatrix":
+        """Each row divided by its entry of ``sums`` through ``row_divisors``."""
         row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        sums = np.bincount(row_ids, weights=self.data, minlength=self.rows)
-        denom = np.where(sums == 0.0, 1.0, sums)
-        return SparseMatrix(self.rows, self.cols, self.indptr, self.indices, self.data / denom[row_ids])
+        data = self.data / row_divisors(sums)[row_ids]
+        return SparseMatrix(self.rows, self.cols, self.indptr, self.indices, data)
 
     def transpose(self) -> "SparseMatrix":
         row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
@@ -183,3 +187,28 @@ class SparseMatrix:
         indptr = np.zeros(self.cols + 1, dtype=np.int64)
         indptr[1:] = np.cumsum(np.bincount(new_rows, minlength=self.cols))
         return SparseMatrix(self.cols, self.rows, indptr, row_ids[order], self.data[order])
+
+    # -- scipy.sparse ------------------------------------------------------
+
+    def _scipy(self):
+        """This matrix as a ``scipy.sparse.csr_array``."""
+        from scipy import sparse
+
+        return sparse.csr_array((self.data, self.indices, self.indptr), shape=(self.rows, self.cols))
+
+    @staticmethod
+    def _from_scipy(matrix) -> "SparseMatrix":
+        # scipy keeps int32 indices when they fit and may leave columns unsorted
+        matrix.sort_indices()
+        return SparseMatrix(
+            *matrix.shape,
+            matrix.indptr.astype(np.int64),
+            matrix.indices.astype(np.int64),
+            matrix.data.astype(np.float64, copy=False),
+        )
+
+
+def row_divisors(sums) -> np.ndarray:
+    """What ``row_normalize`` divides each row by: its sum, or 1 where the sum
+    is 0, so an all-zero row stays zero."""
+    return np.where(sums == 0.0, 1.0, sums)

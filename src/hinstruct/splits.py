@@ -8,6 +8,8 @@ pairs, topped up by uniform sampling of unconnected pairs when short.
 
 Node classification: labeled nodes split 3:1:1.
 
+A split that would leave a part empty raises ``SplitError``.
+
 Every part is a read-only int64 array: ``(n, 2)`` rows of (src, dst) for a
 pair set, and node ids for a node set.
 """
@@ -163,7 +165,11 @@ def make_node_label_split(
     classes = np.full(n_nodes, -1, dtype=np.int64)
     classes[labels[:, 0]] = labels[:, 1]
     shuffled = np.random.default_rng(seed).permutation(np.flatnonzero(classes >= 0))
-    n_train, n_val, _ = _part_sizes(len(shuffled), ratio)
+    n_train, n_val, n_test = _part_sizes(len(shuffled), ratio)
+    if n_train == 0 or n_val == 0 or n_test == 0:
+        raise SplitError(
+            f"split too small: {len(shuffled)} labeled nodes for a {ratio[0]}:{ratio[1]}:{ratio[2]} split"
+        )
     return NodeLabelSplit(
         target_node_type, classes, **_cut(shuffled, n_train, n_val), num_classes=num_classes
     )

@@ -469,7 +469,7 @@ def fake_urlopen(answer):
 
 
 # ---------------------------------------------------------------------------
-# pure numpy CSR kernels, the oracle for hinstruct.kernels
+# pure numpy CSR products, the oracle for SparseMatrix's scipy products
 # ---------------------------------------------------------------------------
 
 

@@ -79,13 +79,13 @@ class TestStubPredictor:
     def test_exact_pool_match(self, prompts):
         backend = make_stub_backend()
         sample = PoolSample((("User rates Business", 0.7),))
-        out = predict_candidates(backend, ["User rates Business"], sample, prompts, backoff=0)
+        out = predict_candidates(backend, ["User rates Business"], sample, prompts, retries=3, backoff=0)
         assert out[0].p_hat == pytest.approx(0.7)
         assert out[0].c_hat == pytest.approx(1.0)
 
     def test_empty_pool_prior(self, prompts):
         backend = make_stub_backend()
-        out = predict_candidates(backend, ["User rates Business"], PoolSample(()), prompts, backoff=0)
+        out = predict_candidates(backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0)
         assert (out[0].p_hat, out[0].c_hat) == (0.5, 0.0)
 
     def test_partial_similarity(self, prompts):
@@ -93,7 +93,7 @@ class TestStubPredictor:
         cand = "User is friend of User THAT rates Business"
         rec = "User rates Business THAT rates Business"  # contrived: shares one clause
         sim = clause_jaccard(cand, rec)
-        out = predict_candidates(backend, [cand], PoolSample(((rec, 0.6),)), prompts, backoff=0)
+        out = predict_candidates(backend, [cand], PoolSample(((rec, 0.6),)), prompts, retries=3, backoff=0)
         assert out[0].p_hat == pytest.approx(0.6)
         assert out[0].c_hat == pytest.approx(sim)
 
@@ -106,7 +106,7 @@ class TestStubPredictor:
                 ("User is friend of User THAT rates Business", 0.4),
             )
         )
-        out = predict_candidates(backend, [cand], sample, prompts, backoff=0)
+        out = predict_candidates(backend, [cand], sample, prompts, retries=3, backoff=0)
         assert out[0].p_hat == pytest.approx(0.4)
 
     def test_matches_pairwise_clause_jaccard(self, prompts):
@@ -163,12 +163,12 @@ class TestStubPredictor:
     def test_batched_covers_all_candidates(self, prompts):
         backend = make_stub_backend()
         sentences = [f"User rates Business {'THAT belongs to Category ' * i}".strip() for i in range(5)]
-        out = predict_candidates(backend, sentences, PoolSample(()), prompts, backoff=0)
+        out = predict_candidates(backend, sentences, PoolSample(()), prompts, retries=3, backoff=0)
         assert len(out) == 5
 
     def test_empty_candidates_rejected(self, prompts):
         with pytest.raises(ValueError):
-            predict_candidates(make_stub_backend(), [], PoolSample(()), prompts, backoff=0)
+            predict_candidates(make_stub_backend(), [], PoolSample(()), prompts, retries=3, backoff=0)
 
 
 class TestStubSelector:
@@ -180,6 +180,7 @@ class TestStubSelector:
             make_stub_backend(),
             [self.c(0.8, 0.9, key="a"), self.c(0.6, 0.99, key="b")],
             prompts,
+            retries=3,
             backoff=0,
         )
         assert decision.index == 0 and not decision.fallback
@@ -189,6 +190,7 @@ class TestStubSelector:
             make_stub_backend(),
             [self.c(0.8, edges=5, key="a"), self.c(0.8, edges=3, key="b")],
             prompts,
+            retries=3,
             backoff=0,
         )
         assert decision.index == 1
@@ -198,12 +200,13 @@ class TestStubSelector:
             make_stub_backend(),
             [self.c(0.8, edges=3, key="zz"), self.c(0.8, edges=3, key="aa")],
             prompts,
+            retries=3,
             backoff=0,
         )
         assert decision.index == 1
 
     def test_rationale_recorded(self, prompts):
-        decision = select_candidate(make_stub_backend(), [self.c(0.5)], prompts, backoff=0)
+        decision = select_candidate(make_stub_backend(), [self.c(0.5)], prompts, retries=3, backoff=0)
         assert "CHOICE: 0" in decision.rationale
 
 
@@ -214,7 +217,7 @@ class TestStubExplainer:
     def test_report_covers_target_plus_neighbors(self, prompts):
         target = self.entry("t", "User rates Business", 0.9)
         neighbor = self.entry("n", "User is friend of User THAT rates Business", 0.6)
-        report = explain(make_stub_backend(), target, [neighbor], prompts, backoff=0)
+        report = explain(make_stub_backend(), target, [neighbor], prompts, retries=3, backoff=0)
         assert report.comprehension.count("STRUCTURE") >= 2
         assert "STRUCTURE 0" in report.comprehension
         assert report.neighbors == (neighbor,)
@@ -223,7 +226,7 @@ class TestStubExplainer:
         target = self.entry("t", "User rates Business", 0.5)
         good = self.entry("g", "User is friend of User THAT rates Business", 0.9)
         bad = self.entry("b", "User rates Business THAT is located in City", 0.1)
-        report = explain(make_stub_backend(), target, [good, bad], prompts, backoff=0)
+        report = explain(make_stub_backend(), target, [good, bad], prompts, retries=3, backoff=0)
         assert "Beneficial" in report.attribution
         assert "User is friend of User" in report.attribution
         assert "Detrimental" in report.attribution
@@ -231,13 +234,13 @@ class TestStubExplainer:
 
     def test_requires_neighbor(self, prompts):
         with pytest.raises(ValueError):
-            explain(make_stub_backend(), self.entry("t", "User rates Business", 0.5), [], prompts, backoff=0)
+            explain(make_stub_backend(), self.entry("t", "User rates Business", 0.5), [], prompts, retries=3, backoff=0)
 
     def test_deterministic(self, prompts):
         target = self.entry("t", "User rates Business", 0.9)
         neighbor = self.entry("n", "User is friend of User THAT rates Business", 0.6)
-        a = explain(make_stub_backend(), target, [neighbor], prompts, backoff=0)
-        b = explain(make_stub_backend(), target, [neighbor], prompts, backoff=0)
+        a = explain(make_stub_backend(), target, [neighbor], prompts, retries=3, backoff=0)
+        b = explain(make_stub_backend(), target, [neighbor], prompts, retries=3, backoff=0)
         assert a == b
 
 
@@ -306,7 +309,7 @@ class TestParsingAndRetries:
 
     def test_out_of_range_values_clamped(self, prompts):
         backend = FlakyScript(["CANDIDATE 0: p=1.7, c=-0.2"])
-        out = predict_candidates(backend, ["User rates Business"], PoolSample(()), prompts, backoff=0)
+        out = predict_candidates(backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0)
         assert (out[0].p_hat, out[0].c_hat) == (1.0, 0.0)
 
     def test_transport_retry_then_success(self, prompts):
@@ -421,11 +424,11 @@ class TestOneRetryLoop:
         backend = FlakyScript([])
         target, neighbors = self.entries()
         with pytest.raises(ValueError, match="retries"):
-            predict_candidates(backend, self.sentences, self.sample, prompts, retries=0)
+            predict_candidates(backend, self.sentences, self.sample, prompts, retries=0, backoff=0)
         with pytest.raises(ValueError, match="retries"):
-            select_candidate(backend, self.cands, prompts, retries=0)
+            select_candidate(backend, self.cands, prompts, retries=0, backoff=0)
         with pytest.raises(ValueError, match="retries"):
-            explain(backend, target, neighbors, prompts, retries=0)
+            explain(backend, target, neighbors, prompts, retries=0, backoff=0)
         assert backend.calls == 0
 
     def test_retry_after_stretches_the_sleep(self, prompts, monkeypatch):
@@ -478,7 +481,7 @@ class TestTranscripts:
         log = TranscriptLog(path)
         backend = make_stub_backend()
         predict_candidates(
-            backend, ["User rates Business"], PoolSample(()), prompts, backoff=0, transcript=log
+            backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0, transcript=log
         )
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
@@ -600,7 +603,7 @@ class TestHttpBackend:
             ScoredCandidate("User rates Business", 0.9, 0.5, 2, 1, "a"),
             ScoredCandidate("City hosts Business", 0.1, 0.5, 2, 1, "b"),
         ]
-        decision = select_candidate(backend, cands, prompts, backoff=0)
+        decision = select_candidate(backend, cands, prompts, retries=3, backoff=0)
         assert decision.index == 1 and not decision.fallback
         assert "simpler" in decision.rationale
 

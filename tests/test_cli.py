@@ -200,6 +200,20 @@ class TestSearch:
         assert code == EXIT_DATA
         assert "/nonexistent/dataset" in capsys.readouterr().err
 
+    def test_output_path_that_is_a_file(self, workspace, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        result_path = workspace["root"] / "out" / "result.json"
+        if not result_path.is_file():
+            main(["search", "--config", str(workspace["config"])])
+        capsys.readouterr()
+        for argv in (["search"], ["explain", str(result_path)]):
+            assert main([*argv, "--config", str(workspace["config"]), "--out", str(taken)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"cannot create output directory {taken}: File exists" in err
+            assert "Traceback" not in err
+        assert taken.read_text() == "not a directory"
+
     def test_unknown_search_key_rejected(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad2.json"
         payload = json.loads(workspace["config"].read_text())
@@ -400,6 +414,16 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert status == EXIT_DATA
         assert f"{data / 'labels.tsv'}: node id {node} out of range for {N_BIZ} nodes" in err
+
+    def test_classification_split_too_small(self, workspace, tmp_path, capsys):
+        def edit(data):
+            (data / "labels.tsv").write_text("".join(f"{b}\t{b % 2}\n" for b in range(3)))
+
+        task = {"kind": "classification", "target_type": "business"}
+        status, _ = self.search_copied_data(workspace, tmp_path, edit, task)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        assert "split too small: 3 labeled nodes" in err
 
     @pytest.mark.parametrize(
         "row, says",

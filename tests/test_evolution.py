@@ -4,6 +4,7 @@ import threading
 import time
 import zlib
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -419,7 +420,7 @@ class TestExplainFromHistory:
             )
         assert "no neighbors to contrast alone against" in caplog.text
         (report,) = reports
-        assert report.target.to_dict() == {"key": "t", "sentence": "sentence t", "metric": "auc", "value": 0.9}
+        assert asdict(report.target) == {"key": "t", "sentence": "sentence t", "metric": "auc", "value": 0.9}
         assert [(n.key, n.sentence, n.metric, n.value) for n in report.neighbors] == [
             ("a", "sentence a", "auc", 0.1), ("b", "sentence b", "auc", 0.2), ("c", "sentence c", "auc", 0.3),
         ]

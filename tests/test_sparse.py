@@ -24,24 +24,36 @@ def with_empty_rows(rng, rows, cols):
     return from_dense(dense)
 
 
-def kernel_args(a, b):
+def oracle_args(a, b):
+    """``a`` and ``b`` as the arguments of the numpy oracles in conftest."""
     return (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, a.rows, b.cols)
 
 
-def assert_canonical_csr(indptr, indices, data):
-    """int64 indices, float64 values, columns strictly increasing within each row."""
-    assert indptr.dtype == np.int64
-    assert indices.dtype == np.int64
-    assert data.dtype == np.float64
-    row_ids = np.repeat(np.arange(indptr.shape[0] - 1), np.diff(indptr))
+def assert_agrees(got, want, rows, cols):
+    """``got`` has shape (rows, cols) and the oracle's (indptr, indices, data)
+    ``want``, in canonical CSR: int64 indices, float64 values, columns
+    strictly increasing within each row."""
+    assert (got.rows, got.cols) == (rows, cols)
+    assert got.indptr.dtype == np.int64
+    assert got.indices.dtype == np.int64
+    assert got.data.dtype == np.float64
+    assert np.array_equal(got.indptr, want[0])
+    assert np.array_equal(got.indices, want[1])
+    assert np.allclose(got.data, want[2], rtol=1e-13)
+    row_ids = np.repeat(np.arange(rows), np.diff(got.indptr))
     same_row = row_ids[1:] == row_ids[:-1]
-    assert np.all(np.diff(indices)[same_row] > 0)
+    assert np.all(np.diff(got.indices)[same_row] > 0)
 
 
-def assert_unchanged(args, before):
-    for now, then in zip(args[:6], before):
-        assert now.dtype == then.dtype
-        assert np.array_equal(now, then)
+def copies(*matrices):
+    return [(m.indptr.copy(), m.indices.copy(), m.data.copy()) for m in matrices]
+
+
+def assert_unchanged(matrices, before):
+    for m, arrays in zip(matrices, before):
+        for now, then in zip((m.indptr, m.indices, m.data), arrays):
+            assert now.dtype == then.dtype
+            assert np.array_equal(now, then)
 
 
 class TestConstruction:
@@ -92,15 +104,9 @@ class TestMatmul:
         pairs.append((with_empty_rows(rng, 9, 11), random_sparse(rng, 11, 5)[0]))
         pairs.append((random_sparse(rng, 9, 11)[0], from_dense(np.zeros((11, 5)))))
         for a, b in pairs:
-            args = kernel_args(a, b)
-            before = [x.copy() for x in args[:6]]
-            ip1, ix1, d1 = spgemm_numpy(*args)
-            ip2, ix2, d2 = kernels.spgemm(*args)
-            assert np.array_equal(ip1, ip2)
-            assert np.array_equal(ix1, ix2)
-            assert np.allclose(d1, d2, rtol=1e-13)
-            assert_canonical_csr(ip2, ix2, d2)
-            assert_unchanged(args, before)
+            before = copies(a, b)
+            assert_agrees(a.matmul(b), spgemm_numpy(*oracle_args(a, b)), a.rows, b.cols)
+            assert_unchanged((a, b), before)
 
     def test_empty_operands(self):
         z = from_dense(np.zeros((3, 4)))
@@ -136,15 +142,9 @@ class TestElementwise:
         pairs.append((with_empty_rows(rng, 10, 10), random_sparse(rng, 10, 10)[0]))
         pairs.append((random_sparse(rng, 10, 10)[0], from_dense(np.zeros((10, 10)))))
         for a, b in pairs:
-            args = kernel_args(a, b)
-            before = [x.copy() for x in args[:6]]
-            ip1, ix1, d1 = hadamard_numpy(*args)
-            ip2, ix2, d2 = kernels.hadamard(*args)
-            assert np.array_equal(ip1, ip2)
-            assert np.array_equal(ix1, ix2)
-            assert np.allclose(d1, d2, rtol=1e-13)
-            assert_canonical_csr(ip2, ix2, d2)
-            assert_unchanged(args, before)
+            before = copies(a, b)
+            assert_agrees(a.hadamard(b), hadamard_numpy(*oracle_args(a, b)), a.rows, a.cols)
+            assert_unchanged((a, b), before)
 
     def test_disjoint_patterns_empty(self):
         a = from_dense([[1.0, 0], [0, 0]])
@@ -171,13 +171,12 @@ class TestRowDots:
         for (a, _), (b, _) in self.cases(rng):
             rows = rng.integers(0, a.rows, size=40)
             other_rows = rng.integers(0, b.rows, size=40)
-            args = (a.indptr, a.indices, a.data, b.indptr, b.indices, b.data)
-            before = [x.copy() for x in args]
-            want = row_dots_numpy(*args, a.cols, rows, other_rows)
-            got = kernels.row_dots(*args, a.cols, rows, other_rows)
+            before = copies(a, b)
+            want = row_dots_numpy(*oracle_args(a, b)[:6], a.cols, rows, other_rows)
+            got = a.row_dots(b, rows, other_rows)
             assert got.dtype == np.float64 and got.shape == (40,)
             assert np.allclose(got, want, rtol=1e-13, atol=0)
-            assert_unchanged(args, before)
+            assert_unchanged((a, b), before)
 
     def test_integer_values_exact_in_chunks(self, monkeypatch):
         rng = np.random.default_rng(29)
@@ -223,6 +222,11 @@ class TestRowNormalize:
     def test_values(self):
         m = from_dense([[1.0, 3.0], [0.0, 0.0]]).row_normalize()
         assert np.allclose(to_dense(m), [[0.25, 0.75], [0, 0]])
+
+    def test_divide_rows_leaves_rows_of_zero_sum(self):
+        m = from_dense([[1.0, 3.0], [2.0, 0.0], [0.0, 0.0]])
+        assert np.array_equal(to_dense(m.divide_rows(np.array([4.0, 0.0, 0.0]))), [[0.25, 0.75], [2.0, 0], [0, 0]])
+        assert np.array_equal(sparse.row_divisors(np.array([2.0, 0.0])), [2.0, 1.0])
 
 
 class TestTransposePick:

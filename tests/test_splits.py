@@ -165,9 +165,9 @@ class TestNodeLabelSplit:
         assert not set(split.val) & set(split.test)
 
     def test_classes_sized_by_node_count(self):
-        split = make_node_label_split(0, [(4, 1), (0, 0), (2, 1), (4, 1), (6, 0)], 8, seed=0)
-        assert split.classes.tolist() == [0, -1, 1, -1, 1, -1, 0, -1]
-        assert sorted(np.concatenate([split.train, split.val, split.test]).tolist()) == [0, 2, 4, 6]
+        split = make_node_label_split(0, [(4, 1), (0, 0), (2, 1), (4, 1), (6, 0), (8, 1)], 10, seed=0)
+        assert split.classes.tolist() == [0, -1, 1, -1, 1, -1, 0, -1, 1, -1]
+        assert sorted(np.concatenate([split.train, split.val, split.test]).tolist()) == [0, 2, 4, 6, 8]
         for array in (split.classes, split.train, split.val, split.test):
             assert array.dtype == np.int64 and not array.flags.writeable
 
@@ -178,6 +178,12 @@ class TestNodeLabelSplit:
     def test_label_out_of_range(self):
         with pytest.raises(SplitError, match="outside"):
             make_node_label_split(0, [(0, 5)], 1, seed=0, num_classes=3)
+
+    @pytest.mark.parametrize("n_labeled", [1, 3, 4])
+    def test_split_too_small(self, n_labeled):
+        # 3 nodes cut 3:1:1 give train 3 and empty val and test parts
+        with pytest.raises(SplitError, match=f"split too small: {n_labeled} labeled nodes for a 3:1:1 split"):
+            make_node_label_split(0, [(i, i % 2) for i in range(n_labeled)], 10, seed=0)
 
     def test_deterministic(self):
         labels = [(i, i % 2) for i in range(20)]
