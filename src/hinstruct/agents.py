@@ -62,12 +62,18 @@ from urllib.request import Request, urlopen
 import numpy as np
 
 from .grammar import AND, REFERENT_TAG, THAT
-from .hin import finite_number
+from .hin import DataError, finite_number
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SYSTEM = "You are an expert analyst of heterogeneous information networks."
-PROMPT_NAMES = ("predictor", "selector", "explainer_step1", "explainer_step2")
+# each agent template and the placeholders its agent fills in
+PROMPT_PLACEHOLDERS = {
+    "predictor": ("pool_block", "candidate_block"),
+    "selector": ("candidate_block",),
+    "explainer_step1": ("n_neighbors", "structure_block"),
+    "explainer_step2": ("metric_block",),
+}
 
 
 class BackendError(RuntimeError):
@@ -143,18 +149,30 @@ class PoolSample:
 
 
 class PromptLibrary:
-    """Loads the four agent templates from a directory or the packaged set."""
+    """Loads the four agent templates from a directory or the packaged set.
+
+    Each template is rendered once with its agent's placeholders when it
+    loads, so a file that is unreadable, not UTF-8, or uses a placeholder
+    its agent does not fill is a ``DataError`` naming it, before a search
+    starts.
+    """
 
     def __init__(self, directory=None):
         self.templates = {}
-        for name in PROMPT_NAMES:
-            if directory is not None:
-                text = (Path(directory) / f"{name}.txt").read_text(encoding="utf-8")
-            else:
-                text = (resources.files("hinstruct") / "prompts" / f"{name}.txt").read_text(
-                    encoding="utf-8"
-                )
-            self.templates[name] = string.Template(text)
+        root = Path(directory) if directory is not None else resources.files("hinstruct") / "prompts"
+        for name, placeholders in PROMPT_PLACEHOLDERS.items():
+            path = root / f"{name}.txt"
+            try:
+                template = string.Template(path.read_text(encoding="utf-8"))
+                template.substitute(dict.fromkeys(placeholders, ""))
+            except KeyError as exc:
+                raise DataError(
+                    f"prompt template {path}: unknown placeholder ${exc.args[0]}; "
+                    f"{name} fills {', '.join('$' + p for p in placeholders)}"
+                ) from exc
+            except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a bad placeholder
+                raise DataError(f"prompt template {path}: {exc}") from exc
+            self.templates[name] = template
 
     def render(self, name: str, **subs) -> str:
         return self.templates[name].substitute(**subs)
@@ -410,11 +428,6 @@ class StubBackend:
                 + "; ".join(detrimental),
             ]
         )
-
-
-def make_stub_backend() -> StubBackend:
-    """Factory for the offline backend; its rules need no seed."""
-    return StubBackend()
 
 
 def _http_url(url: str) -> bool:

@@ -8,6 +8,12 @@ neighbors), ``explain`` (re-run the differential explainer on a search's
 search never writes, so a rerun into its directory writes its reports again
 and leaves its artifacts as they were).
 
+``hinstruct neighbors S --config C [--seed N]`` lists the neighbors a search
+of config C would draw for structure S: the schema comes from the dataset
+directory, and the cap, the three size limits and the seed from the config's
+``search``, with ``--seed`` overriding the seed as in ``search`` and
+``evaluate``.
+
 The run config (``--config``) is checked once, when it is loaded, and the
 backend is built then; an http backend's settings are ``HttpChatBackend``'s.
 An unknown key at the top level or in ``task``, ``search`` or ``backend`` is
@@ -34,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agents import BackendError, HttpChatBackend, PromptLibrary, TranscriptLog, make_stub_backend
+from .agents import BackendError, HttpChatBackend, PromptLibrary, StubBackend, TranscriptLog
 from .evaluator import (
     EvaluationError,
     NodeClassificationEvaluator,
@@ -63,7 +69,6 @@ from .mutations import (
     EmptyNeighborhoodError,
     build_component_library,
     one_step_neighbors,
-    size_limit_problems,
 )
 from .sparse import MatrixBlowupError
 from .splits import SplitError, make_node_label_split, make_recommendation_split
@@ -238,7 +243,7 @@ def make_backend(spec: dict):
     key read from the environment variable ``api_key_env``."""
     settings = dict(spec)
     if settings.pop("kind") == "stub":
-        return make_stub_backend()
+        return StubBackend()
     api_key_env = settings.pop("api_key_env", DEFAULT_API_KEY_ENV)
     if not (isinstance(api_key_env, str) and api_key_env):
         raise ValueError(f"api_key_env must be a non-empty string, not {api_key_env!r}")
@@ -311,10 +316,10 @@ def _load_valid_structure(path, schema) -> MetaStructure | None:
 
 def cmd_search(args) -> int:
     config = RunConfig.load(args.config, args.seed, args.out)
+    prompts = PromptLibrary(config.prompt_dir)
     out_dir = _output_dir(config.output_dir)
 
     graph, split, evaluator = build_task(config, part="val")
-    prompts = PromptLibrary(config.prompt_dir)
     transcript = TranscriptLog(out_dir / "transcripts.jsonl")
 
     result = run_search(
@@ -366,16 +371,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_neighbors(args) -> int:
-    schema = load_schema(args.schema)
+    config = RunConfig.load(args.config, args.seed)
+    search = config.search
+    schema = load_schema(config.dataset_dir / "schema.json")
     ms = _load_valid_structure(args.structure, schema)
     if ms is None:
         return EXIT_DATA
     lib = build_component_library(
-        schema, args.max_nodes, args.insertion_max_interior, args.grafting_max_nodes
+        schema, search.max_structure_nodes, search.insertion_max_interior, search.grafting_max_nodes
     )
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(search.seed)
     try:
-        cands = one_step_neighbors(ms, lib, rng, args.cap)
+        cands = one_step_neighbors(ms, lib, rng, search.candidate_cap)
     except EmptyNeighborhoodError:
         print("neighbors=0 sampled=false")
         return EXIT_OK
@@ -494,11 +501,12 @@ def cmd_explain(args) -> int:
     if args.top_k is not None:
         search = dataclasses.replace(search, explain_top_k=args.top_k)
 
+    prompts = PromptLibrary(config.prompt_dir)
     out_dir = _output_dir(config.output_dir)
     transcript = TranscriptLog(out_dir / "explain-transcripts.jsonl")
     reports = explain_top_structures(
         search, config.backend, metric, pool, events, final_keys,
-        PromptLibrary(config.prompt_dir), transcript, strict_backend=True,
+        prompts, transcript, strict_backend=True,
     )
     reports_path = out_dir / "explain-explanations.json"
     _atomic_write(
@@ -542,12 +550,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("neighbors", help="list a structure's one-step neighbors")
     p.add_argument("structure", help="meta-structure JSON file")
-    p.add_argument("--schema", required=True, help="schema JSON file")
-    p.add_argument("--cap", type=_at_least_one, default=SearchConfig.candidate_cap)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-nodes", type=int, default=SearchConfig.max_structure_nodes)
-    p.add_argument("--insertion-max-interior", type=int, default=SearchConfig.insertion_max_interior)
-    p.add_argument("--grafting-max-nodes", type=int, default=SearchConfig.grafting_max_nodes)
+    p.add_argument("--config", required=True, help="run configuration JSON")
+    p.add_argument("--seed", type=int, default=None, help="override the configured seed")
     p.set_defaults(func=cmd_neighbors)
 
     p = sub.add_parser("explain", help="re-run the explainer on a search's result and event log")
@@ -564,12 +568,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "neighbors":
-            for flag, problem in size_limit_problems(
-                args.max_nodes, args.insertion_max_interior, args.grafting_max_nodes,
-                names=("--max-nodes", "--insertion-max-interior", "--grafting-max-nodes"),
-            ):
-                parser.error(f"argument {flag}: {problem}")
     except SystemExit as exc:
         return int(exc.code or 0)
     logging.basicConfig(level=args.log_level.upper())

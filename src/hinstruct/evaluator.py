@@ -193,6 +193,16 @@ def _vote_read(graph: HinGraph, path: MetaPath, nodes, keep) -> SparseMatrix:
     return counts.divide_rows(sums)
 
 
+def _check_endpoints(graph: HinGraph, split, ms: MetaStructure):
+    """Raise ``EvaluationError`` unless ``ms`` joins the split's endpoint node types."""
+    found, wanted = (ms.nodes[ms.source], ms.nodes[ms.target]), split.endpoints(graph.schema)
+    if found != wanted:
+        raise EvaluationError(
+            f"structure joins node types {found[0]} and {found[1]}; "
+            f"the task joins node types {wanted[0]} and {wanted[1]}"
+        )
+
+
 def _read_only(value):
     """``value``, a :class:`SparseMatrix` or an array, with its arrays made read-only."""
     arrays = (value.indptr, value.indices, value.data) if isinstance(value, SparseMatrix) else (value,)
@@ -256,12 +266,7 @@ class RecommendationEvaluator:
     metric = "auc"
 
     def evaluate(self, graph, split, ms) -> EvalResult:
-        et = graph.schema.edge_type(split.target_edge_type)
-        if ms.nodes[ms.source] != et.src or ms.nodes[ms.target] != et.dst:
-            raise EvaluationError(
-                f"structure endpoints ({ms.nodes[ms.source]}, {ms.nodes[ms.target]}) do not "
-                f"match target relation {et.name!r} ({et.src}, {et.dst})"
-            )
+        _check_endpoints(graph, split, ms)
         pos, neg = split.positives[self.part], split.negatives[self.part]
         cells = np.concatenate([pos, neg])
         digest = _cells_digest(self.metric, cells)
@@ -280,17 +285,12 @@ class NodeClassificationEvaluator:
     metric = "macro_f1"
 
     def evaluate(self, graph, split, ms) -> EvalResult:
-        t = split.target_node_type
-        if ms.nodes[ms.source] != t or ms.nodes[ms.target] != t:
-            raise EvaluationError(
-                f"node classification needs source and target of node type {t}, "
-                f"got ({ms.nodes[ms.source]}, {ms.nodes[ms.target]})"
-            )
+        _check_endpoints(graph, split, ms)
         k = split.num_classes
         nodes = split.part(self.part)
         train_cls = split.classes[split.train]
         majority = int(np.argmax(np.bincount(train_cls, minlength=k)))
-        col_class = np.full(graph.count(t), -1, dtype=np.int64)
+        col_class = np.full(graph.count(split.target_node_type), -1, dtype=np.int64)
         col_class[split.train] = train_cls
         is_train = col_class >= 0
 

@@ -72,10 +72,8 @@ from .mutations import (
     EmptyNeighborhoodError,
     build_component_library,
     one_step_neighbors,
-    size_limit_problems,
 )
 from .sparse import MatrixBlowupError
-from .splits import NodeLabelSplit, RecommendationSplit
 from .structure import MetaStructure, canonical_key, seed_population
 
 log = logging.getLogger(__name__)
@@ -119,20 +117,29 @@ class SearchConfig:
             raise ValueError("population size must be at least 2")
         if not (0.0 < self.elimination_rate < 1.0):
             raise ValueError("elimination rate must lie strictly between 0 and 1")
-        if self.generations < 0:
-            raise ValueError("generations must be nonnegative")
-        for name in (
-            "candidate_cap", "pool_sample_size", "explain_top_k", "explain_neighbors", "retries"
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if self.backoff < 0:
-            raise ValueError("backoff must be nonnegative")
-        for name, problem in size_limit_problems(
-            self.max_structure_nodes, self.insertion_max_interior, self.grafting_max_nodes,
-            names=("max_structure_nodes", "insertion_max_interior", "grafting_max_nodes"),
-        ):
-            raise ValueError(f"{name} {problem}")
+        for name in ("generations", "seed", "backoff"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        # a structure has at least 2 positions, a component at least 2, and
+        # an insertion component 2 plus its interior
+        lows = {
+            "candidate_cap": 1, "pool_sample_size": 1, "explain_top_k": 1, "explain_neighbors": 1,
+            "retries": 1, "max_structure_nodes": 2, "insertion_max_interior": 0, "grafting_max_nodes": 2,
+        }
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
+        # and no component may outgrow the structures it goes into
+        n = self.max_structure_nodes
+        if self.insertion_max_interior + 2 > n:
+            raise ValueError(
+                f"insertion_max_interior plus 2 must not exceed max_structure_nodes ({n}), "
+                f"not {self.insertion_max_interior}"
+            )
+        if self.grafting_max_nodes > n:
+            raise ValueError(
+                f"grafting_max_nodes must not exceed max_structure_nodes ({n}), not {self.grafting_max_nodes}"
+            )
 
 
 @dataclass(frozen=True)
@@ -472,15 +479,6 @@ def _generation_record(generation, population) -> GenerationRecord:
     )
 
 
-def task_endpoints(schema, split):
-    if isinstance(split, RecommendationSplit):
-        et = schema.edge_type(split.target_edge_type)
-        return et.src, et.dst
-    if isinstance(split, NodeLabelSplit):
-        return split.target_node_type, split.target_node_type
-    raise TypeError(f"unsupported split type {type(split).__name__}")
-
-
 def run_search(
     config: SearchConfig,
     graph: HinGraph,
@@ -496,9 +494,8 @@ def run_search(
     lib = build_component_library(
         schema, config.max_structure_nodes, config.insertion_max_interior, config.grafting_max_nodes
     )
-    src_t, dst_t = task_endpoints(schema, split)
     seeds = seed_population(
-        schema, src_t, dst_t, config.population_size, config.max_structure_nodes
+        schema, *split.endpoints(schema), config.population_size, config.max_structure_nodes
     )
     population = [Individual(ms, canonical_key(ms), lib.sentence(ms)) for ms in seeds]
 

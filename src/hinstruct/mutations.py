@@ -81,33 +81,6 @@ class EmptyNeighborhoodError(RuntimeError):
     """The structure has no valid one-step neighbors."""
 
 
-def size_limit_problems(max_nodes: int, insertion_max_interior: int, grafting_max_nodes: int, names):
-    """(name, problem) pairs for the limits out of range, empty when all are
-    usable; ``names`` names the three limits in the caller's terms.
-
-    A structure has at least 2 positions, a component at least 2, and an
-    insertion component 2 plus its interior. A component limit that no
-    structure of ``max_nodes`` positions can hold is a problem too.
-    """
-    n_name, i_name, g_name = names
-    problems = [
-        (name, f"must be at least {low}, not {value}")
-        for name, value, low in (
-            (n_name, max_nodes, 2), (i_name, insertion_max_interior, 0), (g_name, grafting_max_nodes, 2)
-        )
-        if value < low
-    ]
-    if problems:
-        return problems
-    if insertion_max_interior + 2 > max_nodes:
-        problems.append(
-            (i_name, f"plus 2 must not exceed {n_name} ({max_nodes}), not {insertion_max_interior}")
-        )
-    if grafting_max_nodes > max_nodes:
-        problems.append((g_name, f"must not exceed {n_name} ({max_nodes}), not {grafting_max_nodes}"))
-    return problems
-
-
 @dataclass(frozen=True)
 class ComponentLibrary:
     schema: Schema

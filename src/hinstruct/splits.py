@@ -11,7 +11,8 @@ Node classification: labeled nodes split 3:1:1.
 A split that would leave a part empty raises ``SplitError``.
 
 Every part is a read-only int64 array: ``(n, 2)`` rows of (src, dst) for a
-pair set, and node ids for a node set.
+pair set, and node ids for a node set. Each split gives its task's endpoint
+node types, the two types a structure for the task must join.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class RecommendationSplit:
             object.__setattr__(self, name, parts)
         object.__setattr__(self, "reserved", frozen_ints(self.reserved, -1, 2))
 
+    def endpoints(self, schema) -> tuple[int, int]:
+        """The target relation's source and destination node types."""
+        et = schema.edge_type(self.target_edge_type)
+        return et.src, et.dst
+
 
 @dataclass(frozen=True, eq=False)
 class NodeLabelSplit:
@@ -54,6 +60,10 @@ class NodeLabelSplit:
     def __post_init__(self):
         for name in ("classes", "train", "val", "test"):
             object.__setattr__(self, name, frozen_ints(getattr(self, name), -1))
+
+    def endpoints(self, schema) -> tuple[int, int]:
+        """The target node type, as both source and target."""
+        return self.target_node_type, self.target_node_type
 
     def part(self, name: str) -> np.ndarray:
         return {"train": self.train, "val": self.val, "test": self.test}[name]

@@ -1,12 +1,16 @@
 import json
 import random
+import shutil
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
+from hinstruct import agents
 from hinstruct.agents import (
+    PROMPT_PLACEHOLDERS,
     BackendError,
     EvaluatedStructure,
     HttpChatBackend,
@@ -17,7 +21,6 @@ from hinstruct.agents import (
     TranscriptLog,
     clause_jaccard,
     explain,
-    make_stub_backend,
     pool_block,
     predict_candidates,
     predictor_candidate_block,
@@ -27,6 +30,7 @@ from hinstruct.agents import (
     stub_selection_rule,
 )
 from hinstruct.evolution import SearchConfig
+from hinstruct.hin import DataError
 
 from conftest import fake_urlopen, stub_predict_reference
 
@@ -77,19 +81,19 @@ class TestClauseSimilarity:
 
 class TestStubPredictor:
     def test_exact_pool_match(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         sample = PoolSample((("User rates Business", 0.7),))
         out = predict_candidates(backend, ["User rates Business"], sample, prompts, retries=3, backoff=0)
         assert out[0].p_hat == pytest.approx(0.7)
         assert out[0].c_hat == pytest.approx(1.0)
 
     def test_empty_pool_prior(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         out = predict_candidates(backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0)
         assert (out[0].p_hat, out[0].c_hat) == (0.5, 0.0)
 
     def test_partial_similarity(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         cand = "User is friend of User THAT rates Business"
         rec = "User rates Business THAT rates Business"  # contrived: shares one clause
         sim = clause_jaccard(cand, rec)
@@ -98,7 +102,7 @@ class TestStubPredictor:
         assert out[0].c_hat == pytest.approx(sim)
 
     def test_nearest_record_wins(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         cand = "User is friend of User THAT rates Business"
         sample = PoolSample(
             (
@@ -161,14 +165,14 @@ class TestStubPredictor:
         assert reply == stub_predict_reference(user)
 
     def test_batched_covers_all_candidates(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         sentences = [f"User rates Business {'THAT belongs to Category ' * i}".strip() for i in range(5)]
         out = predict_candidates(backend, sentences, PoolSample(()), prompts, retries=3, backoff=0)
         assert len(out) == 5
 
     def test_empty_candidates_rejected(self, prompts):
         with pytest.raises(ValueError):
-            predict_candidates(make_stub_backend(), [], PoolSample(()), prompts, retries=3, backoff=0)
+            predict_candidates(StubBackend(), [], PoolSample(()), prompts, retries=3, backoff=0)
 
 
 class TestStubSelector:
@@ -177,7 +181,7 @@ class TestStubSelector:
 
     def test_argmax_p(self, prompts):
         decision = select_candidate(
-            make_stub_backend(),
+            StubBackend(),
             [self.c(0.8, 0.9, key="a"), self.c(0.6, 0.99, key="b")],
             prompts,
             retries=3,
@@ -187,7 +191,7 @@ class TestStubSelector:
 
     def test_edge_count_tiebreak(self, prompts):
         decision = select_candidate(
-            make_stub_backend(),
+            StubBackend(),
             [self.c(0.8, edges=5, key="a"), self.c(0.8, edges=3, key="b")],
             prompts,
             retries=3,
@@ -197,7 +201,7 @@ class TestStubSelector:
 
     def test_key_tiebreak(self, prompts):
         decision = select_candidate(
-            make_stub_backend(),
+            StubBackend(),
             [self.c(0.8, edges=3, key="zz"), self.c(0.8, edges=3, key="aa")],
             prompts,
             retries=3,
@@ -206,7 +210,7 @@ class TestStubSelector:
         assert decision.index == 1
 
     def test_rationale_recorded(self, prompts):
-        decision = select_candidate(make_stub_backend(), [self.c(0.5)], prompts, retries=3, backoff=0)
+        decision = select_candidate(StubBackend(), [self.c(0.5)], prompts, retries=3, backoff=0)
         assert "CHOICE: 0" in decision.rationale
 
 
@@ -217,7 +221,7 @@ class TestStubExplainer:
     def test_report_covers_target_plus_neighbors(self, prompts):
         target = self.entry("t", "User rates Business", 0.9)
         neighbor = self.entry("n", "User is friend of User THAT rates Business", 0.6)
-        report = explain(make_stub_backend(), target, [neighbor], prompts, retries=3, backoff=0)
+        report = explain(StubBackend(), target, [neighbor], prompts, retries=3, backoff=0)
         assert report.comprehension.count("STRUCTURE") >= 2
         assert "STRUCTURE 0" in report.comprehension
         assert report.neighbors == (neighbor,)
@@ -226,7 +230,7 @@ class TestStubExplainer:
         target = self.entry("t", "User rates Business", 0.5)
         good = self.entry("g", "User is friend of User THAT rates Business", 0.9)
         bad = self.entry("b", "User rates Business THAT is located in City", 0.1)
-        report = explain(make_stub_backend(), target, [good, bad], prompts, retries=3, backoff=0)
+        report = explain(StubBackend(), target, [good, bad], prompts, retries=3, backoff=0)
         assert "Beneficial" in report.attribution
         assert "User is friend of User" in report.attribution
         assert "Detrimental" in report.attribution
@@ -234,28 +238,28 @@ class TestStubExplainer:
 
     def test_requires_neighbor(self, prompts):
         with pytest.raises(ValueError):
-            explain(make_stub_backend(), self.entry("t", "User rates Business", 0.5), [], prompts, retries=3, backoff=0)
+            explain(StubBackend(), self.entry("t", "User rates Business", 0.5), [], prompts, retries=3, backoff=0)
 
     def test_deterministic(self, prompts):
         target = self.entry("t", "User rates Business", 0.9)
         neighbor = self.entry("n", "User is friend of User THAT rates Business", 0.6)
-        a = explain(make_stub_backend(), target, [neighbor], prompts, retries=3, backoff=0)
-        b = explain(make_stub_backend(), target, [neighbor], prompts, retries=3, backoff=0)
+        a = explain(StubBackend(), target, [neighbor], prompts, retries=3, backoff=0)
+        b = explain(StubBackend(), target, [neighbor], prompts, retries=3, backoff=0)
         assert a == b
 
 
 class TestStubBackendContract:
     def test_same_prompt_same_response(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         user = predictor_prompt(prompts, ["User rates Business"], PoolSample(()))
         assert backend.complete("sys", user) == backend.complete("sys", user)
 
     def test_unknown_header_rejected(self):
         with pytest.raises(BackendError, match="header"):
-            make_stub_backend().complete("sys", "hello there")
+            StubBackend().complete("sys", "hello there")
 
     def test_selector_index_in_range(self, prompts):
-        backend = make_stub_backend()
+        backend = StubBackend()
         candidates = [
             ScoredCandidate(f"User rates Business {i}", 0.5, 0.5, 2, 1, f"k{i}")
             for i in range(7)
@@ -469,17 +473,41 @@ class TestPromptConstruction:
             assert token in block
 
     def test_prompt_dir_override(self, tmp_path):
-        for name in ("predictor", "selector", "explainer_step1", "explainer_step2"):
-            (tmp_path / f"{name}.txt").write_text(f"TASK: TEST-{name}\n$x\n")
+        for name, placeholders in PROMPT_PLACEHOLDERS.items():
+            (tmp_path / f"{name}.txt").write_text(f"TASK: TEST-{name}\n${placeholders[0]}\n")
         lib = PromptLibrary(tmp_path)
-        assert lib.render("predictor", x="hello") == "TASK: TEST-predictor\nhello\n"
+        rendered = lib.render("predictor", pool_block="hello", candidate_block="")
+        assert rendered == "TASK: TEST-predictor\nhello\n"
+
+    @pytest.mark.parametrize(
+        "name, appended, says",
+        [
+            ("predictor", b"\n$typo\n", "unknown placeholder $typo; predictor fills $pool_block, $candidate_block"),
+            ("explainer_step2", b"\ncosts $5\n", "Invalid placeholder in string: line 12, col 7"),
+            ("selector", b"\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+            ("explainer_step1", None, "No such file or directory"),
+        ],
+        ids=["unknown", "invalid", "not-utf8", "missing"],
+    )
+    def test_bad_template_is_data_error_naming_the_file(self, tmp_path, name, appended, says):
+        for other in PROMPT_PLACEHOLDERS:
+            shutil.copy(Path(agents.__file__).parent / "prompts" / f"{other}.txt", tmp_path)
+        path = tmp_path / f"{name}.txt"
+        if appended is None:
+            path.unlink()
+        else:
+            path.write_bytes(path.read_bytes() + appended)
+        with pytest.raises(DataError) as info:
+            PromptLibrary(tmp_path)
+        assert str(info.value).startswith(f"prompt template {path}: ")
+        assert says in str(info.value)
 
 
 class TestTranscripts:
     def test_jsonl_appended(self, tmp_path, prompts):
         path = tmp_path / "transcripts.jsonl"
         log = TranscriptLog(path)
-        backend = make_stub_backend()
+        backend = StubBackend()
         predict_candidates(
             backend, ["User rates Business"], PoolSample(()), prompts, retries=3, backoff=0, transcript=log
         )

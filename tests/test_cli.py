@@ -6,10 +6,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hinstruct import agents
 from hinstruct.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
-from hinstruct.evolution import SearchConfig
+from hinstruct.hin import load_schema
+from hinstruct.mutations import build_component_library, one_step_neighbors
 from hinstruct.structure import MetaStructure
 from hinstruct.synth import BIZ_PER_TASTE, N_BIZ, planted_structure, toy_schema, write_demo_config
 
@@ -28,6 +31,24 @@ def workspace(planted_dir, tmp_path_factory):
 
 def write_structure(path, ms):
     path.write_text(json.dumps(ms.to_dict()))
+    return path
+
+
+@pytest.fixture
+def run_dir(workspace, capsys):
+    """The output directory of the workspace's search, run once."""
+    run = workspace["root"] / "out"
+    if not (run / "result.json").is_file():
+        assert main(["search", "--config", str(workspace["config"])]) == EXIT_OK
+        capsys.readouterr()
+    return run
+
+
+def config_with_search(workspace, path, **search):
+    """The workspace config with ``search`` updated by ``search``, written to ``path``."""
+    payload = json.loads(workspace["config"].read_text())
+    payload["search"].update(search)
+    path.write_text(json.dumps(payload))
     return path
 
 
@@ -97,13 +118,13 @@ class TestEvaluate:
         write_structure(bad, MetaStructure((U, U), ((0, 1, FRIEND),), 0, 1))
         code = main(["evaluate", str(bad), "--config", str(workspace["config"])])
         assert code == EXIT_DATA
-        assert "do not match" in capsys.readouterr().err
+        assert "structure joins node types 0 and 0; the task joins node types 0 and 1" in capsys.readouterr().err
 
 
 class TestNeighbors:
     def test_friend_insertion_present(self, workspace, structure_files, capsys):
         code = main(
-            ["neighbors", str(structure_files["direct"]), "--schema", str(workspace["schema"])]
+            ["neighbors", str(structure_files["direct"]), "--config", str(workspace["config"])]
         )
         assert code == EXIT_OK
         out = capsys.readouterr().out
@@ -115,7 +136,7 @@ class TestNeighbors:
         )
 
     def test_single_edge_no_deletions(self, workspace, structure_files, capsys):
-        main(["neighbors", str(structure_files["direct"]), "--schema", str(workspace["schema"])])
+        main(["neighbors", str(structure_files["direct"]), "--config", str(workspace["config"])])
         out = capsys.readouterr().out
         assert '"op": "deletion"' not in out
 
@@ -131,7 +152,7 @@ class TestNeighbors:
             ),
         )
         code = main(
-            ["neighbors", str(rich), "--schema", str(workspace["schema"]), "--cap", "20", "--seed", "0"]
+            ["neighbors", str(rich), "--config", str(workspace["config"]), "--seed", "0"]
         )
         assert code == EXIT_OK
         header, *lines = capsys.readouterr().out.strip().splitlines()
@@ -139,19 +160,29 @@ class TestNeighbors:
         assert len(lines) == 20
 
     def test_deterministic_given_seed(self, workspace, structure_files, capsys):
-        argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"]), "--seed", "3"]
+        argv = ["neighbors", str(structure_files["friend"]), "--config", str(workspace["config"]), "--seed", "3"]
         main(argv)
         first = capsys.readouterr().out
         main(argv)
         assert capsys.readouterr().out == first
 
-    def test_defaults_are_search_config_defaults(self):
-        args = build_parser().parse_args(["neighbors", "s.json", "--schema", "schema.json"])
-        config = SearchConfig()
-        assert (args.cap, args.max_nodes, args.insertion_max_interior, args.grafting_max_nodes) == (
-            config.candidate_cap, config.max_structure_nodes, config.insertion_max_interior,
-            config.grafting_max_nodes,
+    @pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]])
+    def test_prints_the_configured_neighbourhood(self, workspace, structure_files, tmp_path, capsys, seed_flag):
+        config = config_with_search(
+            workspace, tmp_path / "config.json",
+            candidate_cap=5, seed=7, max_structure_nodes=6, insertion_max_interior=2, grafting_max_nodes=4,
         )
+        assert main(["neighbors", str(structure_files["friend"]), "--config", str(config), *seed_flag]) == EXIT_OK
+        lib = build_component_library(load_schema(workspace["schema"]), 6, 2, 4)
+        rng = np.random.default_rng(int(seed_flag[1]) if seed_flag else 7)
+        ms = MetaStructure((U, U, B), ((0, 1, FRIEND), (1, 2, RATES)), 0, 2)
+        cands = one_step_neighbors(ms, lib, rng, 5)
+        assert cands.sampled
+        expected = ["neighbors=5 sampled=true"] + [
+            f"{json.dumps(c.descriptor, sort_keys=True)}\t{c.key}\t{lib.sentence(c.structure)}"
+            for c in cands.candidates
+        ]
+        assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestSearch:
@@ -266,6 +297,7 @@ class TestMalformedInput:
             ("task.target_relation", ""),
             ("task", {"kind": "classification", "target_type": 5}),
             ("task", {"kind": "classification", "target_type": [1]}),
+            ("search.seed", -1),
         ],
     )
     def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
@@ -473,7 +505,7 @@ class TestMalformedInput:
             "explain": ["explain", str(bad), "--config", config, "--out", str(tmp_path / "x")],
             "translate": ["translate", str(bad), "--schema", schema],
             "evaluate": ["evaluate", str(bad), "--config", config],
-            "neighbors": ["neighbors", str(bad), "--schema", schema],
+            "neighbors": ["neighbors", str(bad), "--config", config],
         }[command]
         assert main(argv) == EXIT_DATA
         assert f"{what} {bad} is not valid JSON" in capsys.readouterr().err
@@ -521,47 +553,83 @@ class TestMalformedInput:
         assert str(config) in err and "dataset_dir is missing" in err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("command, flag", [("neighbors", "--cap"), ("explain", "--top-k")])
-    def test_count_flag_below_one(self, workspace, structure_files, capsys, command, flag, value):
-        if command == "neighbors":
-            argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"])]
-        else:
-            argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
+    @pytest.mark.parametrize("command, flag", [("explain", "--top-k")])
+    def test_count_flag_below_one(self, workspace, capsys, command, flag, value):
+        argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
         assert main(argv + [flag, value]) == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}: must be at least 1, not {value}" in captured.err
 
-
     @pytest.mark.parametrize(
-        "flags, flag, message",
+        "search, message",
         [
-            (["--max-nodes", "0"], "--max-nodes", "must be at least 2, not 0"),
-            (["--max-nodes", "-3"], "--max-nodes", "must be at least 2, not -3"),
-            (["--insertion-max-interior", "-1"], "--insertion-max-interior", "must be at least 0, not -1"),
-            (["--grafting-max-nodes", "1"], "--grafting-max-nodes", "must be at least 2, not 1"),
-            (["--grafting-max-nodes", "1000"], "--grafting-max-nodes", "must not exceed --max-nodes (10), not 1000"),
-            (["--max-nodes", "3", "--insertion-max-interior", "2"], "--insertion-max-interior",
-             "plus 2 must not exceed --max-nodes (3), not 2"),
+            ({"candidate_cap": 0}, "candidate_cap must be at least 1, not 0"),
+            ({"candidate_cap": -1}, "candidate_cap must be at least 1, not -1"),
+            ({"max_structure_nodes": 0}, "max_structure_nodes must be at least 2, not 0"),
+            ({"max_structure_nodes": -3}, "max_structure_nodes must be at least 2, not -3"),
+            ({"insertion_max_interior": -1}, "insertion_max_interior must be at least 0, not -1"),
+            ({"grafting_max_nodes": 1}, "grafting_max_nodes must be at least 2, not 1"),
+            ({"grafting_max_nodes": 1000}, "grafting_max_nodes must not exceed max_structure_nodes (10), not 1000"),
+            ({"max_structure_nodes": 3, "insertion_max_interior": 2},
+             "insertion_max_interior plus 2 must not exceed max_structure_nodes (3), not 2"),
         ],
+        ids=["cap-0", "cap--1", "max-nodes-0", "max-nodes--3", "interior--1", "grafting-1", "grafting-1000",
+             "interior-over-max-nodes"],
     )
-    def test_size_limit_flag_out_of_range(self, workspace, structure_files, capsys, flags, flag, message):
-        argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"])]
-        assert main(argv + flags) == EXIT_USAGE
+    def test_neighbors_search_key_out_of_range(self, workspace, structure_files, tmp_path, capsys, search, message):
+        config = config_with_search(workspace, tmp_path / "config.json", **search)
+        assert main(["neighbors", str(structure_files["friend"]), "--config", str(config)]) == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"argument {flag}: {message}" in captured.err
+        assert f"config {config}: invalid search config: {message}" in captured.err
+
+    @pytest.mark.parametrize("command", ["search", "evaluate", "neighbors"])
+    def test_negative_seed_flag(self, workspace, structure_files, tmp_path, capsys, command):
+        config = str(workspace["config"])
+        argv = {
+            "search": ["search", "--config", config, "--out", str(tmp_path / "out")],
+            "evaluate": ["evaluate", str(structure_files["friend"]), "--config", config],
+            "neighbors": ["neighbors", str(structure_files["friend"]), "--config", config],
+        }[command]
+        assert main([*argv, "--seed", "-1"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "invalid search config: seed must be nonnegative" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "name, text, says",
+        [
+            pytest.param("predictor", "\n$typo\n",
+                         "unknown placeholder $typo; predictor fills $pool_block, $candidate_block", id="unknown"),
+            pytest.param("explainer_step2", "\ncosts $5\n", "Invalid placeholder in string", id="invalid"),
+        ],
+    )
+    def test_bad_prompt_template_is_data_error(self, workspace, run_dir, tmp_path, capsys, name, text, says):
+        prompts = tmp_path / "prompts"
+        shutil.copytree(Path(agents.__file__).parent / "prompts", prompts)
+        with open(prompts / f"{name}.txt", "a", encoding="utf-8") as f:
+            f.write(text)
+        payload = json.loads(workspace["config"].read_text())
+        payload["prompt_dir"] = str(prompts)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        for argv in (["search"], ["explain", str(run_dir / "result.json")]):
+            assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_DATA
+            err = capsys.readouterr().err
+            assert f"prompt template {prompts / (name + '.txt')}: {says}" in err
+            assert "Traceback" not in err
+            assert not out.exists()
 
     @pytest.mark.parametrize("command", ["neighbors", "search"])
     def test_runaway_component_limit_is_data_error(self, workspace, structure_files, tmp_path, capsys, command):
+        config = config_with_search(
+            workspace, tmp_path / "config.json", max_structure_nodes=1000, grafting_max_nodes=1000
+        )
         if command == "neighbors":
-            argv = ["neighbors", str(structure_files["friend"]), "--schema", str(workspace["schema"]),
-                    "--max-nodes", "1000", "--grafting-max-nodes", "1000"]
+            argv = ["neighbors", str(structure_files["friend"]), "--config", str(config)]
         else:
-            payload = json.loads(workspace["config"].read_text())
-            payload["search"].update(max_structure_nodes=1000, grafting_max_nodes=1000)
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(payload))
             argv = ["search", "--config", str(config), "--out", str(tmp_path / "out")]
         start = time.perf_counter()
         assert main(argv) == EXIT_DATA
@@ -640,15 +708,6 @@ class TestExplain:
         code = main(["explain", "/no/such/result.json", "--config", str(workspace["config"])])
         assert code == EXIT_DATA
 
-    @pytest.fixture
-    def run_dir(self, workspace, capsys):
-        """The output directory of the workspace's search, run once."""
-        run = workspace["root"] / "out"
-        if not (run / "result.json").is_file():
-            assert main(["search", "--config", str(workspace["config"])]) == EXIT_OK
-            capsys.readouterr()
-        return run
-
     def test_rerun_reproduces_search_reports(self, workspace, run_dir, tmp_path, capsys):
         out = tmp_path / "fresh"
         argv = ["explain", str(run_dir / "result.json"), "--config", str(workspace["config"]), "--out", str(out)]
@@ -721,6 +780,12 @@ class TestExitCodes:
         argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
         assert main([*argv, "--seed", "0", "--out", str(tmp_path / "x")]) == EXIT_USAGE
         assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("flag", ["--schema", "--cap", "--max-nodes"])
+    def test_neighbors_takes_its_settings_from_the_config(self, workspace, structure_files, capsys, flag):
+        argv = ["neighbors", str(structure_files["friend"]), "--config", str(workspace["config"])]
+        assert main([*argv, flag, "3"]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag} 3" in capsys.readouterr().err
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert main(["frobnicate"]) == EXIT_USAGE

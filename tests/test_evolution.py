@@ -16,7 +16,6 @@ from hinstruct.agents import (
     PromptLibrary,
     StubBackend,
     TranscriptLog,
-    make_stub_backend,
     predictor_candidate_block,
 )
 from hinstruct.cli import main
@@ -88,6 +87,8 @@ class TestSearchConfig:
             SearchConfig(elimination_rate=1.0)
         with pytest.raises(ValueError):
             SearchConfig(candidate_cap=0)
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            SearchConfig(seed=-1)
 
 
 class TestEliminate:
@@ -227,7 +228,7 @@ class TestMutatePopulation:
         pool.insert(PoolRecord(ind.key, ind.sentence, 0.8, 0, seed_ms.to_dict()))
         events = []
         out = mutate_population(
-            [ind], lib, make_stub_backend(), pool, config,
+            [ind], lib, StubBackend(), pool, config,
             np.random.default_rng(0), PromptLibrary(), None, events, 0,
         )
         assert len(out) == 1
@@ -252,7 +253,7 @@ class TestMutatePopulation:
             )
         )
         out = mutate_population(
-            [ind], lib, make_stub_backend(), pool, config,
+            [ind], lib, StubBackend(), pool, config,
             np.random.default_rng(0), PromptLibrary(), None, [], 0,
         )
         assert out[0].key == canonical_key(target)
@@ -285,7 +286,7 @@ class TestRunSearch:
         graph, split = planted_task
         config = SearchConfig(generations=0, backoff=0.0)
         result = run_search(
-            config, graph, split, make_stub_backend(), RecommendationEvaluator("val")
+            config, graph, split, StubBackend(), RecommendationEvaluator("val")
         )
         assert len(result.generations) == 1
         assert result.generations[0].generation == 0
@@ -298,7 +299,7 @@ class TestRunSearch:
         graph, split = planted_task
         config = SearchConfig(generations=4, backoff=0.0)
         result = run_search(
-            config, graph, split, make_stub_backend(), RecommendationEvaluator("val")
+            config, graph, split, StubBackend(), RecommendationEvaluator("val")
         )
         for record in result.generations:
             assert len(record.population) == config.population_size
@@ -307,7 +308,7 @@ class TestRunSearch:
         graph, split = planted_task
         config = SearchConfig(generations=6, backoff=0.0)
         result = run_search(
-            config, graph, split, make_stub_backend(), RecommendationEvaluator("val")
+            config, graph, split, StubBackend(), RecommendationEvaluator("val")
         )
         running = 0.0
         by_gen = {}
@@ -333,22 +334,22 @@ class TestRunSearch:
                 calls.append(canonical_key(ms))
                 return inner.evaluate(graph, split, ms)
 
-        result = run_search(config, graph, split, make_stub_backend(), Counting())
+        result = run_search(config, graph, split, StubBackend(), Counting())
         assert len(calls) == len(set(calls))
         assert len(calls) == len(result.pool)
 
     def test_event_log_deterministic(self, planted_task):
         graph, split = planted_task
         config = SearchConfig(generations=3, backoff=0.0)
-        a = run_search(config, graph, split, make_stub_backend(), RecommendationEvaluator("val"))
-        b = run_search(config, graph, split, make_stub_backend(), RecommendationEvaluator("val"))
+        a = run_search(config, graph, split, StubBackend(), RecommendationEvaluator("val"))
+        b = run_search(config, graph, split, StubBackend(), RecommendationEvaluator("val"))
         assert json.dumps(a.events, sort_keys=True) == json.dumps(b.events, sort_keys=True)
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
 
     def test_explanations_for_distinct_finals(self, planted_task):
         graph, split = planted_task
         config = SearchConfig(generations=3, backoff=0.0)
-        result = run_search(config, graph, split, make_stub_backend(), RecommendationEvaluator("val"))
+        result = run_search(config, graph, split, StubBackend(), RecommendationEvaluator("val"))
         distinct = len(set(result.generations[-1].population))
         assert 1 <= len(result.explanations) <= min(3, distinct)
         for report in result.explanations:
@@ -373,7 +374,7 @@ class TestRunSearch:
                 return RecommendationEvaluator("val").evaluate(graph, split, ms)
 
         config = SearchConfig(generations=3, backoff=0.0)
-        result = run_search(config, graph, split, make_stub_backend(), Exploding())
+        result = run_search(config, graph, split, StubBackend(), Exploding())
         assert result.aborted is not None
         assert len(result.pool) == 3
         assert result.final_best is not None
@@ -415,7 +416,7 @@ class TestExplainFromHistory:
         config = SearchConfig(explain_top_k=3, explain_neighbors=3, backoff=0.0)
         with caplog.at_level("WARNING", logger="hinstruct.evolution"):
             reports = explain_top_structures(
-                config, make_stub_backend(), "auc", pool, self.EVENTS,
+                config, StubBackend(), "auc", pool, self.EVENTS,
                 ["t", "alone", "t"], PromptLibrary(), None,
             )
         assert "no neighbors to contrast alone against" in caplog.text
@@ -428,7 +429,7 @@ class TestExplainFromHistory:
     def test_search_reports_use_search_neighbors(self, planted_task):
         graph, split = planted_task
         config = SearchConfig(generations=3, backoff=0.0)
-        result = run_search(config, graph, split, make_stub_backend(), RecommendationEvaluator("val"))
+        result = run_search(config, graph, split, StubBackend(), RecommendationEvaluator("val"))
         assert result.explanations
         for report in result.explanations:
             keys = search_neighbors(result.events, report.target.key, config.explain_neighbors)
@@ -443,7 +444,7 @@ class _Jittery:
     identity = "stub"
 
     def __init__(self):
-        self.stub = make_stub_backend()
+        self.stub = StubBackend()
 
     def complete(self, system, user):
         time.sleep((zlib.crc32(user.encode()) % 7) * 0.002)
@@ -457,7 +458,7 @@ class _Scripted:
     identity = "stub"
 
     def __init__(self, marker=None, error=None, gate=0):
-        self.stub = make_stub_backend()
+        self.stub = StubBackend()
         self.marker, self.error = marker, error
         self.lock = threading.Lock()
         self.in_flight = self.peak = self.predicts = 0
@@ -596,7 +597,7 @@ class TestConcurrentMutation:
         _, blocks = self.phase_one(population, lib, schema, self.pool(population))
 
         plain = TranscriptLog(tmp_path / "plain.jsonl")
-        _, plain_events = self.mutate(population, lib, make_stub_backend(), plain)
+        _, plain_events = self.mutate(population, lib, StubBackend(), plain)
         plain_lines = (tmp_path / "plain.jsonl").read_text().splitlines()
         # the stub answers each prompt at once: one predictor and one selector exchange each
         assert len(plain_lines) == 2 * len(population)
@@ -672,7 +673,7 @@ class _Counting:
     deterministic = True
 
     def __init__(self, failures=0):
-        self.stub = make_stub_backend()
+        self.stub = StubBackend()
         self.failures = failures
         self.calls = Counter()
         self.lock = threading.Lock()
@@ -733,7 +734,7 @@ class TestChainMemo:
             for offered in (cands, twin):
                 sentences = tuple(encode_metastructure(c.structure, schema) for c in offered.candidates)
                 job = _MutationJob(None, "", offered, sentences, sample)
-                buffer, decision = _choose(job, make_stub_backend(), PromptLibrary(), self.config)
+                buffer, decision = _choose(job, StubBackend(), PromptLibrary(), self.config)
                 exchanges.append(buffer.exchanges)
             assert [e[0] for e in exchanges[0]] == ["predictor", "selector"]
             assert exchanges[1] == exchanges[0]
@@ -772,7 +773,7 @@ class TestChainMemo:
     def test_http_backend_memoised_only_at_temperature_zero(self, planted_task, monkeypatch, temperature, calls):
         schema = planted_task[0].schema
         lib, population, pool = self.start(schema, 3)
-        stub, sent = make_stub_backend(), []
+        stub, sent = StubBackend(), []
 
         def answer(body):
             sent.append(body)
