@@ -45,6 +45,7 @@ asked every time.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import re
@@ -74,6 +75,10 @@ PROMPT_PLACEHOLDERS = {
     "explainer_step1": ("n_neighbors", "structure_block"),
     "explainer_step2": ("metric_block",),
 }
+# counts one broadcast of the stub predictor may hold (8 MB of int64)
+STUB_BROADCAST_CELLS = 1 << 20
+# pool record sentences whose clause counts the stub predictor keeps
+RECORD_CLAUSE_ENTRIES = 1024
 
 
 class BackendError(RuntimeError):
@@ -270,6 +275,18 @@ def sentence_clauses(sentence: str) -> Counter:
     return clauses
 
 
+@functools.lru_cache(maxsize=RECORD_CLAUSE_ENTRIES)
+def _record_clauses(sentence: str) -> tuple[tuple[str, int], ...]:
+    """``sentence_clauses`` of a pool record as (clause, count) pairs.
+
+    Every predictor prompt samples its records from one pool, so a record
+    recurs across a search's prompts while most candidates are asked about
+    once; only records are kept. The value is a tuple, safe to share between
+    the threads that call the stub.
+    """
+    return tuple(sentence_clauses(sentence).items())
+
+
 def clause_jaccard(a: str, b: str) -> float:
     """|A & B| / |A | B| over the two clause multisets; 0 when both are empty."""
     ca, cb = sentence_clauses(a), sentence_clauses(b)
@@ -283,27 +300,32 @@ def _nearest_records(candidates, records):
     highest ``clause_jaccard`` similarity, and that similarity.
 
     Each distinct clause gets a column of two integer count matrices, one
-    for candidates and one for records; a candidate row's intersection with
-    every record is the sum of element-wise minima, and the union is the two
-    totals minus it. Integer counts and one division per pair give the same
-    floats as ``clause_jaccard``.
+    for candidates and one for records; a candidate's intersection with a
+    record is the sum of element-wise minima over a candidates x records x
+    clauses broadcast, and the union is the two totals minus it. Integer
+    counts and one division per pair give the same floats as
+    ``clause_jaccard``, and ``argmax`` takes the first maximum.
     """
     ids, cells = {}, []
-    for row, sentence in enumerate([*records, *candidates]):
-        for clause, n in sentence_clauses(sentence).items():
+    clause_rows = [_record_clauses(s) for s in records]
+    clause_rows += [sentence_clauses(s).items() for s in candidates]
+    for row, clauses in enumerate(clause_rows):
+        for clause, n in clauses:
             cells.append((row, ids.setdefault(clause, len(ids)), n))
     counts = np.zeros((len(records) + len(candidates), len(ids)), dtype=np.int64)
     rows, cols, ns = zip(*cells)
     counts[rows, cols] = ns
     recs, cands = counts[: len(records)], counts[len(records) :]
-    rec_totals = recs.sum(axis=1)
+    rec_totals, cand_totals = recs.sum(axis=1), cands.sum(axis=1)
+    # candidates per broadcast, so that one holds at most STUB_BROADCAST_CELLS
+    step = max(1, STUB_BROADCAST_CELLS // recs.size)
     nearest = []
-    for row in cands:
-        inter = np.minimum(row, recs).sum(axis=1)
-        union = row.sum() + rec_totals - inter
-        sims = np.divide(inter, union, out=np.zeros(len(records)), where=union > 0)
-        best = int(sims.argmax())
-        nearest.append((best, float(sims[best])))
+    for lo in range(0, len(cands), step):
+        inter = np.minimum(cands[lo : lo + step, None, :], recs).sum(axis=2)
+        union = cand_totals[lo : lo + step, None] + rec_totals - inter
+        sims = np.divide(inter, union, out=np.zeros(inter.shape), where=union > 0)
+        best = sims.argmax(axis=1)
+        nearest += zip(best.tolist(), sims[np.arange(len(best)), best].tolist())
     return nearest
 
 

@@ -71,7 +71,7 @@ from .mutations import (
     one_step_neighbors,
 )
 from .sparse import MatrixBlowupError
-from .splits import SplitError, make_node_label_split, make_recommendation_split
+from .splits import SplitError, make_node_label_split, make_recommendation_split, task_endpoints
 from .structure import MetaStructure, StructureError, validate
 
 EXIT_OK = 0
@@ -481,11 +481,12 @@ def cmd_explain(args) -> int:
     pool, final_keys, finals = _read_result(result_path)
     schema = load_schema(config.dataset_dir / "schema.json")
     if config.task_kind == "recommendation":
-        et = schema.edge_type_by_name(config.target)
-        endpoints, metric = (et.src, et.dst), RecommendationEvaluator.metric
+        target = schema.edge_type_by_name(config.target).id
+        metric = RecommendationEvaluator.metric
     else:
-        nt = schema.node_type_by_name(config.target)
-        endpoints, metric = (nt.id, nt.id), NodeClassificationEvaluator.metric
+        target = schema.node_type_by_name(config.target).id
+        metric = NodeClassificationEvaluator.metric
+    endpoints = task_endpoints(schema, config.task_kind, target)
     for where, ms in finals.values():
         violations = validate(ms, schema)
         if violations:

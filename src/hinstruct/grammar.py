@@ -15,8 +15,10 @@ target, which every sub-logic shares. A single-path sentence therefore has
 no tags, and tags add no ``THAT`` or ``AND`` tokens.
 
 Sentences render :func:`structure.sub_logics`, the one decomposition of a
-structure that the evaluator scores too: sub-logics in its order (type
-sequence, then canonical positions), tags lettered by first appearance.
+structure that the evaluator scores too, read as the (type sequence,
+positions) pairs of :func:`structure.sub_logic_sequences`: sub-logics in its
+order (type sequence, then canonical positions), tags lettered by first
+appearance.
 Within the exact range of :func:`structure.canonical_key` isomorphic
 structures therefore print the same sentence, and distinct canonical keys
 print distinct sentences.
@@ -29,7 +31,7 @@ import re
 from collections import Counter
 
 from .hin import Schema
-from .structure import MetaPath, MetaStructure, sub_logics
+from .structure import MetaStructure, sub_logic_sequences
 
 THAT = "THAT"
 AND = "AND"
@@ -46,58 +48,57 @@ class GrammarError(ValueError):
 def encode_metastructure(ms: MetaStructure, schema: Schema) -> str:
     """Join the structure's sub-logics with AND, ordered by path type
     sequence, tagging the interior positions that sub-logics share."""
-    logics = sub_logics(ms)
-    shared = Counter(p for _, positions, _ in logics for p in positions[1:-1])
-    vocabulary = _vocabulary(schema)
-    names: dict[int, str] = {}
+    logics = sub_logic_sequences(ms)
+    nouns, verbs, problems = _vocabulary(schema)
+    if problems:
+        _check_words(logics, problems)
+    # a Counter lists positions in order of first appearance
+    visits = Counter(p for _, positions in logics for p in positions[1:-1])
+    shared = [p for p, count in visits.items() if count > 1]
+    tags = {p: f" ({_tag_name(i)})" for i, p in enumerate(shared)}
     sentences = []
-    for _, positions, path in logics:
-        tags = {
-            i: names.setdefault(p, _tag_name(len(names)))
-            for i, p in enumerate(positions)
-            if shared[p] > 1
-        }
-        sentences.append(_render(path, vocabulary, tags))
+    for seq, positions in logics:
+        # one "verb noun" hop per edge; the first also names the source
+        hops = [
+            f"{verbs[e]} {nouns[t]}{tags.get(p, '')}"
+            for e, t, p in zip(seq[1::2], seq[2::2], positions[1:])
+        ]
+        hops[0] = f"{nouns[seq[0]]} {hops[0]}"
+        sentences.append(f" {THAT} ".join(hops))
     return f" {AND} ".join(sentences)
 
 
-def _render(path: MetaPath, vocabulary, tags: dict[int, str]) -> str:
-    """Sentence for ``path`` in a schema's ``vocabulary`` (see
-    :func:`_vocabulary`); ``tags`` maps a path index to its referent tag."""
-    nouns_by_type, verbs_by_type = vocabulary
-    verbs = [_usable(verbs_by_type[eid]) for eid in path.edge_types]
-    nouns = []
-    for i, t in enumerate(path.node_types):
-        noun = _usable(nouns_by_type[t])
-        nouns.append(f"{noun} ({tags[i]})" if i in tags else noun)
-
-    parts = [f"{nouns[0]} {verbs[0]} {nouns[1]}"]
-    for verb, noun in zip(verbs[1:], nouns[2:]):
-        parts.append(f"{verb} {noun}")
-    return f" {THAT} ".join(parts)
+def _check_words(logics, problems: dict[tuple[str, int], str]) -> None:
+    """Raise the :class:`GrammarError` of the first unusable word: sub-logic
+    by sub-logic, its verbs before its nouns."""
+    for seq, _ in logics:
+        words = [("verb", e) for e in seq[1::2]] + [("noun", t) for t in seq[::2]]
+        for word in words:
+            if word in problems:
+                raise GrammarError(problems[word])
 
 
 @functools.lru_cache(maxsize=VOCABULARY_SCHEMAS)
-def _vocabulary(schema: Schema) -> tuple[tuple, tuple]:
-    """Nouns by node type id and verbs by edge type id, each checked once as
-    a (word, problem) pair: ``problem`` is None for a usable word, else the
-    message of the :class:`GrammarError` that using the word raises."""
-    nouns = tuple(
-        (nt.noun, _ambiguity(f"node type {nt.name!r}", nt.noun)) for nt in schema.node_types
-    )
-    verbs = tuple(
-        (et.verb, _ambiguity(f"edge type {et.name!r}", et.verb) if et.verb
-         else f"edge type {et.name!r} has no verb phrase")
-        for et in schema.edge_types
-    )
-    return nouns, verbs
-
-
-def _usable(entry: tuple[str, str | None]) -> str:
-    word, problem = entry
-    if problem is not None:
-        raise GrammarError(problem)
-    return word
+def _vocabulary(schema: Schema) -> tuple[tuple[str, ...], tuple[str, ...], dict]:
+    """Nouns by node type id and verbs by edge type id, each checked once:
+    ``problems`` maps ("noun", node type id) or ("verb", edge type id) of an
+    unusable word to the message of the :class:`GrammarError` that using the
+    word raises."""
+    problems = {}
+    for nt in schema.node_types:
+        problem = _ambiguity(f"node type {nt.name!r}", nt.noun)
+        if problem is not None:
+            problems["noun", nt.id] = problem
+    for et in schema.edge_types:
+        problem = (
+            _ambiguity(f"edge type {et.name!r}", et.verb) if et.verb
+            else f"edge type {et.name!r} has no verb phrase"
+        )
+        if problem is not None:
+            problems["verb", et.id] = problem
+    nouns = tuple(nt.noun for nt in schema.node_types)
+    verbs = tuple(et.verb for et in schema.edge_types)
+    return nouns, verbs, problems
 
 
 def _ambiguity(owner: str, word: str) -> str | None:

@@ -12,7 +12,8 @@ A split that would leave a part empty raises ``SplitError``.
 
 Every part is a read-only int64 array: ``(n, 2)`` rows of (src, dst) for a
 pair set, and node ids for a node set. Each split gives its task's endpoint
-node types, the two types a structure for the task must join.
+node types, the two types a structure for the task must join, by
+:func:`task_endpoints`, which ``hinstruct explain`` asks without a split.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ from .sparse import SparseMatrix
 
 class SplitError(DataError):
     """Split construction cannot satisfy its contract."""
+
+
+def task_endpoints(schema, kind: str, target: int) -> tuple[int, int]:
+    """The node types a task's structures join. ``target`` is an edge type id
+    for a "recommendation" task, whose relation's two ends are joined, and a
+    node type id for a "classification" task, joined to itself."""
+    if kind == "recommendation":
+        et = schema.edge_type(target)
+        return et.src, et.dst
+    return target, target
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +55,7 @@ class RecommendationSplit:
 
     def endpoints(self, schema) -> tuple[int, int]:
         """The target relation's source and destination node types."""
-        et = schema.edge_type(self.target_edge_type)
-        return et.src, et.dst
+        return task_endpoints(schema, "recommendation", self.target_edge_type)
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +73,7 @@ class NodeLabelSplit:
 
     def endpoints(self, schema) -> tuple[int, int]:
         """The target node type, as both source and target."""
-        return self.target_node_type, self.target_node_type
+        return task_endpoints(schema, "classification", self.target_node_type)
 
     def part(self, name: str) -> np.ndarray:
         return {"train": self.train, "val": self.val, "test": self.test}[name]

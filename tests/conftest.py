@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+from collections import Counter
 from http.client import HTTPMessage
 from urllib.error import HTTPError
 
@@ -370,6 +371,12 @@ def _relabel_reference(ms: MetaStructure, ordering) -> MetaStructure:
 
 def reference_colors(ms: MetaStructure) -> list[int]:
     """Refined colors as dense ranks, refined until a round changes nothing."""
+    return reference_refinement(ms)[0]
+
+
+def reference_refinement(ms: MetaStructure) -> tuple[list[int], int]:
+    """``reference_colors`` and the number of rounds it takes, the last one,
+    which changes nothing, included."""
     n = ms.n_nodes
     outs = [[] for _ in range(n)]
     ins = [[] for _ in range(n)]
@@ -380,7 +387,9 @@ def reference_colors(ms: MetaStructure) -> list[int]:
     base = sorted({(ms.nodes[p], p == ms.source, p == ms.target) for p in range(n)})
     rank = {sig: i for i, sig in enumerate(base)}
     colors = [rank[(ms.nodes[p], p == ms.source, p == ms.target)] for p in range(n)]
+    rounds = 0
     for _ in range(n):
+        rounds += 1
         sigs = []
         for p in range(n):
             out_sig = tuple(sorted((e, colors[b]) for e, b in outs[p]))
@@ -391,7 +400,7 @@ def reference_colors(ms: MetaStructure) -> list[int]:
         if new_colors == colors:
             break
         colors = new_colors
-    return colors
+    return colors, rounds
 
 
 def relabeled(ms: MetaStructure, rng: np.random.Generator) -> MetaStructure:
@@ -406,6 +415,97 @@ def relabeled(ms: MetaStructure, rng: np.random.Generator) -> MetaStructure:
         source=perm[ms.source],
         target=perm[ms.target],
     )
+
+
+# ---------------------------------------------------------------------------
+# the decomposition and the sentences by the earlier code, the oracles for
+# structure.sub_logics and grammar.encode_metastructure
+# ---------------------------------------------------------------------------
+
+
+def sub_logics_reference(ms: MetaStructure):
+    """``structure.sub_logics`` as it was written before its one-pass walk."""
+    from hinstruct.structure import MetaPath, StructureError, canonical_form
+
+    form = canonical_form(ms)
+    succs: dict[int, list[tuple[int, int]]] = {}
+    for a, b, e in form.edges:
+        succs.setdefault(a, []).append((b, e))
+
+    found = []
+    stack = [((form.source,), ())]
+    while stack:
+        positions, edge_types = stack.pop()
+        if positions[-1] == form.target:
+            path = MetaPath(tuple(form.nodes[p] for p in positions), edge_types)
+            found.append((path.type_sequence(), positions, path))
+            continue
+        for b, e in succs.get(positions[-1], ()):
+            if b not in positions:  # simple paths only; cannot occur in a DAG
+                stack.append((positions + (b,), edge_types + (e,)))
+    if not found:
+        raise StructureError("no source-target path; structure is invalid")
+    found.sort(key=lambda logic: logic[:2])
+    return found
+
+
+def encode_reference(ms: MetaStructure, schema: Schema) -> str:
+    """``grammar.encode_metastructure`` as it was written before it rendered
+    straight from the sub-logic pairs."""
+    from hinstruct.grammar import AND, _tag_name
+
+    logics = sub_logics_reference(ms)
+    shared = Counter(p for _, positions, _ in logics for p in positions[1:-1])
+    vocabulary = _vocabulary_reference(schema)
+    names: dict[int, str] = {}
+    sentences = []
+    for _, positions, path in logics:
+        tags = {
+            i: names.setdefault(p, _tag_name(len(names)))
+            for i, p in enumerate(positions)
+            if shared[p] > 1
+        }
+        sentences.append(_render_reference(path, vocabulary, tags))
+    return f" {AND} ".join(sentences)
+
+
+def _render_reference(path, vocabulary, tags: dict[int, str]) -> str:
+    from hinstruct.grammar import THAT
+
+    nouns_by_type, verbs_by_type = vocabulary
+    verbs = [_usable_reference(verbs_by_type[eid]) for eid in path.edge_types]
+    nouns = []
+    for i, t in enumerate(path.node_types):
+        noun = _usable_reference(nouns_by_type[t])
+        nouns.append(f"{noun} ({tags[i]})" if i in tags else noun)
+
+    parts = [f"{nouns[0]} {verbs[0]} {nouns[1]}"]
+    for verb, noun in zip(verbs[1:], nouns[2:]):
+        parts.append(f"{verb} {noun}")
+    return f" {THAT} ".join(parts)
+
+
+def _vocabulary_reference(schema: Schema) -> tuple[tuple, tuple]:
+    from hinstruct.grammar import _ambiguity
+
+    nouns = tuple(
+        (nt.noun, _ambiguity(f"node type {nt.name!r}", nt.noun)) for nt in schema.node_types
+    )
+    verbs = tuple(
+        (et.verb, _ambiguity(f"edge type {et.name!r}", et.verb) if et.verb
+         else f"edge type {et.name!r} has no verb phrase")
+        for et in schema.edge_types
+    )
+    return nouns, verbs
+
+
+def _usable_reference(entry: tuple[str, str | None]) -> str:
+    from hinstruct.grammar import GrammarError
+
+    word, problem = entry
+    if problem is not None:
+        raise GrammarError(problem)
+    return word
 
 
 # ---------------------------------------------------------------------------

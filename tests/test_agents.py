@@ -164,6 +164,17 @@ class TestStubPredictor:
         assert reply.count("\n") == len(candidates) - 1
         assert reply == stub_predict_reference(user)
 
+    @pytest.mark.parametrize("cells", [1, 200])
+    def test_broadcast_in_blocks_matches_reference(self, prompts, monkeypatch, cells):
+        """Candidates split over several broadcasts, one per block of at most
+        ``cells`` counts, score as one broadcast does."""
+        monkeypatch.setattr(agents, "STUB_BROADCAST_CELLS", cells)
+        rng = random.Random(cells)
+        records = [(self.random_sentence(rng), rng.choice((0.1, 0.25, 0.5, 0.9))) for _ in range(12)]
+        candidates = [self.random_sentence(rng) for _ in range(20)]
+        user = predictor_prompt(prompts, candidates, PoolSample(tuple(records)))
+        assert StubBackend().complete("", user) == stub_predict_reference(user)
+
     def test_batched_covers_all_candidates(self, prompts):
         backend = StubBackend()
         sentences = [f"User rates Business {'THAT belongs to Category ' * i}".strip() for i in range(5)]

@@ -8,6 +8,7 @@ from hinstruct.splits import (
     SplitError,
     make_node_label_split,
     make_recommendation_split,
+    task_endpoints,
 )
 from hinstruct.synth import toy_schema
 
@@ -191,3 +192,16 @@ class TestNodeLabelSplit:
         for part in PARTS:
             assert np.array_equal(a.part(part), b.part(part))
         assert np.array_equal(a.classes, b.classes)
+
+
+class TestTaskEndpoints:
+    def test_splits_give_the_shared_rule(self):
+        """Both splits answer with ``task_endpoints``, the rule that
+        ``hinstruct explain`` uses without a split."""
+        schema = toy_schema()
+        for et in schema.edge_types:
+            split = RecommendationSplit(et.id, {}, {}, np.zeros((0, 2), dtype=np.int64))
+            assert split.endpoints(schema) == task_endpoints(schema, "recommendation", et.id) == (et.src, et.dst)
+        for nt in schema.node_types:
+            split = make_node_label_split(nt.id, [(i, i % 2) for i in range(10)], 10, seed=0)
+            assert split.endpoints(schema) == task_endpoints(schema, "classification", nt.id) == (nt.id, nt.id)

@@ -6,6 +6,8 @@ import pytest
 
 from hinstruct import mutations, structure
 from hinstruct.cli import EXIT_OK, main
+from hinstruct.grammar import GrammarError, encode_metastructure
+from hinstruct.hin import schema_from_dict
 from hinstruct.structure import (
     EXACT_CANONICAL_NODES,
     MetaPath,
@@ -25,10 +27,13 @@ from conftest import (
     brute_isomorphic,
     canonicalize_reference,
     contains_substructure,
+    encode_reference,
     enumerate_corpus,
     random_structure,
     reference_colors,
+    reference_refinement,
     relabeled,
+    sub_logics_reference,
 )
 
 U, B, A, I = 0, 1, 2, 3
@@ -243,6 +248,23 @@ def twinned(ms, rng):
     return MetaStructure(ms.nodes + (ms.nodes[v],), ms.edges + tuple(copies), ms.source, ms.target)
 
 
+def repeated_type_corpus(schema):
+    """Random structures within the exact range and their relabellings,
+    plus twinned ones, whose twins never part in refinement."""
+    rng = np.random.default_rng(41)
+    corpus = random_corpus(schema, 41, EXACT_CANONICAL_NODES, 200)
+    for ms in random_corpus(schema, 42, EXACT_CANONICAL_NODES - 1, 200):
+        twin = twinned(ms, rng)
+        if twin is not None:
+            corpus += [twin, relabeled(twin, rng)]
+    return corpus
+
+
+def fallback_corpus(schema):
+    """Random structures beyond the exact range and their relabellings."""
+    return [ms for ms in random_corpus(schema, 43, 16, 200) if ms.n_nodes > EXACT_CANONICAL_NODES]
+
+
 def discrete(ms):
     return len(set(reference_colors(ms))) == ms.n_nodes
 
@@ -264,12 +286,7 @@ class TestLabelling:
         self.assert_matches_reference(demo_structures)
 
     def test_random_structures_with_repeated_types(self, schema):
-        rng = np.random.default_rng(41)
-        corpus = random_corpus(schema, 41, EXACT_CANONICAL_NODES, 200)
-        for ms in random_corpus(schema, 42, EXACT_CANONICAL_NODES - 1, 200):
-            twin = twinned(ms, rng)
-            if twin is not None:
-                corpus += [twin, relabeled(twin, rng)]
+        corpus = repeated_type_corpus(schema)
         assert all(ms.n_nodes <= EXACT_CANONICAL_NODES for ms in corpus)
         assert sum(len(set(ms.nodes)) < ms.n_nodes for ms in corpus) > 900
         assert sum(not discrete(ms) for ms in corpus) > 600  # the permutation branch runs
@@ -277,11 +294,62 @@ class TestLabelling:
         self.assert_matches_reference(corpus)
 
     def test_fallback_beyond_exact_range(self, schema):
-        corpus = [ms for ms in random_corpus(schema, 43, 16, 200) if ms.n_nodes > EXACT_CANONICAL_NODES]
+        corpus = fallback_corpus(schema)
         assert len(corpus) > 100
         keys = [structure._canonicalize.__wrapped__(ms)[0] for ms in corpus]
         assert all(key.startswith("wl|") for key in keys)
         self.assert_matches_reference(corpus)
+
+    def test_corpora_need_three_rounds(self, schema, demo_structures):
+        """Refinement that splits classes in two or more rounds and then
+        stops at a round that adds none: the class-count stopping rule,
+        short of a discrete coloring."""
+        for corpus in (demo_structures, repeated_type_corpus(schema), fallback_corpus(schema)):
+            assert any(reference_refinement(ms)[1] >= 3 and not discrete(ms) for ms in corpus)
+
+
+class TestDecompositionReference:
+    """``sub_logics`` and ``encode_metastructure`` against verbatim copies of
+    their earlier code in ``conftest``: the one-pass walk and the direct
+    rendering change no byte."""
+
+    @staticmethod
+    def assert_matches_reference(corpus, schema):
+        tagged = 0
+        for ms in corpus:
+            assert sub_logics(ms) == sub_logics_reference(ms), ms
+            sentence = encode_metastructure(ms, schema)
+            assert sentence == encode_reference(ms, schema), ms
+            tagged += " (a)" in sentence
+        return tagged
+
+    def test_demo_search_structures(self, schema, demo_structures):
+        assert self.assert_matches_reference(demo_structures, schema) > 1_000
+
+    def test_random_corpora(self, schema):
+        corpus = repeated_type_corpus(schema) + fallback_corpus(schema)
+        assert self.assert_matches_reference(corpus, schema) > 500
+
+    def test_first_unusable_word_raises(self, schema):
+        """With two unusable words the first one a sub-logic reads, verbs
+        before nouns, names the error, as before."""
+        payload = schema.to_dict()
+        payload["node_types"][B]["noun"] = "Business AND shop"
+        payload["edge_types"][BELONGS]["verb"] = ""
+        bad = schema_from_dict(payload)
+        corpus = random_corpus(schema, 61, EXACT_CANONICAL_NODES, 100)
+        raised = set()
+        for ms in corpus:
+            try:
+                expected = encode_reference(ms, bad)
+            except GrammarError as exc:
+                with pytest.raises(GrammarError) as got:
+                    encode_metastructure(ms, bad)
+                assert str(got.value) == str(exc)
+                raised.add(str(exc))
+            else:
+                assert encode_metastructure(ms, bad) == expected
+        assert len(raised) == 2
 
 
 class TestIsomorphismInvariant:
