@@ -10,7 +10,9 @@ Two backends ship: an HTTP client speaking the common chat-completion wire
 format, and a deterministic offline stub whose rules mirror the intuitions
 the live agents are prompted with (structural similarity predicts similar
 scores; simpler candidates win ties). The stub makes the whole agent layer a
-pure function of its inputs.
+pure function of its inputs. The HTTP stack (``http.client``,
+``urllib.request`` and, through them, ``ssl``) loads with the first
+``HttpChatBackend``, so a run on the stub never imports it.
 
 Retries: each operation (the predictor prompt, the selector prompt, one
 explainer step) makes at most ``retries`` >= 1 backend calls, all in
@@ -53,12 +55,9 @@ import string
 import time
 from collections import Counter
 from dataclasses import dataclass
-from http.client import HTTPException
 from importlib import resources
 from pathlib import Path
-from urllib.error import HTTPError
 from urllib.parse import urlsplit
-from urllib.request import Request, urlopen
 
 import numpy as np
 
@@ -514,6 +513,10 @@ class HttpChatBackend:
         if not (finite_number(self.timeout) and self.timeout > 0):
             raise ValueError(f"timeout must be a positive number, not {self.timeout!r}")
         self.temperature, self.timeout = float(self.temperature), float(self.timeout)
+        # the HTTP stack (urllib.request brings http.client, urllib.error and
+        # ssl) loads with the backend, at set-up, so a run without one never
+        # imports it
+        import urllib.request  # noqa: F401
 
     @property
     def identity(self) -> str:
@@ -535,12 +538,18 @@ class HttpChatBackend:
             ],
             "temperature": self.temperature,
         }
-        request = Request(self.url, data=json.dumps(payload).encode(), headers=headers, method="POST")
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            self.url, data=json.dumps(payload).encode(), headers=headers, method="POST"
+        )
         try:
-            with urlopen(request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(request, timeout=self.timeout) as response:
                 body = response.read()
             content = json.loads(body)["choices"][0]["message"]["content"]
-        except HTTPError as exc:  # a status >= 400; its open response is closed here
+        except urllib.error.HTTPError as exc:  # a status >= 400; its open response is closed here
             exc.close()
             if exc.code == 429:
                 raise BackendError(
@@ -548,7 +557,7 @@ class HttpChatBackend:
                     retry_after=self._retry_after(exc.headers.get("Retry-After")),
                 ) from exc
             raise BackendError(f"chat completion failed: {exc}") from exc
-        except (OSError, HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
+        except (OSError, http.client.HTTPException, KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"chat completion failed: {exc}") from exc
         if not isinstance(content, str):
             raise BackendError(f"chat completion content is {type(content).__name__}, not a string")

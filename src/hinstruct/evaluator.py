@@ -89,13 +89,13 @@ def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:
     return result
 
 
-def _distinct_paths(ms: MetaStructure) -> list[MetaPath]:
-    """One path per distinct type sequence of the structure's sub-logics,
-    in sorted type-sequence order."""
+def _distinct_paths(ms: MetaStructure) -> list[tuple[tuple[int, ...], MetaPath]]:
+    """One (type sequence, path) pair per distinct type sequence of the
+    structure's sub-logics, in sorted type-sequence order."""
     unique = {}
     for seq, _, path in sub_logics(ms):
         unique.setdefault(seq, path)
-    return list(unique.values())
+    return list(unique.items())
 
 
 def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
@@ -106,7 +106,7 @@ def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
     connect.
     """
     score = None
-    for path in _distinct_paths(ms):
+    for _, path in _distinct_paths(ms):
         normalized = path_commuting_matrix(graph, path).row_normalize()
         score = normalized if score is None else score.hadamard(normalized)
     return score
@@ -129,8 +129,8 @@ def _path_reads(graph: HinGraph, ms: MetaStructure, digest: bytes, read) -> list
     read; a fresh read is made read-only before it is cached.
     """
     return [
-        graph.read_cache.get((path.type_sequence(), digest), lambda: _read_only(read(path)))
-        for path in _distinct_paths(ms)
+        graph.read_cache.get((seq, digest), lambda: _read_only(read(path)))
+        for seq, path in _distinct_paths(ms)
     ]
 
 

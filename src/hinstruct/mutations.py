@@ -72,9 +72,10 @@ UNION_MEMO_ENTRIES = 8
 # a cycle grows exponentially with the component limit: the demo schema has
 # 3,670 walks of up to 10 positions and 14,714 of up to 12.
 MAX_SCHEMA_WALKS = 50_000
-# Sentences a library keeps; the seed-0 demo search verbalises 2,138
-# distinct canonical forms.
-SENTENCE_MEMO_ENTRIES = 4096
+# Sentences a library keeps. The seed-0 demo search asks for 2,869 sentences
+# of 2,134 distinct canonical forms; replayed, bounds of 512/1,024/4,096 keep
+# 700/713/735 of its hits.
+SENTENCE_MEMO_ENTRIES = 1024
 
 
 class EmptyNeighborhoodError(RuntimeError):
@@ -193,17 +194,22 @@ def neighbors_deletion(ms: MetaStructure, lib: ComponentLibrary) -> list[tuple[M
 def _insertions(ms: MetaStructure, lib: ComponentLibrary):
     """(candidate, descriptor) pairs of INSERTION, all valid for a valid
     origin."""
+    fitting = {}  # (component, type sequence) pairs by the end types they join
     for idx, (u, v, e) in enumerate(ms.edges):
         rest = ms.edges[:idx] + ms.edges[idx + 1 :]
-        for comp in lib.insertion:
-            if comp.node_types[0] != ms.nodes[u] or comp.node_types[-1] != ms.nodes[v]:
-                continue
-            if ms.n_nodes + comp.n_nodes - 2 > lib.max_nodes:
-                continue
+        ends = (ms.nodes[u], ms.nodes[v])
+        if ends not in fitting:
+            fitting[ends] = [
+                (comp, comp.type_sequence())
+                for comp in lib.insertion
+                if (comp.node_types[0], comp.node_types[-1]) == ends
+                and ms.n_nodes + comp.n_nodes - 2 <= lib.max_nodes
+            ]
+        for comp, sequence in fitting[ends]:
             desc = {
                 "op": "insertion",
                 "edge": [u, v, e],
-                "component": list(comp.type_sequence()),
+                "component": list(sequence),
             }
             yield _attach(ms, rest, comp, u, v), desc
 
@@ -217,22 +223,31 @@ def _graftings(ms: MetaStructure, lib: ComponentLibrary):
     for a, b, _ in ms.edges:
         succs[a].append(b)
     below = [reachable(succs, w) for w in range(ms.n_nodes)]
+    starts, ends = {}, {}  # anchor positions by node type
+    for p, t in enumerate(ms.nodes):
+        if p != ms.target:
+            starts.setdefault(t, []).append(p)
+        if p != ms.source:
+            ends.setdefault(t, []).append(p)
     for comp in lib.grafting:
-        first_t, last_t = comp.node_types[0], comp.node_types[-1]
         if ms.n_nodes + comp.n_nodes - 2 > lib.max_nodes:
             continue
-        for u in range(ms.n_nodes):
-            if ms.nodes[u] != first_t or u == ms.target:
-                continue
-            for w in range(ms.n_nodes):
-                if ms.nodes[w] != last_t or w == ms.source or below[w][u]:
-                    continue
-                desc = {
-                    "op": "grafting",
-                    "anchors": [u, w],
-                    "component": list(comp.type_sequence()),
-                }
-                yield _attach(ms, ms.edges, comp, u, w), desc
+        anchors = [
+            (u, w)
+            for u in starts.get(comp.node_types[0], ())
+            for w in ends.get(comp.node_types[-1], ())
+            if not below[w][u]
+        ]
+        if not anchors:
+            continue
+        sequence = comp.type_sequence()
+        for u, w in anchors:
+            desc = {
+                "op": "grafting",
+                "anchors": [u, w],
+                "component": list(sequence),
+            }
+            yield _attach(ms, ms.edges, comp, u, w), desc
 
 
 def _deletions(ms: MetaStructure, lib: ComponentLibrary):

@@ -37,7 +37,7 @@ class StructureError(ValueError):
     """Operation applied to an invalid meta-structure."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaPath:
     node_types: tuple[int, ...]
     edge_types: tuple[int, ...]
@@ -59,7 +59,7 @@ class MetaPath:
         return tuple(seq)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaStructure:
     nodes: tuple[int, ...]  # node type id per position
     edges: tuple[tuple[int, int, int], ...]  # (from position, to position, edge type id)
@@ -310,12 +310,22 @@ def isomorphism_invariant(ms: MetaStructure) -> tuple:
 
 
 # Structures whose labelling is kept. The seed-0 demo search (30 generations)
-# labels 3,770 distinct structures and hits the memo 6,921 times; the
-# classification benchmark search labels 109. tracemalloc puts one entry at
-# about 1.4 KB (key, form and cache link), 1.9 KB with its structure, so the
-# bound holds about 30 MB and keeps every hit of a search about four times
-# the demo's length.
-CANONICAL_MEMO_ENTRIES = 16_384
+# makes 10,713 calls on 3,770 distinct structures; replayed, bounds of
+# 256/512/1,024/unbounded keep 6,933/6,941/6,942/6,943 of its hits. Reuse is
+# short-range, so a larger bound only holds structures the search is done
+# with; tracemalloc puts one entry at about 1.4 KB (key, form and cache link).
+CANONICAL_MEMO_ENTRIES = 512
+
+# Edge triples of canonical forms: one object per distinct (a, b, e), so the
+# forms share them instead of holding a copy each. For structures of up to n
+# positions the table holds at most n² × edge types entries.
+_EDGE_TRIPLES: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+
+
+def _interned(edges) -> tuple[tuple[int, int, int], ...]:
+    """``edges`` in their order, each triple the table's one object for it."""
+    intern = _EDGE_TRIPLES.setdefault
+    return tuple([intern(edge, edge) for edge in edges])
 
 
 @functools.lru_cache(maxsize=CANONICAL_MEMO_ENTRIES)
@@ -330,7 +340,7 @@ def _canonicalize(ms: MetaStructure):
             nodes[c] = ms.nodes[p]
         form = MetaStructure(
             nodes=tuple(nodes),
-            edges=tuple(sorted([(colors[a], colors[b], e) for a, b, e in ms.edges])),
+            edges=_interned(sorted([(colors[a], colors[b], e) for a, b, e in ms.edges])),
             source=colors[ms.source],
             target=colors[ms.target],
         )
@@ -359,7 +369,7 @@ def _canonicalize(ms: MetaStructure):
             edges, ordering, new_index = relabeled, candidate, index
     form = MetaStructure(
         nodes=tuple(ms.nodes[p] for p in ordering),
-        edges=edges,
+        edges=_interned(edges),
         source=new_index[ms.source],
         target=new_index[ms.target],
     )
@@ -377,7 +387,7 @@ def _relabel(ms: MetaStructure, ordering) -> MetaStructure:
     new_index = {old: i for i, old in enumerate(ordering)}
     return MetaStructure(
         nodes=tuple(ms.nodes[p] for p in ordering),
-        edges=tuple(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges)),
+        edges=_interned(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges)),
         source=new_index[ms.source],
         target=new_index[ms.target],
     )

@@ -693,7 +693,7 @@ class TestHttpReplyChecks:
             reply = replies.pop(0)
             return reply.status_code, reply.payload, reply.headers
 
-        monkeypatch.setattr("hinstruct.agents.urlopen", fake_urlopen(answer))
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen(answer))
         return calls
 
     @pytest.mark.parametrize("content", [None, 3, ["text"], {"text": "x"}])

@@ -830,3 +830,28 @@ class TestStartup:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_stub_run_loads_no_http_stack(self, planted_dir, tmp_path):
+        """A stub config loads and searches without ``http.client``, ``ssl``
+        or ``urllib.request``; the HTTP backend loads them as it is made."""
+        config = tmp_path / "config.json"
+        write_demo_config(config, planted_dir, tmp_path / "out", seed=0, generations=1)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import sys\n"
+            "import hinstruct.cli as cli\n"
+            "loaded = lambda: sorted({'http.client', 'ssl', 'urllib.request'} & set(sys.modules))\n"
+            "cli.RunConfig.load(sys.argv[1])\n"
+            "assert cli.main(['search', '--config', sys.argv[1]]) == cli.EXIT_OK\n"
+            "print(loaded())\n"
+            "cli.make_backend({'kind': 'http', 'url': 'http://127.0.0.1:9/'})\n"
+            "print(loaded())\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(config)],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        stub, http = proc.stdout.strip().splitlines()[-2:]
+        assert stub == "[]"
+        assert "'urllib.request'" in http

@@ -780,7 +780,7 @@ class TestChainMemo:
             system, user = (m["content"] for m in body["messages"])
             return 200, {"choices": [{"message": {"content": stub.complete(system, user)}}]}, {}
 
-        monkeypatch.setattr("hinstruct.agents.urlopen", fake_urlopen(answer))
+        monkeypatch.setattr("urllib.request.urlopen", fake_urlopen(answer))
         backend = HttpChatBackend(url="http://127.0.0.1:9/", model="m", temperature=temperature)
         assert backend.deterministic == (temperature == 0)
         out = self.mutate(lib, population, pool, backend)

@@ -452,3 +452,20 @@ class TestMetaPath:
     def test_schema_validity(self, schema):
         assert validate(MetaStructure.from_path(MetaPath((U, B), (RATES,))), schema) == []
         assert validate(MetaStructure.from_path(MetaPath((U, A), (RATES,))), schema)
+
+
+class TestCompactStructures:
+    def test_instances_have_no_dict(self):
+        path = MetaPath((U, B), (RATES,))
+        for obj in (path, MetaStructure.from_path(path)):
+            assert not hasattr(obj, "__dict__")
+
+    def test_canonical_forms_share_edge_triples(self, schema):
+        """Across structures, discrete, permuted and refined-signature forms
+        alike take each equal triple as one object."""
+        first, edges = {}, 0
+        for ms in repeated_type_corpus(schema) + fallback_corpus(schema):
+            for edge in structure.canonical_form(ms).edges:
+                assert first.setdefault(edge, edge) is edge
+                edges += 1
+        assert len(first) < edges
