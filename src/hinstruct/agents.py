@@ -225,7 +225,7 @@ class TranscriptLog:
 
     def __init__(self, path):
         self.path = Path(path)
-        self.path.write_text("", encoding="utf-8")
+        self._write("w", "")
 
     def record(self, agent: str, system: str, user: str, response: str, model: str):
         entry = {
@@ -235,8 +235,14 @@ class TranscriptLog:
             "user": user,
             "response": response,
         }
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._write("a", json.dumps(entry, sort_keys=True) + "\n")
+
+    def _write(self, mode: str, text: str):
+        try:
+            with self.path.open(mode, encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DataError(f"cannot write {self.path}: {exc.strerror or exc}") from exc
 
 
 class TranscriptBuffer:

@@ -21,7 +21,8 @@ rejected by name, so a misspelt setting fails the run instead of silently
 taking its default.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
-error. Output files are written atomically (temp file plus rename). Log
+error. Output files are written atomically (temp file plus rename); a file
+that cannot be written is a data error naming it. Log
 messages go to stderr at ``--log-level`` and above (default ``warning``);
 at ``info`` a search logs, per generation, how many agent chains it asked
 the backend and how many it reused.
@@ -30,6 +31,7 @@ the backend and how many it reused.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
@@ -289,9 +291,16 @@ def _output_dir(path: Path) -> Path:
 
 
 def _atomic_write(path: Path, text: str):
+    """Write ``text`` to ``path`` through a temporary file beside it. A
+    failure is a ``DataError`` naming ``path`` and leaves no temporary file."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _load_valid_structure(path, schema) -> MetaStructure | None:

@@ -301,9 +301,8 @@ class NodeClassificationEvaluator:
             score = score.hadamard(more)
 
         # votes summed row by row in column order, as a per-row loop would
-        row_ids = np.repeat(np.arange(nodes.size, dtype=np.int64), np.diff(score.indptr))
         votes = np.bincount(
-            row_ids * k + col_class[score.indices], weights=score.data, minlength=nodes.size * k
+            score.row_ids() * k + col_class[score.indices], weights=score.data, minlength=nodes.size * k
         ).reshape(nodes.size, k)
         preds = np.where(np.diff(score.indptr) > 0, np.argmax(votes, axis=1), majority)
         value = macro_f1(preds, split.classes[nodes], k)

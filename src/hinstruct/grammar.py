@@ -19,9 +19,10 @@ structure that the evaluator scores too, read as the (type sequence,
 positions) pairs of :func:`structure.sub_logic_sequences`: sub-logics in its
 order (type sequence, then canonical positions), tags lettered by first
 appearance.
-Within the exact range of :func:`structure.canonical_key` isomorphic
-structures therefore print the same sentence, and distinct canonical keys
-print distinct sentences.
+Structures with one canonical key therefore print the same sentence, and
+non-isomorphic structures, which never share a key, print distinct
+sentences. Within the permutation budget of :func:`structure.canonical_key`
+isomorphic structures share one key and so one sentence.
 """
 
 from __future__ import annotations

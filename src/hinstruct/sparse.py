@@ -80,6 +80,10 @@ class SparseMatrix:
     def nbytes(self) -> int:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry, in stored order."""
+        return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+
     def pick(self, pairs):
         """Values at the given (row, col) pairs; absent cells read 0."""
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -89,8 +93,7 @@ class SparseMatrix:
         out = np.zeros(pairs.shape[0], dtype=np.float64)
         if self.nnz == 0:
             return out
-        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        keys = row_ids * self.cols + self.indices
+        keys = self.row_ids() * self.cols + self.indices
         wanted = pairs[:, 0] * self.cols + pairs[:, 1]
         pos = np.minimum(np.searchsorted(keys, wanted), self.nnz - 1)
         hit = keys[pos] == wanted
@@ -138,8 +141,7 @@ class SparseMatrix:
     def matvec(self, vector) -> np.ndarray:
         """This matrix times the dense ``vector``; each row sums its products
         in column order."""
-        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        return np.bincount(row_ids, weights=self.data * vector[self.indices], minlength=self.rows)
+        return np.bincount(self.row_ids(), weights=self.data * vector[self.indices], minlength=self.rows)
 
     def row_dots(self, other: "SparseMatrix", rows, other_rows) -> np.ndarray:
         """Dot product of row ``rows[k]`` of this matrix with row
@@ -176,12 +178,11 @@ class SparseMatrix:
 
     def divide_rows(self, sums) -> "SparseMatrix":
         """Each row divided by its entry of ``sums`` through ``row_divisors``."""
-        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
-        data = self.data / row_divisors(sums)[row_ids]
+        data = self.data / row_divisors(sums)[self.row_ids()]
         return SparseMatrix(self.rows, self.cols, self.indptr, self.indices, data)
 
     def transpose(self) -> "SparseMatrix":
-        row_ids = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
+        row_ids = self.row_ids()
         order = np.lexsort((row_ids, self.indices))
         new_rows = self.indices[order]
         indptr = np.zeros(self.cols + 1, dtype=np.int64)

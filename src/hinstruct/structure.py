@@ -24,10 +24,11 @@ from .hin import Schema, json_int
 
 log = logging.getLogger(__name__)
 
-# Exhaustive canonicalization bounds: below these the key is exact (equal
-# keys <=> isomorphic); above, the refined signature alone is used and
-# isomorphic structures may, in principle, receive distinct keys.
-EXACT_CANONICAL_NODES = 10
+# Orderings that canonical labelling may try within refined color classes.
+# Every key spells out a structure relabelled, so equal keys always mean
+# isomorphic structures. Within the budget isomorphic structures also share
+# one key; above it the color order stands, and isomorphic structures may
+# get distinct keys (each is then evaluated once, never mistaken for another).
 PERMUTATION_BUDGET = 40_320
 # schema edges the seeding breadth-first search may expand before it stops
 SEED_MAX_EXPANSIONS = 200_000
@@ -257,10 +258,15 @@ def canonical_key(ms: MetaStructure) -> str:
     old color, a round can only split classes, and refinement stops at the
     first round that adds no class (its colors are the old ones) or once the
     coloring is discrete (every position has its own color, and a further
-    round only confirms it). Remaining ties are broken by exhaustive
-    permutation within color classes, which keeps the key exact; a discrete
-    coloring leaves one ordering, which relabels each position by its color.
-    Structures too large for that fall back to the refined signature alone.
+    round only confirms it). A discrete coloring leaves one ordering, which
+    relabels each position by its color. Otherwise, when the orderings
+    within color classes fit ``PERMUTATION_BUDGET``, the one with the
+    smallest relabelled edge list wins; beyond it, color order with ties
+    broken by position, and a warning is logged.
+
+    The key spells out :func:`canonical_form`, so equal keys always mean
+    isomorphic structures. Within the budget isomorphic structures share one
+    key; beyond it they may get distinct keys.
     """
     return _canonicalize(ms)[0]
 
@@ -269,9 +275,10 @@ def canonical_form(ms: MetaStructure) -> MetaStructure:
     """``ms`` relabeled so that position ``i`` is the ``i``-th position of the
     ordering that :func:`canonical_key` chose.
 
-    Within the exact range isomorphic structures share one canonical form.
-    Beyond it positions are ordered by refined color, ties by original
-    position, so the form is deterministic but not isomorphism-invariant.
+    The form is always isomorphic to ``ms`` and deterministic. Within the
+    permutation budget isomorphic structures share one canonical form; beyond
+    it positions are ordered by refined color, ties by original position, so
+    the form need not be isomorphism-invariant.
     """
     return _canonicalize(ms)[1]
 
@@ -287,10 +294,8 @@ def isomorphism_invariant(ms: MetaStructure) -> tuple:
     Each position is labeled (type, in-degree, out-degree, source?,
     target?); the invariant is the sorted labels plus the sorted (tail
     label, head label, edge type) of the edges. Isomorphic structures share
-    it, and so do structures with one refined-signature key: the stable
-    refined colors fix every label, and the key lists each color's type and
-    the colored edges. Structures with different invariants therefore never
-    share a canonical key.
+    it, and equal canonical keys mean isomorphic structures, so structures
+    with different invariants never share a canonical key.
 
     A label is packed into one int (``_LABEL_FIELDS``). A field that
     outgrows its bits merges labels, which makes the invariant coarser but
@@ -332,46 +337,38 @@ def _interned(edges) -> tuple[tuple[int, int, int], ...]:
 def _canonicalize(ms: MetaStructure):
     n = ms.n_nodes
     colors = _refine_colors(ms)
-    if n <= EXACT_CANONICAL_NODES and max(colors) == n - 1:
+    if max(colors) == n - 1:
         # discrete (colors are dense ranks): the one ordering puts position p
         # at index colors[p]
-        nodes = [0] * n
-        for p, c in enumerate(colors):
-            nodes[c] = ms.nodes[p]
-        form = MetaStructure(
-            nodes=tuple(nodes),
-            edges=_interned(sorted([(colors[a], colors[b], e) for a, b, e in ms.edges])),
-            source=colors[ms.source],
-            target=colors[ms.target],
-        )
-        return _exact_key(form), form
-    groups: dict[int, list[int]] = {}
-    for p in range(n):
-        groups.setdefault(colors[p], []).append(p)
-    # colors are dense ranks, so the classes in color order
-    ordered_groups = [groups[c] for c in range(len(groups))]
-
-    perms = 1
-    for g in ordered_groups:
-        perms *= math.factorial(len(g))
-    if n > EXACT_CANONICAL_NODES or perms > PERMUTATION_BUDGET:
-        log.warning(
-            "canonical key falling back to refined signature for %d-node structure", n
-        )
-        ordering = sorted(range(n), key=lambda p: (colors[p], p))
-        return _signature_key(ms, colors), _relabel(ms, ordering)
-
-    edges = None
-    for candidate in _orderings(ordered_groups):
-        index = {old: i for i, old in enumerate(candidate)}
-        relabeled = tuple(sorted((index[a], index[b], e) for a, b, e in ms.edges))
-        if edges is None or relabeled < edges:
-            edges, ordering, new_index = relabeled, candidate, index
+        index = colors
+    else:
+        groups: dict[int, list[int]] = {}
+        for p in range(n):
+            groups.setdefault(colors[p], []).append(p)
+        # colors are dense ranks, so the classes in color order
+        ordered_groups = [groups[c] for c in range(len(groups))]
+        perms = math.prod(math.factorial(len(g)) for g in ordered_groups)
+        if perms > PERMUTATION_BUDGET:
+            log.warning("canonical key falling back to color order for %d-position structure", n)
+            ordering = [p for group in ordered_groups for p in group]  # ties by position
+        else:
+            best = None
+            for candidate in _orderings(ordered_groups):
+                at = {old: i for i, old in enumerate(candidate)}
+                relabeled = sorted([(at[a], at[b], e) for a, b, e in ms.edges])
+                if best is None or relabeled < best:
+                    best, ordering = relabeled, candidate
+        index = [0] * n
+        for i, p in enumerate(ordering):
+            index[p] = i
+    nodes = [0] * n
+    for p, i in enumerate(index):
+        nodes[i] = ms.nodes[p]
     form = MetaStructure(
-        nodes=tuple(ms.nodes[p] for p in ordering),
-        edges=_interned(edges),
-        source=new_index[ms.source],
-        target=new_index[ms.target],
+        nodes=tuple(nodes),
+        edges=_interned(sorted([(index[a], index[b], e) for a, b, e in ms.edges])),
+        source=index[ms.source],
+        target=index[ms.target],
     )
     return _exact_key(form), form
 
@@ -380,17 +377,6 @@ def _exact_key(form: MetaStructure) -> str:
     types = ",".join(map(str, form.nodes))
     edge_part = ";".join([f"{a}-{b}-{e}" for a, b, e in form.edges])
     return f"n:{types}|e:{edge_part}|s:{form.source}|t:{form.target}"
-
-
-def _relabel(ms: MetaStructure, ordering) -> MetaStructure:
-    """Structure whose position ``i`` is position ``ordering[i]`` of ``ms``."""
-    new_index = {old: i for i, old in enumerate(ordering)}
-    return MetaStructure(
-        nodes=tuple(ms.nodes[p] for p in ordering),
-        edges=_interned(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges)),
-        source=new_index[ms.source],
-        target=new_index[ms.target],
-    )
 
 
 def _refine_colors(ms: MetaStructure) -> list[int]:
@@ -432,14 +418,6 @@ def _orderings(groups):
     """All position orderings that permute only within color groups."""
     for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
         yield [p for group in combo for p in group]
-
-
-def _signature_key(ms: MetaStructure, colors) -> str:
-    node_part = ",".join(str(c) for c in sorted(f"{ms.nodes[p]}.{colors[p]}" for p in range(ms.n_nodes)))
-    edge_part = ";".join(
-        sorted(f"{colors[a]}-{colors[b]}-{e}" for a, b, e in ms.edges)
-    )
-    return f"wl|n:{node_part}|e:{edge_part}|s:{colors[ms.source]}|t:{colors[ms.target]}"
 
 
 # ---------------------------------------------------------------------------

@@ -326,9 +326,9 @@ def neighbors_oracle(ms: MetaStructure, lib, rng: np.random.Generator, cap: int)
 def canonicalize_reference(ms: MetaStructure):
     """``(canonical key, canonical form)`` by the plain algorithm: refine
     colors until they are stable, then try every ordering within color
-    classes and relabel by the best; beyond the exact range, the refined
-    signature and the color order."""
-    from hinstruct.structure import EXACT_CANONICAL_NODES, PERMUTATION_BUDGET
+    classes and relabel by the best; beyond the permutation budget, relabel
+    by the color order, ties by position. The key spells out the form."""
+    from hinstruct.structure import PERMUTATION_BUDGET
 
     n = ms.n_nodes
     colors = reference_colors(ms)
@@ -339,21 +339,17 @@ def canonicalize_reference(ms: MetaStructure):
     perms = 1
     for g in ordered_groups:
         perms *= math.factorial(len(g))
-    if n > EXACT_CANONICAL_NODES or perms > PERMUTATION_BUDGET:
-        ordering = sorted(range(n), key=lambda p: (colors[p], p))
-        node_part = ",".join(sorted(f"{ms.nodes[p]}.{colors[p]}" for p in range(n)))
-        edge_part = ";".join(sorted(f"{colors[a]}-{colors[b]}-{e}" for a, b, e in ms.edges))
-        key = f"wl|n:{node_part}|e:{edge_part}|s:{colors[ms.source]}|t:{colors[ms.target]}"
-        return key, _relabel_reference(ms, ordering)
-
-    best = None
-    for combo in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
-        ordering = [p for group in combo for p in group]
-        new_index = {old: i for i, old in enumerate(ordering)}
-        relabeled = tuple(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges))
-        if best is None or relabeled < best[0]:
-            best = (relabeled, ordering)
-    form = _relabel_reference(ms, best[1])
+    if perms > PERMUTATION_BUDGET:
+        form = _relabel_reference(ms, sorted(range(n), key=lambda p: (colors[p], p)))
+    else:
+        best = None
+        for combo in itertools.product(*[itertools.permutations(g) for g in ordered_groups]):
+            ordering = [p for group in combo for p in group]
+            new_index = {old: i for i, old in enumerate(ordering)}
+            relabeled = tuple(sorted((new_index[a], new_index[b], e) for a, b, e in ms.edges))
+            if best is None or relabeled < best[0]:
+                best = (relabeled, ordering)
+        form = _relabel_reference(ms, best[1])
     types = ",".join(str(t) for t in form.nodes)
     edges = ";".join(f"{a}-{b}-{e}" for a, b, e in form.edges)
     return f"n:{types}|e:{edges}|s:{form.source}|t:{form.target}", form

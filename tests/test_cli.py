@@ -245,6 +245,16 @@ class TestSearch:
             assert "Traceback" not in err
         assert taken.read_text() == "not a directory"
 
+    @pytest.mark.parametrize("name", ["result.json", "transcripts.jsonl"])
+    def test_artifact_that_cannot_be_written(self, workspace, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["search", "--config", str(workspace["config"]), "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / name}: Is a directory" in err
+        assert "Traceback" not in err
+        assert not list(out.glob("*.tmp"))
+
     def test_unknown_search_key_rejected(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad2.json"
         payload = json.loads(workspace["config"].read_text())
@@ -703,6 +713,16 @@ class TestExplain:
             lines = (out / "explain-transcripts.jsonl").read_text().splitlines()
             # the explainer's two steps, one exchange each with the stub
             assert reports and len(lines) == 2 * len(reports)
+
+    def test_reports_that_cannot_be_written(self, workspace, run_dir, tmp_path, capsys):
+        out = tmp_path / "explain-out"
+        (out / "explain-explanations.json").mkdir(parents=True)
+        argv = ["explain", str(run_dir / "result.json"), "--config", str(workspace["config"]), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out / 'explain-explanations.json'}: Is a directory" in err
+        assert "Traceback" not in err
+        assert not (out / "explain-explanations.json.tmp").exists()
 
     def test_missing_result_file(self, workspace, capsys):
         code = main(["explain", "/no/such/result.json", "--config", str(workspace["config"])])

@@ -235,6 +235,12 @@ class TestTransposePick:
         m, dense = random_sparse(rng, 6, 9)
         assert np.allclose(to_dense(m.transpose()), dense.T)
 
+    def test_row_ids(self):
+        rng = np.random.default_rng(23)
+        for m in (with_empty_rows(rng, 7, 5), from_dense(np.zeros((3, 4)))):
+            dense = to_dense(m)
+            assert np.array_equal(m.row_ids(), np.nonzero(dense)[0])
+
     def test_pick(self):
         m = from_dense([[0, 2.0], [3.0, 0]])
         got = m.pick([(0, 1), (1, 0), (0, 0), (1, 1)])

@@ -1,5 +1,9 @@
 import itertools
+import json
+import logging
+import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from hinstruct.cli import EXIT_OK, main
 from hinstruct.grammar import GrammarError, encode_metastructure
 from hinstruct.hin import schema_from_dict
 from hinstruct.structure import (
-    EXACT_CANONICAL_NODES,
+    PERMUTATION_BUDGET,
     MetaPath,
     MetaStructure,
     StructureError,
@@ -38,6 +42,9 @@ from conftest import (
 
 U, B, A, I = 0, 1, 2, 3
 RATES, RATED_BY, FRIEND, BELONGS, CONTAINS, LOCATED, HOSTS = range(7)
+# the demo search's default size limit, where random relabellings stay within
+# the permutation budget
+SMALL_NODES = 10
 
 
 def linear(*pairs):
@@ -134,7 +141,7 @@ class TestSubLogics:
     def test_relabelling_leaves_them_unchanged(self, schema):
         rng = np.random.default_rng(6)
         for _ in range(300):
-            ms = random_structure(schema, rng, max_nodes=EXACT_CANONICAL_NODES)
+            ms = random_structure(schema, rng, max_nodes=SMALL_NODES)
             assert sub_logics(relabeled(ms, rng)) == sub_logics(ms)
 
 
@@ -183,6 +190,53 @@ class TestCanonicalKey:
     def test_stable_across_calls(self, schema):
         ms = planted_structure()
         assert canonical_key(ms) == canonical_key(MetaStructure.from_dict(ms.to_dict()))
+
+    def test_friend_cycles_within_budget_get_two_keys(self, schema):
+        """Twelve positions whose friend layer is one 10-cycle or a 4-cycle
+        and a 6-cycle: refinement cannot tell them apart, the 5!·5!
+        orderings fit the budget, and each structure keeps its key under
+        relabelling."""
+        rng = np.random.default_rng(71)
+        pair = friend_layers(5), friend_layers(2, 3)
+        keys = []
+        for ms in pair:
+            assert ms.n_nodes == 12 and validate(ms, schema) == [] and not over_budget(ms)
+            keys.append(canonical_key(ms))
+            for _ in range(2):
+                assert canonical_key(relabeled(ms, rng)) == keys[-1]
+        assert keys[0] != keys[1]
+        assert encode_metastructure(pair[0], schema) != encode_metastructure(pair[1], schema)
+
+    def test_over_budget_pair_gets_two_color_order_keys(self, schema, caplog):
+        """An 18-cycle against an 8-cycle and a 10-cycle, 9!·9! orderings:
+        each key spells out the structure in color order, so the two differ."""
+        pair = friend_layers(9), friend_layers(4, 5)
+        keys = []
+        for ms in pair:
+            assert validate(ms, schema) == [] and over_budget(ms)
+            with caplog.at_level(logging.WARNING, logger="hinstruct.structure"):
+                keys.append(structure._canonicalize.__wrapped__(ms)[0])
+            assert keys[-1] == structure._exact_key(color_order_form(ms))
+        assert keys[0] != keys[1]
+        assert sum("falling back" in r.getMessage() for r in caplog.records) == 2
+
+    def test_search_beyond_ten_positions_needs_no_fallback(self, planted_dir, tmp_path, caplog, monkeypatch):
+        config = tmp_path / "config.json"
+        payload = write_demo_config(config, planted_dir, tmp_path / "out", seed=0, generations=10)
+        payload["search"]["max_structure_nodes"] = 14
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        sizes = set()
+        labelling = structure._canonicalize
+
+        def recording(ms):
+            sizes.add(ms.n_nodes)
+            return labelling(ms)
+
+        monkeypatch.setattr(structure, "_canonicalize", recording)
+        with caplog.at_level(logging.WARNING, logger="hinstruct.structure"):
+            assert main(["search", "--config", str(config)]) == EXIT_OK
+        assert max(sizes) > SMALL_NODES
+        assert not [r for r in caplog.records if "falling back" in r.getMessage()]
 
 
 class TestFromDict:
@@ -249,20 +303,62 @@ def twinned(ms, rng):
 
 
 def repeated_type_corpus(schema):
-    """Random structures within the exact range and their relabellings,
-    plus twinned ones, whose twins never part in refinement."""
+    """Random structures of up to ten positions and their relabellings, plus
+    twinned ones, whose twins never part in refinement."""
     rng = np.random.default_rng(41)
-    corpus = random_corpus(schema, 41, EXACT_CANONICAL_NODES, 200)
-    for ms in random_corpus(schema, 42, EXACT_CANONICAL_NODES - 1, 200):
+    corpus = random_corpus(schema, 41, SMALL_NODES, 200)
+    for ms in random_corpus(schema, 42, SMALL_NODES - 1, 200):
         twin = twinned(ms, rng)
         if twin is not None:
             corpus += [twin, relabeled(twin, rng)]
     return corpus
 
 
-def fallback_corpus(schema):
-    """Random structures beyond the exact range and their relabellings."""
-    return [ms for ms in random_corpus(schema, 43, 16, 200) if ms.n_nodes > EXACT_CANONICAL_NODES]
+def large_corpus(schema):
+    """Random structures of more than ten positions and their relabellings,
+    plus the over-budget pair of ``friend_layers`` and their relabellings."""
+    rng = np.random.default_rng(43)
+    corpus = [ms for ms in random_corpus(schema, 43, 16, 200) if ms.n_nodes > SMALL_NODES]
+    for ms in (friend_layers(9), friend_layers(4, 5)):
+        corpus += [ms, relabeled(ms, rng)]
+    return corpus
+
+
+def friend_layers(*cycles):
+    """A user source, two layers of user positions and a business target:
+    the source befriends each first-layer position and each second-layer one
+    rates the target. Friend edges between the layers form one cycle through
+    ``2 * m`` positions, ``m`` per layer, for each ``m`` in ``cycles``.
+    Refinement parts no two positions of one layer."""
+    width = sum(cycles)
+    target = 2 * width + 1
+    edges = [(0, 1 + i, FRIEND) for i in range(width)]
+    edges += [(1 + width + i, target, RATES) for i in range(width)]
+    start = 0
+    for m in cycles:
+        for i in range(m):
+            tail = 1 + start + i
+            edges += [(tail, 1 + width + start + i, FRIEND), (tail, 1 + width + start + (i + 1) % m, FRIEND)]
+        start += m
+    return MetaStructure((U,) * target + (B,), tuple(edges), 0, target)
+
+
+def over_budget(ms):
+    sizes = Counter(reference_colors(ms)).values()
+    return math.prod(math.factorial(size) for size in sizes) > PERMUTATION_BUDGET
+
+
+def color_order_form(ms):
+    """``ms`` relabelled by refined color, ties by position."""
+    colors = reference_colors(ms)
+    ordering = sorted(range(ms.n_nodes), key=lambda p: (colors[p], p))
+    at = {p: i for i, p in enumerate(ordering)}
+    return MetaStructure(
+        nodes=tuple(ms.nodes[p] for p in ordering),
+        edges=tuple(sorted((at[a], at[b], e) for a, b, e in ms.edges)),
+        source=at[ms.source],
+        target=at[ms.target],
+    )
 
 
 def discrete(ms):
@@ -287,24 +383,23 @@ class TestLabelling:
 
     def test_random_structures_with_repeated_types(self, schema):
         corpus = repeated_type_corpus(schema)
-        assert all(ms.n_nodes <= EXACT_CANONICAL_NODES for ms in corpus)
+        assert all(ms.n_nodes <= SMALL_NODES for ms in corpus)
         assert sum(len(set(ms.nodes)) < ms.n_nodes for ms in corpus) > 900
         assert sum(not discrete(ms) for ms in corpus) > 600  # the permutation branch runs
         assert all(validate(ms, schema) == [] for ms in corpus)
         self.assert_matches_reference(corpus)
 
-    def test_fallback_beyond_exact_range(self, schema):
-        corpus = fallback_corpus(schema)
+    def test_beyond_ten_positions(self, schema):
+        corpus = large_corpus(schema)
         assert len(corpus) > 100
-        keys = [structure._canonicalize.__wrapped__(ms)[0] for ms in corpus]
-        assert all(key.startswith("wl|") for key in keys)
+        assert any(over_budget(ms) for ms in corpus)
         self.assert_matches_reference(corpus)
 
     def test_corpora_need_three_rounds(self, schema, demo_structures):
         """Refinement that splits classes in two or more rounds and then
         stops at a round that adds none: the class-count stopping rule,
         short of a discrete coloring."""
-        for corpus in (demo_structures, repeated_type_corpus(schema), fallback_corpus(schema)):
+        for corpus in (demo_structures, repeated_type_corpus(schema), large_corpus(schema)):
             assert any(reference_refinement(ms)[1] >= 3 and not discrete(ms) for ms in corpus)
 
 
@@ -327,7 +422,7 @@ class TestDecompositionReference:
         assert self.assert_matches_reference(demo_structures, schema) > 1_000
 
     def test_random_corpora(self, schema):
-        corpus = repeated_type_corpus(schema) + fallback_corpus(schema)
+        corpus = repeated_type_corpus(schema) + large_corpus(schema)
         assert self.assert_matches_reference(corpus, schema) > 500
 
     def test_first_unusable_word_raises(self, schema):
@@ -337,7 +432,7 @@ class TestDecompositionReference:
         payload["node_types"][B]["noun"] = "Business AND shop"
         payload["edge_types"][BELONGS]["verb"] = ""
         bad = schema_from_dict(payload)
-        corpus = random_corpus(schema, 61, EXACT_CANONICAL_NODES, 100)
+        corpus = random_corpus(schema, 61, SMALL_NODES, 100)
         raised = set()
         for ms in corpus:
             try:
@@ -362,17 +457,18 @@ class TestIsomorphismInvariant:
                     assert isomorphism_invariant(relabeled(ms, rng)) == isomorphism_invariant(ms)
 
     def test_equal_keys_imply_equal_invariants(self, schema, demo_structures):
-        corpus = (
-            demo_structures
-            + random_corpus(schema, 53, EXACT_CANONICAL_NODES, 200)
-            + random_corpus(schema, 59, 16, 200)
-        )
+        """One key format for every structure: equal keys mean isomorphic
+        structures, so they share the invariant, beyond ten positions and
+        beyond the permutation budget too."""
+        corpus = demo_structures + random_corpus(schema, 53, SMALL_NODES, 200) + large_corpus(schema)
+        assert any(over_budget(ms) for ms in corpus)
         by_key = {}
         for ms in corpus:
-            by_key.setdefault(canonical_key(ms), set()).add(isomorphism_invariant(ms))
-        assert all(len(invariants) == 1 for invariants in by_key.values())
+            by_key.setdefault(canonical_key(ms), []).append(ms)
+        for group in by_key.values():
+            assert len({isomorphism_invariant(ms) for ms in group}) == 1, group[0]
         assert len(by_key) < len(corpus)  # some keys repeat
-        assert any(key.startswith("wl|") for key in by_key)
+        assert any(len(group) > 1 and group[0].n_nodes > SMALL_NODES for group in by_key.values())
 
 
 class TestSeedPopulation:
@@ -461,10 +557,10 @@ class TestCompactStructures:
             assert not hasattr(obj, "__dict__")
 
     def test_canonical_forms_share_edge_triples(self, schema):
-        """Across structures, discrete, permuted and refined-signature forms
-        alike take each equal triple as one object."""
+        """Across structures, discrete, permuted and color-order forms alike
+        take each equal triple as one object."""
         first, edges = {}, 0
-        for ms in repeated_type_corpus(schema) + fallback_corpus(schema):
+        for ms in repeated_type_corpus(schema) + large_corpus(schema):
             for edge in structure.canonical_form(ms).edges:
                 assert first.setdefault(edge, edge) is edge
                 edges += 1
