@@ -22,7 +22,8 @@ taking its default.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
 error. Output files are written atomically (temp file plus rename); a file
-that cannot be written is a data error naming it. Log
+that cannot be written is a data error naming it. ``search`` and ``explain``
+refuse an output path that is a directory before they load anything. Log
 messages go to stderr at ``--log-level`` and above (default ``warning``);
 at ``info`` a search logs, per generation, how many agent chains it asked
 the backend and how many it reused.
@@ -33,6 +34,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import logging
 import os
@@ -290,6 +292,14 @@ def _output_dir(path: Path) -> Path:
     return path
 
 
+def _check_writable(out_dir: Path, names):
+    """Raise, before any work, the ``DataError`` that writing a file of
+    ``names`` in ``out_dir`` would raise at the end when it is a directory."""
+    for name in names:
+        if (out_dir / name).is_dir():
+            raise DataError(f"cannot write {out_dir / name}: {os.strerror(errno.EISDIR)}")
+
+
 def _atomic_write(path: Path, text: str):
     """Write ``text`` to ``path`` through a temporary file beside it. A
     failure is a ``DataError`` naming ``path`` and leaves no temporary file."""
@@ -325,6 +335,10 @@ def _load_valid_structure(path, schema) -> MetaStructure | None:
 
 def cmd_search(args) -> int:
     config = RunConfig.load(args.config, args.seed, args.out)
+    _check_writable(
+        config.output_dir,
+        ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl"),
+    )
     prompts = PromptLibrary(config.prompt_dir)
     out_dir = _output_dir(config.output_dir)
 
@@ -486,6 +500,7 @@ def _read_events(path: Path, pool: PerformancePool) -> list:
 
 def cmd_explain(args) -> int:
     config = RunConfig.load(args.config, out_override=args.out)
+    _check_writable(config.output_dir, ("explain-explanations.json", "explain-transcripts.jsonl"))
     result_path = Path(args.result)
     pool, final_keys, finals = _read_result(result_path)
     schema = load_schema(config.dataset_dir / "schema.json")

@@ -4,7 +4,8 @@ Three operations modify a structure: INSERTION replaces an edge with a
 compatible component path, GRAFTING merges a component's endpoints onto two
 existing positions to open a branch, DELETION removes an interior position
 and reconnects its neighbors through admissible edge types. Components are
-schema meta-paths enumerated up to configured size limits.
+the schema meta-paths that :func:`structure.schema_walks` yields from every
+node type up to the component limits.
 
 A :class:`ComponentLibrary` owns every fixed input of a neighbourhood: the
 schema it was built from, the structure-size limit and the components, so a
@@ -49,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grammar import encode_metastructure
-from .hin import DataError, LruMemo, Schema
+from .hin import LruMemo, Schema
 from .structure import (
     MetaPath,
     MetaStructure,
@@ -57,6 +58,7 @@ from .structure import (
     canonical_key,
     isomorphism_invariant,
     reachable,
+    schema_walks,
     validate,
 )
 
@@ -68,10 +70,6 @@ MAX_RECONNECT_COMBOS = 512
 # calls of the seed-0 demo search, bounds of 1/2/4/8/unbounded hit
 # 19/27/40/41/43 times.
 UNION_MEMO_ENTRIES = 8
-# Schema walks a component library may hold. The walk count of a schema with
-# a cycle grows exponentially with the component limit: the demo schema has
-# 3,670 walks of up to 10 positions and 14,714 of up to 12.
-MAX_SCHEMA_WALKS = 50_000
 # Sentences a library keeps. The seed-0 demo search asks for 2,869 sentences
 # of 2,134 distinct canonical forms; replayed, bounds of 512/1,024/4,096 keep
 # 700/713/735 of its hits.
@@ -125,41 +123,14 @@ def build_component_library(
     interior positions and grafting components of up to
     ``grafting_max_nodes`` positions."""
     insertion_cap = 2 + insertion_max_interior
-    paths = _schema_paths(schema, max(insertion_cap, grafting_max_nodes))
+    starts = [nt.id for nt in schema.node_types]
+    paths = list(schema_walks(schema, starts, max(insertion_cap, grafting_max_nodes), "component"))
     return ComponentLibrary(
         schema,
         max_nodes,
         insertion=tuple(p for p in paths if p.n_nodes <= insertion_cap),
         grafting=tuple(p for p in paths if p.n_nodes <= grafting_max_nodes),
     )
-
-
-def _schema_paths(schema: Schema, limit: int) -> list[MetaPath]:
-    """Exhaustive meta-paths of 2..limit nodes, ordered by size then types.
-
-    Walks grow one position per level. Before a level is built its size is
-    counted, and a ``DataError`` naming ``limit`` stops the build when the
-    walks would number more than ``MAX_SCHEMA_WALKS``.
-    """
-    out_edges = {
-        nt.id: sorted(schema.out_edge_types(nt.id), key=lambda e: e.id) for nt in schema.node_types
-    }
-    level = [((nt.id,), ()) for nt in schema.node_types]
-    found = []
-    for n_nodes in range(2, limit + 1):
-        if len(found) + sum(len(out_edges[nodes[-1]]) for nodes, _ in level) > MAX_SCHEMA_WALKS:
-            raise DataError(
-                f"component limit {limit}: schema walks of up to {n_nodes} positions "
-                f"number more than {MAX_SCHEMA_WALKS:,}; lower the component limits"
-            )
-        level = [
-            (nodes + (et.dst,), etypes + (et.id,))
-            for nodes, etypes in level
-            for et in out_edges[nodes[-1]]
-        ]
-        found.extend(MetaPath(nodes, etypes) for nodes, etypes in level)
-    found.sort(key=lambda p: (p.n_nodes, p.type_sequence()))
-    return found
 
 
 def _dedup_edges(edges):

@@ -36,7 +36,9 @@ class MatrixBlowupError(RuntimeError):
 # ``row_dots`` may gather; read on every call
 FLOP_BUDGET = 50_000_000
 # stored entries ``row_dots`` gathers per chunk, so its working memory stays
-# bounded however many rows it is asked for
+# bounded however many rows it is asked for. The seed-0 demo search's largest
+# call gathers 183,802 entries and peaks at 5.86 MiB under tracemalloc, about
+# 33 bytes per entry, so a full chunk holds about 35 MB.
 DOT_CHUNK = 1 << 20
 
 

@@ -9,6 +9,11 @@ to type-preserving isomorphism and drive deduplication and fitness caching.
 source-to-target paths, taken from its canonical form: the grammar renders
 it from :func:`sub_logic_sequences`, its (type sequence, positions) pairs;
 the evaluator scores it, and :func:`enumerate_paths` projects it.
+
+:func:`schema_walks` is the one walk of the schema: the seeds are its first
+walks from the task's source type that end at the target type, and the
+mutation components (``mutations.build_component_library``) are its walks
+from every node type.
 """
 
 from __future__ import annotations
@@ -17,10 +22,9 @@ import functools
 import itertools
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .hin import Schema, json_int
+from .hin import DataError, Schema, json_int
 
 log = logging.getLogger(__name__)
 
@@ -30,8 +34,10 @@ log = logging.getLogger(__name__)
 # one key; above it the color order stands, and isomorphic structures may
 # get distinct keys (each is then evaluated once, never mistaken for another).
 PERMUTATION_BUDGET = 40_320
-# schema edges the seeding breadth-first search may expand before it stops
-SEED_MAX_EXPANSIONS = 200_000
+# Schema walks one walk of the schema may take. The walk count of a schema
+# with a cycle grows exponentially with the limit: the demo schema has 3,670
+# walks of up to 10 positions and 14,714 of up to 12.
+MAX_SCHEMA_WALKS = 50_000
 
 
 class StructureError(ValueError):
@@ -353,7 +359,7 @@ def _canonicalize(ms: MetaStructure):
             ordering = [p for group in ordered_groups for p in group]  # ties by position
         else:
             best = None
-            for candidate in _orderings(ordered_groups):
+            for candidate in _orderings(ms, ordered_groups):
                 at = {old: i for i, old in enumerate(candidate)}
                 relabeled = sorted([(at[a], at[b], e) for a, b, e in ms.edges])
                 if best is None or relabeled < best:
@@ -414,15 +420,75 @@ def _refine_colors(ms: MetaStructure) -> list[int]:
     return colors
 
 
-def _orderings(groups):
-    """All position orderings that permute only within color groups."""
-    for combo in itertools.product(*[itertools.permutations(g) for g in groups]):
-        yield [p for group in combo for p in group]
+def _orderings(ms: MetaStructure, groups):
+    """The position orderings that permute only within color groups (each in
+    position order) and keep each group's twins in position order.
+
+    Twins are positions with the same out- and in-neighbours (position and
+    edge type, counted with multiplicity); the same neighbours give the same
+    type, role and color. Swapping two twins maps the edge list onto itself,
+    so the orderings that differ only in how they place twins relabel the
+    edges alike, and the one that keeps twins in position order stands for
+    them all.
+    """
+    outs = [[] for _ in range(ms.n_nodes)]
+    ins = [[] for _ in range(ms.n_nodes)]
+    for a, b, e in ms.edges:
+        outs[a].append((b, e))
+        ins[b].append((a, e))
+    arrangements = []
+    for group in groups:
+        twins: dict[tuple, list[int]] = {}
+        for p in group:
+            twins.setdefault((tuple(sorted(outs[p])), tuple(sorted(ins[p]))), []).append(p)
+        arrangements.append(list(_interleavings(list(twins.values()))))
+    for combo in itertools.product(*arrangements):
+        yield [p for part in combo for p in part]
+
+
+def _interleavings(runs):
+    """Every ordering of the positions of ``runs`` (lists of positions) that
+    keeps each run's order."""
+    if len(runs) == 1:
+        yield tuple(runs[0])
+        return
+    for i, run in enumerate(runs):
+        rest = runs[:i] + ([run[1:]] if len(run) > 1 else []) + runs[i + 1 :]
+        for tail in _interleavings(rest):
+            yield (run[0], *tail)
 
 
 # ---------------------------------------------------------------------------
-# seeding
+# schema walks and seeding
 # ---------------------------------------------------------------------------
+
+
+def schema_walks(schema: Schema, starts, limit: int, limit_name: str = "structure"):
+    """Yield the meta-paths of 2..``limit`` positions that start at the node
+    types ``starts``, one level of positions at a time, each level in
+    type-sequence order.
+
+    Before a level is built its size is counted, and a ``DataError`` naming
+    the ``limit_name`` limit stops the walk once the walks would number more
+    than ``MAX_SCHEMA_WALKS``.
+    """
+    out_edges = {nt.id: schema.out_edge_types(nt.id) for nt in schema.node_types}
+    level = [((t,), ()) for t in sorted(starts)]
+    walked = 0
+    for n_nodes in range(2, limit + 1):
+        walked += sum(len(out_edges[nodes[-1]]) for nodes, _ in level)
+        if walked > MAX_SCHEMA_WALKS:
+            raise DataError(
+                f"{limit_name} limit {limit}: schema walks of up to {n_nodes} positions "
+                f"number more than {MAX_SCHEMA_WALKS:,}; lower the {limit_name} limit"
+            )
+        level = [
+            (nodes + (et.dst,), etypes + (et.id,))
+            for nodes, etypes in level
+            for et in out_edges[nodes[-1]]
+        ]
+        for nodes, etypes in level:
+            yield MetaPath(nodes, etypes)
 
 
 def seed_population(
@@ -432,27 +498,13 @@ def seed_population(
     size: int,
     max_nodes: int,
 ) -> list[MetaStructure]:
-    """The ``size`` shortest meta-paths between the task's endpoint types,
-    found by breadth-first search over the schema graph and converted to
-    linear structures. Pads with duplicates when fewer exist."""
-    found: list[MetaPath] = []
-    queue = deque([((source_type,), ())])
-    expansions = 0
-    while queue and len(found) < size:
-        node_types, edge_types = queue.popleft()
-        if len(node_types) >= max_nodes:
-            continue
-        for et in sorted(schema.out_edge_types(node_types[-1]), key=lambda e: e.id):
-            expansions += 1
-            child = (node_types + (et.dst,), edge_types + (et.id,))
-            if et.dst == target_type:
-                found.append(MetaPath(child[0], child[1]))
-                if len(found) == size:
-                    break
-            queue.append(child)
-        if expansions > SEED_MAX_EXPANSIONS:
-            break
-
+    """The first ``size`` of the :func:`schema_walks` from the source type
+    that end at the target type, shortest first, as linear structures. Pads
+    with duplicates when fewer exist. A ``DataError`` naming the structure
+    limit ``max_nodes`` is raised when the walks from the source type pass
+    ``MAX_SCHEMA_WALKS`` before ``size`` seeds are found."""
+    walks = schema_walks(schema, [source_type], max_nodes)
+    found = list(itertools.islice((p for p in walks if p.node_types[-1] == target_type), size))
     if not found:
         raise StructureError(
             f"no schema path from node type {source_type} to node type {target_type}"
@@ -460,4 +512,4 @@ def seed_population(
     seeds = [MetaStructure.from_path(p) for p in found]
     while len(seeds) < size:
         seeds.append(seeds[len(seeds) % len(found)])
-    return seeds[:size]
+    return seeds

@@ -255,6 +255,18 @@ class TestSearch:
         assert "Traceback" not in err
         assert not list(out.glob("*.tmp"))
 
+    @pytest.mark.parametrize("name", ["result.json", "curve.csv", "events.jsonl", "explanations.json"])
+    def test_unwritable_artifact_refused_before_the_search(self, workspace, tmp_path, capsys, monkeypatch, name):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr("hinstruct.cli.run_search", refuse)
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        assert main(["search", "--config", str(workspace["config"]), "--out", str(out)]) == EXIT_DATA
+        assert f"error: cannot write {out / name}: Is a directory" in capsys.readouterr().err
+        assert sorted(path.name for path in out.iterdir()) == [name]
+
     def test_unknown_search_key_rejected(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad2.json"
         payload = json.loads(workspace["config"].read_text())
@@ -723,6 +735,18 @@ class TestExplain:
         assert f"error: cannot write {out / 'explain-explanations.json'}: Is a directory" in err
         assert "Traceback" not in err
         assert not (out / "explain-explanations.json.tmp").exists()
+
+    def test_unwritable_reports_refused_before_the_backend(self, workspace, run_dir, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("explain asked the backend")
+
+        monkeypatch.setattr(agents.StubBackend, "complete", refuse)
+        out = tmp_path / "explain-out"
+        (out / "explain-explanations.json").mkdir(parents=True)
+        argv = ["explain", str(run_dir / "result.json"), "--config", str(workspace["config"]), "--out", str(out)]
+        assert main(argv) == EXIT_DATA
+        assert f"error: cannot write {out / 'explain-explanations.json'}: Is a directory" in capsys.readouterr().err
+        assert not (out / "explain-transcripts.jsonl").exists()
 
     def test_missing_result_file(self, workspace, capsys):
         code = main(["explain", "/no/such/result.json", "--config", str(workspace["config"])])

@@ -6,12 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from hinstruct import evolution, mutations
+from hinstruct import evolution, mutations, structure
 from hinstruct.cli import EXIT_OK, main
 from hinstruct.grammar import encode_metastructure
 from hinstruct.hin import DataError, LruMemo
 from hinstruct.mutations import (
-    MAX_SCHEMA_WALKS,
     UNION_MEMO_ENTRIES,
     EmptyNeighborhoodError,
     _graftings,
@@ -22,7 +21,14 @@ from hinstruct.mutations import (
     neighbors_insertion,
     one_step_neighbors,
 )
-from hinstruct.structure import MetaPath, MetaStructure, canonical_key, isomorphism_invariant, validate
+from hinstruct.structure import (
+    MAX_SCHEMA_WALKS,
+    MetaPath,
+    MetaStructure,
+    canonical_key,
+    isomorphism_invariant,
+    validate,
+)
 from hinstruct.synth import write_demo_config
 
 from conftest import enumerate_corpus, neighbors_oracle, random_structure, raw_graftings
@@ -87,7 +93,8 @@ class TestComponentLibrary:
     @pytest.mark.parametrize("limit", [2, 3, 6, 10])
     def test_walks_ordered_by_size_then_types(self, schema, lib, limit):
         expect = sorted(schema_paths_oracle(schema, limit), key=lambda p: (len(p[0]), MetaPath(*p).type_sequence()))
-        got = [(p.node_types, p.edge_types) for p in mutations._schema_paths(schema, limit)]
+        walks = structure.schema_walks(schema, [t.id for t in schema.node_types], limit)
+        got = [(p.node_types, p.edge_types) for p in walks]
         assert got == expect
         if limit == 3:  # the default library
             assert [(p.node_types, p.edge_types) for p in lib.grafting] == expect

@@ -3,6 +3,7 @@ import json
 import logging
 import math
 import re
+import time
 from collections import Counter
 
 import numpy as np
@@ -11,8 +12,9 @@ import pytest
 from hinstruct import mutations, structure
 from hinstruct.cli import EXIT_OK, main
 from hinstruct.grammar import GrammarError, encode_metastructure
-from hinstruct.hin import schema_from_dict
+from hinstruct.hin import DataError, schema_from_dict
 from hinstruct.structure import (
+    MAX_SCHEMA_WALKS,
     PERMUTATION_BUDGET,
     MetaPath,
     MetaStructure,
@@ -24,9 +26,10 @@ from hinstruct.structure import (
     sub_logics,
     validate,
 )
-from hinstruct.synth import planted_structure, write_demo_config
+from hinstruct.synth import planted_structure, toy_schema, write_demo_config
 
 from conftest import (
+    MINI_SCHEMA_DICT,
     brute_force_paths,
     brute_isomorphic,
     canonicalize_reference,
@@ -365,6 +368,22 @@ def discrete(ms):
     return len(set(reference_colors(ms))) == ms.n_nodes
 
 
+def eight_twins():
+    """A user source befriending eight users who each rate the business
+    target (10 positions)."""
+    edges = [(0, i, FRIEND) for i in range(1, 9)] + [(i, 9, RATES) for i in range(1, 9)]
+    return MetaStructure((U,) * 9 + (B,), tuple(edges), 0, 9)
+
+
+def two_twin_pairs():
+    """One color class of two twin pairs: the source befriends users 1 to 4;
+    users 1 and 2 rate business 5, users 3 and 4 rate business 6, and both
+    businesses are rated by the user target."""
+    edges = [(0, i, FRIEND) for i in range(1, 5)]
+    edges += [(1, 5, RATES), (2, 5, RATES), (3, 6, RATES), (4, 6, RATES), (5, 7, RATED_BY), (6, 7, RATED_BY)]
+    return MetaStructure((U, U, U, U, U, B, B, U), tuple(edges), 0, 7)
+
+
 class TestLabelling:
     """``_canonicalize`` against the plain algorithm in ``conftest``: the
     discrete early exit and the single-ordering path change no byte."""
@@ -394,6 +413,28 @@ class TestLabelling:
         assert len(corpus) > 100
         assert any(over_budget(ms) for ms in corpus)
         self.assert_matches_reference(corpus)
+
+    def test_twins_are_labelled_once(self):
+        """Eight interior users, each befriended by the source and each
+        rating the target, are twins: one class of 8! orderings that all
+        relabel the edges alike, so one of them is tried."""
+        ms = eight_twins()
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            got = structure._canonicalize.__wrapped__(ms)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.010
+        assert got == canonicalize_reference(ms)
+
+    @pytest.mark.parametrize("name", ["eight_twins", "two_twin_pairs"])
+    def test_relabelled_twins_keep_their_key(self, name):
+        ms = {"eight_twins": eight_twins, "two_twin_pairs": two_twin_pairs}[name]()
+        key, form = structure._canonicalize.__wrapped__(ms)
+        assert (key, form) == canonicalize_reference(ms)
+        rng = np.random.default_rng(29)
+        for _ in range(10):
+            assert structure._canonicalize.__wrapped__(relabeled(ms, rng)) == (key, form)
 
     def test_corpora_need_three_rounds(self, schema, demo_structures):
         """Refinement that splits classes in two or more rounds and then
@@ -471,6 +512,36 @@ class TestIsomorphismInvariant:
         assert any(len(group) > 1 and group[0].n_nodes > SMALL_NODES for group in by_key.values())
 
 
+# papers cite papers: ``cites`` and ``cited_by`` are two self-relations, each
+# the other's inverse
+CITATION_SCHEMA_DICT = {
+    "node_types": [
+        {"id": 0, "name": "paper", "noun": "Paper"},
+        {"id": 1, "name": "author", "noun": "Author"},
+        {"id": 2, "name": "venue", "noun": "Venue"},
+    ],
+    "edge_types": [
+        {"id": 0, "name": "cites", "src": 0, "dst": 0, "verb": "cites", "inverse": 1},
+        {"id": 1, "name": "cited_by", "src": 0, "dst": 0, "verb": "is cited by", "inverse": 0},
+        {"id": 2, "name": "writes", "src": 1, "dst": 0, "verb": "writes", "inverse": 3},
+        {"id": 3, "name": "written_by", "src": 0, "dst": 1, "verb": "is written by", "inverse": 2},
+        {"id": 4, "name": "published_in", "src": 0, "dst": 2, "verb": "is published in"},
+    ],
+}
+
+
+def chain_schema():
+    """14 node types: three self-relations on type 0, and a 13-edge chain
+    from type 0 to type 13, the one way between them."""
+    return schema_from_dict(
+        {
+            "node_types": [{"id": t, "name": f"t{t}"} for t in range(14)],
+            "edge_types": [{"id": e, "name": f"loop{e}", "src": 0, "dst": 0} for e in range(3)]
+            + [{"id": 3 + t, "name": f"step{t}", "src": t, "dst": t + 1} for t in range(13)],
+        }
+    )
+
+
 class TestSeedPopulation:
     def test_toy_task_seeds(self, schema):
         seeds = seed_population(schema, U, B, 5, 10)
@@ -501,6 +572,37 @@ class TestSeedPopulation:
         seeds = seed_population(schema, U, U, 3, 10)
         for ms in seeds:
             assert ms.nodes[ms.source] == U and ms.nodes[ms.target] == U
+
+    @pytest.mark.parametrize(
+        "payload", [toy_schema().to_dict(), MINI_SCHEMA_DICT, CITATION_SCHEMA_DICT], ids=["toy", "mini", "citation"]
+    )
+    def test_seeds_are_the_first_walks(self, payload):
+        """The seeds are the first source-to-target walks of the one schema
+        walk, padded by repeating them."""
+        schema = schema_from_dict(payload)
+        for source, target in itertools.product(range(schema.n_node_types), repeat=2):
+            for limit in range(2, 11):
+                walks = [
+                    MetaStructure.from_path(p)
+                    for p in structure.schema_walks(schema, [source], limit)
+                    if p.node_types[-1] == target
+                ]
+                for size in range(1, 9):
+                    if not walks:
+                        with pytest.raises(StructureError, match="no schema path"):
+                            seed_population(schema, source, target, size, limit)
+                        continue
+                    first = walks[:size]
+                    padded = [first[i % len(first)] for i in range(size)]
+                    assert seed_population(schema, source, target, size, limit) == padded
+
+    def test_walk_cap_names_the_structure_limit(self):
+        """The source type's self-relations make its walks pass the cap long
+        before the chain reaches the target: the error names the limit and
+        the cap, not a missing path."""
+        message = f"structure limit 20: schema walks of up to 11 positions number more than {MAX_SCHEMA_WALKS:,}"
+        with pytest.raises(DataError, match=message):
+            seed_population(chain_schema(), 0, 13, 5, 20)
 
 
 class TestContainment:
