@@ -49,6 +49,7 @@ from .evaluator import (
     EvaluationError,
     NodeClassificationEvaluator,
     RecommendationEvaluator,
+    check_endpoints,
 )
 from .evolution import (
     PerformancePool,
@@ -96,6 +97,8 @@ _TASK_KEYS = ("kind", "target_relation", "target_type")
 _BACKEND_KEYS = (
     {f.name for f in dataclasses.fields(HttpChatBackend)} - {"api_key"} | {"kind", "api_key_env"}
 )
+# the evaluator class of each task kind
+_EVALUATORS = {"recommendation": RecommendationEvaluator, "classification": NodeClassificationEvaluator}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -202,6 +205,13 @@ class RunConfig:
             prompt_dir=prompt_dir,
         )
 
+    def target_id(self, schema) -> int:
+        """The schema id of the configured target: an edge type id for a
+        recommendation task, a node type id for a classification task."""
+        if self.task_kind == "recommendation":
+            return schema.edge_type_by_name(self.target).id
+        return schema.node_type_by_name(self.target).id
+
 
 def _at_least_one(text: str) -> int:
     """argparse type of a count flag: an integer of at least 1."""
@@ -258,29 +268,27 @@ def build_task(config: RunConfig, part: str = "val"):
     """Load the dataset and construct (graph, split, evaluator)."""
     schema = load_schema(config.dataset_dir / "schema.json")
     graph = load_graph(schema, config.dataset_dir)
+    target = config.target_id(schema)
     if config.task_kind == "recommendation":
-        et = schema.edge_type_by_name(config.target)
+        et = schema.edge_type(target)
         ratings_path = config.dataset_dir / "ratings.tsv"
         if not ratings_path.is_file():
             raise DataError(f"recommendation task needs ratings file: {ratings_path}")
         ratings = load_ratings(ratings_path, graph.count(et.src), graph.count(et.dst))
         labeled = binarize_ratings(ratings, config.rating_threshold)
         split, graph = make_recommendation_split(
-            graph, et.id, labeled, seed=config.search.seed, ratio=config.split_ratio
+            graph, target, labeled, seed=config.search.seed, ratio=config.split_ratio
         )
-        evaluator = RecommendationEvaluator(part=part)
     else:
-        nt = schema.node_type_by_name(config.target)
         labels_path = config.dataset_dir / "labels.tsv"
         if not labels_path.is_file():
             raise DataError(f"classification task needs label file: {labels_path}")
-        n_nodes = graph.count(nt.id)
+        n_nodes = graph.count(target)
         labels = load_labels(labels_path, n_nodes)
         split = make_node_label_split(
-            nt.id, labels, n_nodes, seed=config.search.seed, ratio=config.split_ratio
+            target, labels, n_nodes, seed=config.search.seed, ratio=config.split_ratio
         )
-        evaluator = NodeClassificationEvaluator(part=part)
-    return graph, split, evaluator
+    return graph, split, _EVALUATORS[config.task_kind](part=part)
 
 
 def _output_dir(path: Path) -> Path:
@@ -475,8 +483,9 @@ def _read_result(path: Path):
 
 
 def _read_events(path: Path, pool: PerformancePool) -> list:
-    """The events of a search's ``events.jsonl``: one JSON object a line, and
-    every ``mutation`` event's ``origin`` and ``chosen`` a key of ``pool``."""
+    """The events of a search's ``events.jsonl``: one JSON object a line,
+    every ``rejection`` event's ``key`` a string, and every ``mutation``
+    event's ``origin`` and ``chosen`` a key of ``pool`` or of a rejection."""
     try:
         lines = path.read_bytes().splitlines()
     except OSError as exc:
@@ -489,12 +498,16 @@ def _read_events(path: Path, pool: PerformancePool) -> list:
             event = None
         if not isinstance(event, dict):
             raise DataError(f"{path}:{lineno}: not a JSON object")
+        if event.get("event") == "rejection" and not isinstance(event.get("key"), str):
+            raise DataError(f"{path}:{lineno}: rejection field 'key' is {event.get('key')!r}, not a string")
+        events.append(event)
+    rejected = {e["key"] for e in events if e.get("event") == "rejection"}
+    for lineno, event in enumerate(events, 1):
         if event.get("event") == "mutation":
             for name in ("origin", "chosen"):
                 key = event.get(name)
-                if not (isinstance(key, str) and key in pool):
+                if not (isinstance(key, str) and (key in pool or key in rejected)):
                     raise DataError(f"{path}:{lineno}: mutation field {name!r} is {key!r}, not a pool key")
-        events.append(event)
     return events
 
 
@@ -504,22 +517,15 @@ def cmd_explain(args) -> int:
     result_path = Path(args.result)
     pool, final_keys, finals = _read_result(result_path)
     schema = load_schema(config.dataset_dir / "schema.json")
-    if config.task_kind == "recommendation":
-        target = schema.edge_type_by_name(config.target).id
-        metric = RecommendationEvaluator.metric
-    else:
-        target = schema.node_type_by_name(config.target).id
-        metric = NodeClassificationEvaluator.metric
-    endpoints = task_endpoints(schema, config.task_kind, target)
+    endpoints = task_endpoints(schema, config.task_kind, config.target_id(schema))
     for where, ms in finals.values():
         violations = validate(ms, schema)
         if violations:
             raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
-        if (ms.nodes[ms.source], ms.nodes[ms.target]) != endpoints:
-            raise DataError(
-                f"{where} field 'structure' joins node types {ms.nodes[ms.source]} and "
-                f"{ms.nodes[ms.target]}; the configured {config.task_kind} task joins {endpoints}"
-            )
+        try:
+            check_endpoints(ms, endpoints)
+        except EvaluationError as exc:
+            raise DataError(f"{where} field 'structure': {exc}") from exc
     events = _read_events(result_path.parent / "events.jsonl", pool)
 
     search = config.search
@@ -530,7 +536,7 @@ def cmd_explain(args) -> int:
     out_dir = _output_dir(config.output_dir)
     transcript = TranscriptLog(out_dir / "explain-transcripts.jsonl")
     reports = explain_top_structures(
-        search, config.backend, metric, pool, events, final_keys,
+        search, config.backend, _EVALUATORS[config.task_kind].metric, pool, events, final_keys,
         prompts, transcript, strict_backend=True,
     )
     reports_path = out_dir / "explain-explanations.json"

@@ -3,11 +3,11 @@
 A meta-path scores node pairs through its commuting matrix: the left-to-right
 product of the per-edge adjacency matrices, whose (s, t) entry counts path
 instances from s to t. A meta-structure decomposes into its source-to-target
-paths, the sub-logics of :func:`structure.sub_logics` that the grammar
-renders; each distinct path matrix is row-normalized and the structure
-score is their elementwise product, so a pair scores nonzero exactly when
-every decomposed path connects it. ``structure_score_matrix`` is that
-definition.
+paths by :func:`structure.sub_logics`, the one decomposition function, whose
+pairs the grammar renders too; each distinct type sequence is one path, each
+distinct path matrix is row-normalized and the structure score is their
+elementwise product, so a pair scores nonzero exactly when every decomposed
+path connects it. ``structure_score_matrix`` is that definition.
 
 Recommendation fitness is AUC over the split's positive/negative pairs;
 node-classification fitness is Macro-F1 of a score-weighted vote over train
@@ -61,7 +61,8 @@ from .structure import MetaPath, MetaStructure, sub_logics
 
 
 class EvaluationError(ValueError):
-    """Structure and task are incompatible, or metric inputs are malformed."""
+    """Structure and task are incompatible, metric inputs are malformed, or no
+    seed of a search fits the flop budget."""
 
 
 @dataclass(frozen=True)
@@ -92,10 +93,8 @@ def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:
 def _distinct_paths(ms: MetaStructure) -> list[tuple[tuple[int, ...], MetaPath]]:
     """One (type sequence, path) pair per distinct type sequence of the
     structure's sub-logics, in sorted type-sequence order."""
-    unique = {}
-    for seq, _, path in sub_logics(ms):
-        unique.setdefault(seq, path)
-    return list(unique.items())
+    sequences = dict.fromkeys(seq for seq, _ in sub_logics(ms))
+    return [(seq, MetaPath(seq[::2], seq[1::2])) for seq in sequences]
 
 
 def structure_score_matrix(graph: HinGraph, ms: MetaStructure) -> SparseMatrix:
@@ -193,13 +192,14 @@ def _vote_read(graph: HinGraph, path: MetaPath, nodes, keep) -> SparseMatrix:
     return counts.divide_rows(sums)
 
 
-def _check_endpoints(graph: HinGraph, split, ms: MetaStructure):
-    """Raise ``EvaluationError`` unless ``ms`` joins the split's endpoint node types."""
-    found, wanted = (ms.nodes[ms.source], ms.nodes[ms.target]), split.endpoints(graph.schema)
-    if found != wanted:
+def check_endpoints(ms: MetaStructure, endpoints: tuple[int, int]):
+    """Raise ``EvaluationError`` unless ``ms`` joins the node types
+    ``endpoints``, a task's (source type, target type)."""
+    found = (ms.nodes[ms.source], ms.nodes[ms.target])
+    if found != endpoints:
         raise EvaluationError(
             f"structure joins node types {found[0]} and {found[1]}; "
-            f"the task joins node types {wanted[0]} and {wanted[1]}"
+            f"the task joins node types {endpoints[0]} and {endpoints[1]}"
         )
 
 
@@ -266,7 +266,7 @@ class RecommendationEvaluator:
     metric = "auc"
 
     def evaluate(self, graph, split, ms) -> EvalResult:
-        _check_endpoints(graph, split, ms)
+        check_endpoints(ms, split.endpoints(graph.schema))
         pos, neg = split.positives[self.part], split.negatives[self.part]
         cells = np.concatenate([pos, neg])
         digest = _cells_digest(self.metric, cells)
@@ -285,7 +285,7 @@ class NodeClassificationEvaluator:
     metric = "macro_f1"
 
     def evaluate(self, graph, split, ms) -> EvalResult:
-        _check_endpoints(graph, split, ms)
+        check_endpoints(ms, split.endpoints(graph.schema))
         k = split.num_classes
         nodes = split.part(self.part)
         train_cls = split.classes[split.train]

@@ -7,9 +7,22 @@ canonical key, and never re-evaluated. Mutation is agent-guided: the
 predictor scores each structure's one-step neighbors against a sample of the
 pool, the selector picks one, and the individual is replaced by it.
 
+A structure over the flop budget (``sparse.MatrixBlowupError``) is
+rejected, seed or child alike: a rejection event names it and its reason, it
+gets no pool record, and it leaves the population, so reproduction refills
+the population from the survivors. Passing it through instead would need its
+origin, which mutation has already replaced. The pool remembers rejected
+keys: a structure chosen again within its generation is rejected again
+without a product, and mutation offers none of them again. A generation whose
+every structure is rejected takes the previous generation's survivors, since
+the agents steer copies of one structure to one child and one rejection
+would otherwise end the search; when every seed is rejected there are none,
+and the search aborts, as it does on a structure that does not fit the task
+(``EvaluationError``).
+
 Everything is deterministic given the configuration seed and the stub
-backend; the event log captures each evaluation, elimination, reproduction
-draw, and mutation decision together with an rng-state digest.
+backend; the event log captures each evaluation, rejection, elimination,
+reproduction draw, and mutation decision together with an rng-state digest.
 
 The explainer then contrasts each of the best distinct final structures with
 the pool records one mutation event links to it; it draws and evaluates
@@ -160,10 +173,12 @@ class PoolRecord:
 
 
 class PerformancePool:
-    """Insert-once record of every evaluated structure across the run."""
+    """Insert-once record of every evaluated structure across the run, and
+    the reason of every rejected one by key."""
 
     def __init__(self):
         self._records: dict[str, PoolRecord] = {}
+        self.rejected: dict[str, str] = {}
 
     def __len__(self) -> int:
         return len(self._records)
@@ -207,13 +222,14 @@ def _record_rank(record: PoolRecord):
 
 
 def eliminate(population, rate: float):
-    """Drop the floor(N * rate) weakest individuals, at least one.
+    """Drop the floor(N * rate) weakest individuals, at least one, but never
+    the last one.
 
     Fitness ties eliminate the larger structure (edge count) first, then the
     lexicographically smaller canonical key.
     """
     n = len(population)
-    k = max(1, math.floor(n * rate + 1e-9))
+    k = min(max(1, math.floor(n * rate + 1e-9)), n - 1)
     order = sorted(
         range(n),
         key=lambda i: (population[i].fitness, -population[i].structure.n_edges, population[i].key),
@@ -246,21 +262,40 @@ def reproduce(survivors, size: int, rng: np.random.Generator):
 
 
 def evaluate_population(population, evaluator, graph, split, pool, generation, events, rng):
-    """Fitness for each individual, via the pool cache or a fresh evaluation."""
+    """Fitness for each individual, via the pool cache or a fresh evaluation.
+
+    An individual whose structure is over the flop budget, now or when first
+    offered, is dropped with a rejection event.
+    """
     out = []
     for ind in population:
         record = pool.get(ind.key)
         cached = record is not None
+        if record is None and ind.key not in pool.rejected:
+            try:
+                result = evaluator.evaluate(graph, split, ind.structure)
+            except MatrixBlowupError as exc:
+                pool.rejected[ind.key] = str(exc)
+            else:
+                record = PoolRecord(
+                    key=ind.key,
+                    sentence=ind.sentence,
+                    fitness=result.value,
+                    generation=generation,
+                    structure=ind.structure.to_dict(),
+                )
+                pool.insert(record)
         if record is None:
-            result = evaluator.evaluate(graph, split, ind.structure)
-            record = PoolRecord(
-                key=ind.key,
-                sentence=ind.sentence,
-                fitness=result.value,
-                generation=generation,
-                structure=ind.structure.to_dict(),
+            events.append(
+                {
+                    "event": "rejection",
+                    "generation": generation,
+                    "key": ind.key,
+                    "reason": pool.rejected[ind.key],
+                    "rng": _rng_digest(rng),
+                }
             )
-            pool.insert(record)
+            continue
         events.append(
             {
                 "event": "evaluation",
@@ -338,10 +373,11 @@ def mutate_population(
 ):
     """Replace each individual with its agent-chosen one-step neighbor.
 
-    Phase 1 draws each individual's neighbourhood and pool sample in index
-    order on this thread and picks the chains to ask: with a
-    ``deterministic`` backend, one per chain key that ``chains`` (the
-    search's memo of answers; a fresh one when None) does not hold. Phase 2
+    Phase 1 draws each individual's neighbourhood, less the structures
+    ``pool`` rejected, and its pool sample in index order on this thread and
+    picks the chains to ask: with a ``deterministic`` backend, one per chain
+    key that ``chains`` (the search's memo of answers; a fresh one when None)
+    does not hold. Phase 2
     asks them on this thread for an ``in_process`` backend, else on up to
     ``AGENT_WORKERS`` threads, and this thread consumes the answers in index
     order: it replays each answer's exchanges into ``transcript``, then
@@ -356,6 +392,11 @@ def mutate_population(
         try:
             cands = one_step_neighbors(ind.structure, lib, rng, config.candidate_cap)
         except EmptyNeighborhoodError:
+            cands = None
+        else:
+            offered = tuple(c for c in cands.candidates if c.key not in pool.rejected)
+            cands = replace(cands, candidates=offered) if offered else None
+        if cands is None:
             jobs.append(_MutationJob(ind, _rng_digest(rng)))
             continue
         sample = pool.sample(rng, config.pool_sample_size)
@@ -503,14 +544,22 @@ def run_search(
     chains = LruMemo(CHAIN_MEMO_ENTRIES)
     events: list[dict] = []
     gen_records: list[GenerationRecord] = []
+    survivors = []
     aborted = None
 
     try:
-        for generation in range(config.generations):
+        for generation in range(config.generations + 1):
+            # a generation that rejections empty takes the last survivors
             population = evaluate_population(
                 population, evaluator, graph, split, pool, generation, events, rng
-            )
+            ) or evaluate_population(survivors, evaluator, graph, split, pool, generation, events, rng)
+            if not population:
+                raise EvaluationError(
+                    f"every seed is over the flop budget: {next(iter(pool.rejected.values()))}"
+                )
             gen_records.append(_generation_record(generation, population))
+            if generation == config.generations:
+                break
             survivors, removed = eliminate(population, config.elimination_rate)
             events.append(
                 {
@@ -535,11 +584,7 @@ def run_search(
                 population, lib, backend, pool, config, rng, prompts,
                 transcript, events, generation, chains,
             )
-        population = evaluate_population(
-            population, evaluator, graph, split, pool, config.generations, events, rng
-        )
-        gen_records.append(_generation_record(config.generations, population))
-    except (EvaluationError, MatrixBlowupError) as exc:
+    except EvaluationError as exc:
         log.error("search aborted by evaluator failure: %s", exc)
         aborted = str(exc)
 
@@ -564,14 +609,16 @@ def run_search(
 def search_neighbors(events, key: str, limit: int) -> list[str]:
     """The first ``limit`` distinct keys, in event-log order, that a mutation
     event links to ``key``: its ``chosen`` where ``origin`` is ``key``, its
-    ``origin`` where ``chosen`` is. A pass-through links nothing."""
+    ``origin`` where ``chosen`` is. A pass-through links nothing, and a key
+    that a rejection event names, which has no fitness, is left out."""
+    rejected = {e["key"] for e in events if e.get("event") == "rejection"}
     linked = (
         e["chosen"] if e["origin"] == key else e["origin"]
         for e in events
         if e.get("event") == "mutation" and e["origin"] != e["chosen"]
         and key in (e["origin"], e["chosen"])
     )
-    return list(dict.fromkeys(linked))[:limit]
+    return [k for k in dict.fromkeys(linked) if k not in rejected][:limit]
 
 
 def explain_top_structures(

@@ -14,15 +14,14 @@ Positions on a single sub-logic are untagged, and so are the source and the
 target, which every sub-logic shares. A single-path sentence therefore has
 no tags, and tags add no ``THAT`` or ``AND`` tokens.
 
-Sentences render :func:`structure.sub_logics`, the one decomposition of a
-structure that the evaluator scores too, read as the (type sequence,
-positions) pairs of :func:`structure.sub_logic_sequences`: sub-logics in its
-order (type sequence, then canonical positions), tags lettered by first
-appearance.
-Structures with one canonical key therefore print the same sentence, and
-non-isomorphic structures, which never share a key, print distinct
-sentences. Within the permutation budget of :func:`structure.canonical_key`
-isomorphic structures share one key and so one sentence.
+Sentences render the (type sequence, positions) pairs of
+:func:`structure.sub_logics`, the one decomposition of a structure, which the
+evaluator scores too: sub-logics in its order (type sequence, then canonical
+positions), tags lettered by first appearance. Structures with one canonical
+key therefore print the same sentence, and non-isomorphic structures, which
+never share a key, print distinct sentences. Within the permutation budget of
+:func:`structure.canonical_key` isomorphic structures share one key and so
+one sentence.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import re
 from collections import Counter
 
 from .hin import Schema
-from .structure import MetaStructure, sub_logic_sequences
+from .structure import MetaStructure, sub_logics
 
 THAT = "THAT"
 AND = "AND"
@@ -49,7 +48,7 @@ class GrammarError(ValueError):
 def encode_metastructure(ms: MetaStructure, schema: Schema) -> str:
     """Join the structure's sub-logics with AND, ordered by path type
     sequence, tagging the interior positions that sub-logics share."""
-    logics = sub_logic_sequences(ms)
+    logics = sub_logics(ms)
     nouns, verbs, problems = _vocabulary(schema)
     if problems:
         _check_words(logics, problems)

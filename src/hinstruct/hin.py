@@ -223,6 +223,17 @@ class LruMemo:
     summed ``weigh(value)`` of its values: 1 per value unless ``weigh`` says
     otherwise, so by default the bound counts entries. A value heavier than
     the whole bound is not kept. Single-threaded.
+
+    A bounded memo is an ``LruMemo`` where it is scoped to an object, weighed,
+    or put only on success: ``HinGraph.read_cache`` (one graph, weighed by
+    bytes), ``ComponentLibrary.unions`` and ``.sentences`` (one library) and
+    the chain memo of ``evolution.run_search`` (one search, which keeps no
+    failed answer). A memo of a pure function, for the whole process, is a
+    ``functools.lru_cache``, whose bookkeeping is thread-safe:
+    ``structure._canonicalize``, ``grammar._vocabulary`` and
+    ``agents._record_clauses``. The last must stay thread-safe, because the
+    stub answers from request threads when a server wraps it, as
+    ``bench/fake_chat.py`` does.
     """
 
     def __init__(self, bound: int, weigh=lambda value: 1):

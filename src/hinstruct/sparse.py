@@ -161,6 +161,7 @@ class SparseMatrix:
             return out
         gathered = np.cumsum(np.diff(self.indptr)[rows] + np.diff(other.indptr)[other_rows])
         starts = np.concatenate(([0], np.flatnonzero(np.diff(gathered // DOT_CHUNK)) + 1))
+        left, right = self._scipy(), other._scipy()
         for lo, hi in zip(starts.tolist(), np.append(starts[1:], rows.size).tolist()):
             entries = int(gathered[hi - 1] - (gathered[lo - 1] if lo else 0))
             if entries > FLOP_BUDGET:
@@ -168,7 +169,7 @@ class SparseMatrix:
                     f"matrix blowup: row dots gather {entries} entries, budget {FLOP_BUDGET}"
                 )
             if entries:
-                products = self._scipy()[rows[lo:hi]].multiply(other._scipy()[other_rows[lo:hi]])
+                products = left[rows[lo:hi]].multiply(right[other_rows[lo:hi]])
                 out[lo:hi] = np.asarray(products.sum(axis=1), dtype=np.float64).reshape(-1)
         return out
 

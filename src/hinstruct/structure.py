@@ -6,9 +6,9 @@ linear special case is a meta-path. Canonical keys identify structures up
 to type-preserving isomorphism and drive deduplication and fitness caching.
 
 :func:`sub_logics` is the one decomposition of a structure into its
-source-to-target paths, taken from its canonical form: the grammar renders
-it from :func:`sub_logic_sequences`, its (type sequence, positions) pairs;
-the evaluator scores it, and :func:`enumerate_paths` projects it.
+source-to-target paths, taken from its canonical form as (type sequence,
+positions) pairs: the grammar renders it, the evaluator scores its distinct
+type sequences, and :func:`enumerate_paths` projects it onto meta-paths.
 
 :func:`schema_walks` is the one walk of the schema: the seeds are its first
 walks from the task's source type that end at the target type, and the
@@ -204,22 +204,14 @@ def reachable(adjacency, start):
     return seen
 
 
-def sub_logics(ms: MetaStructure) -> list[tuple[tuple[int, ...], tuple[int, ...], MetaPath]]:
+def sub_logics(ms: MetaStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The structure's decomposition into sub-logics: one (type sequence,
-    positions, path) per simple source-to-target path of
+    positions) pair per simple source-to-target path of
     :func:`canonical_form`, sorted by type sequence, then positions.
 
     The grammar renders this list and the evaluator scores its distinct type
     sequences, so both read one decomposition of one form.
     """
-    return [
-        (seq, positions, MetaPath(seq[::2], seq[1::2])) for seq, positions in sub_logic_sequences(ms)
-    ]
-
-
-def sub_logic_sequences(ms: MetaStructure) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """:func:`sub_logics` without the paths: the sorted (type sequence,
-    positions) pairs, for readers that need no :class:`MetaPath`."""
     form = canonical_form(ms)
     nodes = form.nodes
     succs: dict[int, list[tuple[int, int]]] = {}
@@ -245,7 +237,7 @@ def sub_logic_sequences(ms: MetaStructure) -> list[tuple[tuple[int, ...], tuple[
 
 def enumerate_paths(ms: MetaStructure) -> list[MetaPath]:
     """All simple source-to-target paths, in :func:`sub_logics` order."""
-    return [path for _, _, path in sub_logics(ms)]
+    return [MetaPath(seq[::2], seq[1::2]) for seq, _ in sub_logics(ms)]
 
 
 # ---------------------------------------------------------------------------

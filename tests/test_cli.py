@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hinstruct import agents
+from hinstruct import agents, sparse
 from hinstruct.cli import EXIT_BACKEND, EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from hinstruct.hin import load_schema
 from hinstruct.mutations import build_component_library, one_step_neighbors
@@ -266,6 +266,21 @@ class TestSearch:
         assert main(["search", "--config", str(workspace["config"]), "--out", str(out)]) == EXIT_DATA
         assert f"error: cannot write {out / name}: Is a directory" in capsys.readouterr().err
         assert sorted(path.name for path in out.iterdir()) == [name]
+
+    def test_budget_that_rejects_every_seed_aborts(self, workspace, tmp_path, capsys, monkeypatch):
+        def label(data):
+            (data / "labels.tsv").write_text("".join(f"{b}\t{b // BIZ_PER_TASTE}\n" for b in range(N_BIZ)))
+
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 1)
+        task = {"kind": "classification", "target_type": "business"}
+        status, _ = TestMalformedInput.search_copied_data(workspace, tmp_path, label, task)
+        assert status == EXIT_DATA
+        assert "search aborted: every seed is over the flop budget: matrix blowup:" in capsys.readouterr().err
+        out = tmp_path / "out"
+        result = json.loads((out / "result.json").read_text())
+        assert result["aborted"].endswith("budget 1") and result["pool"] == [] and result["generations"] == []
+        events = [json.loads(line) for line in (out / "events.jsonl").read_text().splitlines()]
+        assert [e["event"] for e in events] == ["rejection"] * 5
 
     def test_unknown_search_key_rejected(self, workspace, tmp_path, capsys):
         config = tmp_path / "bad2.json"
@@ -772,6 +787,20 @@ class TestExplain:
                 "--out", str(tmp_path / "x")]
         assert main(argv) == EXIT_OK
 
+    def test_rerun_of_a_search_with_rejections(self, workspace, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 30_000)
+        run = tmp_path / "run"
+        assert main(["search", "--config", str(workspace["config"]), "--out", str(run)]) == EXIT_OK
+        events = [json.loads(line) for line in (run / "events.jsonl").read_text().splitlines()]
+        rejected = {e["key"] for e in events if e["event"] == "rejection"}
+        assert any(e["event"] == "mutation" and e["chosen"] in rejected for e in events)
+        out = tmp_path / "explain"
+        argv = ["explain", str(run / "result.json"), "--config", str(workspace["config"]), "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        reports = (run / "explanations.json").read_bytes()
+        assert json.loads(reports)
+        assert (out / "explain-explanations.json").read_bytes() == reports
+
     def test_task_of_another_kind_refused(self, workspace, run_dir, tmp_path, capsys):
         payload = json.loads(workspace["config"].read_text())
         payload["task"] = {"kind": "classification", "target_type": "business"}
@@ -782,10 +811,10 @@ class TestExplain:
         assert main(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"result file {result}: pool[" in err
-        assert "joins node types 0 and 1; the configured classification task joins (1, 1)" in err
+        assert "field 'structure': structure joins node types 0 and 1; the task joins node types 1 and 1" in err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("case", ["missing", "[1, 2]", "{oops", "origin", "chosen"])
+    @pytest.mark.parametrize("case", ["missing", "[1, 2]", "{oops", "origin", "chosen", "rejection"])
     def test_bad_event_log(self, workspace, run_dir, tmp_path, capsys, case):
         shutil.copy(run_dir / "result.json", tmp_path / "result.json")
         events = tmp_path / "events.jsonl"
@@ -798,6 +827,9 @@ class TestExplain:
             event[case] = "nowhere"
             lines[i] = json.dumps(event)
             says = f"{events}:{i + 1}: mutation field {case!r} is 'nowhere', not a pool key"
+        elif case == "rejection":
+            lines[4] = json.dumps({"event": "rejection", "generation": 0, "key": [1], "reason": "-", "rng": "-"})
+            says = f"{events}:5: rejection field 'key' is [1], not a string"
         else:
             lines[4] = case
             says = f"{events}:5: not a JSON object"

@@ -9,6 +9,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from hinstruct import sparse
 from hinstruct.agents import (
     BackendError,
     HttpChatBackend,
@@ -113,6 +114,10 @@ class TestEliminate:
         survivors, _ = eliminate(population, 0.25)
         assert [s.fitness for s in survivors] == [0.3, 0.9, 0.5]
 
+    def test_lone_individual_kept(self):
+        lone = [individual(2, 0.4, "lone")]
+        assert eliminate(lone, 0.2) == (lone, [])
+
 
 class TestReproduce:
     def survivors(self):
@@ -180,13 +185,18 @@ class TestPerformancePool:
         assert pool.sample(np.random.default_rng(0), 30).mean == 0.5
 
 
-@pytest.fixture(scope="module")
-def planted_task(planted_dir):
+def load_planted_task(planted_dir):
+    """The demo recommendation task's (graph, split), with an empty read cache."""
     schema = load_schema(planted_dir / "schema.json")
     graph = load_graph(schema, planted_dir)
     labeled = binarize_ratings(load_ratings(planted_dir / "ratings.tsv", graph.count(U), graph.count(B)))
     split, graph = make_recommendation_split(graph, 0, labeled, seed=0)
     return graph, split
+
+
+@pytest.fixture(scope="module")
+def planted_task(planted_dir):
+    return load_planted_task(planted_dir)
 
 
 class TestEvaluatePopulation:
@@ -380,6 +390,60 @@ class TestRunSearch:
         assert result.final_best is not None
 
 
+class TestRejection:
+    """Structures over ``sparse.FLOP_BUDGET`` leave the population, and the
+    search goes on."""
+
+    def test_demo_search_with_seeds_over_the_budget_finishes(self, planted_dir, monkeypatch):
+        graph, split = load_planted_task(planted_dir)  # no read is cached yet
+        monkeypatch.setattr(sparse, "FLOP_BUDGET", 30_000)
+        inner = RecommendationEvaluator("val")
+        calls = Counter()
+
+        class Counting:
+            metric = "auc"
+
+            def evaluate(self, graph, split, ms):
+                calls[canonical_key(ms)] += 1
+                return inner.evaluate(graph, split, ms)
+
+        config = SearchConfig(backoff=0.0)
+        result = run_search(config, graph, split, StubBackend(), Counting())
+        assert result.aborted is None
+        assert len(result.generations) == config.generations + 1
+        assert result.explanations
+
+        rejections = [e for e in result.events if e["event"] == "rejection"]
+        assert any(e["generation"] == 0 for e in rejections)
+        assert all("budget 30000" in e["reason"] for e in rejections)
+        first = {}
+        for e in rejections:
+            first.setdefault(e["key"], e["generation"])
+        assert set(first) == set(result.pool.rejected)
+        # offered again, a rejected key runs no product and gets no record
+        assert len(rejections) > len(first)
+        assert max(calls.values()) == 1
+        assert not set(first) & {r.key for r in result.pool.records()}
+        assert not set(first) & {e["key"] for e in result.events if e["event"] == "evaluation"}
+        for record in result.generations:
+            assert not set(first) & set(record.population)
+        # mutation offers no structure rejected in an earlier generation
+        for e in result.events:
+            if e["event"] == "mutation":
+                assert first.get(e["chosen"], e["generation"] + 1) > e["generation"]
+        # a generation whose every child was rejected took the last survivors
+        emptied = {g for g in range(1, config.generations + 1)
+                   if sum(e["generation"] == g for e in rejections) == config.population_size}
+        assert emptied
+        for g in emptied:
+            removed = next(e["removed"] for e in result.events
+                           if e["event"] == "elimination" and e["generation"] == g - 1)
+            survivors = list(result.generations[g - 1].population)
+            for key in removed:
+                survivors.remove(key)
+            assert list(result.generations[g].population) == survivors
+
+
 def _mutation(origin, chosen):
     return {"event": "mutation", "generation": 0, "origin": origin, "chosen": chosen, "rng": "-"}
 
@@ -407,6 +471,10 @@ class TestExplainFromHistory:
     def test_no_neighbors(self):
         assert search_neighbors(self.EVENTS, "x", 10) == []
         assert search_neighbors([_mutation("x", "x")], "x", 10) == []
+
+    def test_rejected_neighbors_left_out(self):
+        events = self.EVENTS + [{"event": "rejection", "generation": 2, "key": "b", "reason": "-", "rng": "-"}]
+        assert search_neighbors(events, "t", 2) == ["a", "c"]
 
     def test_reports_from_pool_records(self, caplog):
         pool = PerformancePool()
