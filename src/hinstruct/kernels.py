@@ -9,6 +9,8 @@ of every chain product by wrapping ``spgemm_flops``, which
 
 from __future__ import annotations
 
+import numpy as np
+
 BACKEND = "scipy"
 
 
@@ -16,9 +18,11 @@ def spgemm_flops(a_indptr, a_indices, b_indptr):
     """Number of scalar products a CSR*CSR multiply would perform.
 
     Cheap to compute up front; used to refuse runaway chain products before
-    any memory is allocated.
+    any memory is allocated. Each row length fits the operands' index width,
+    but their sum may not, so it is taken in int64. The gather goes through an
+    intp copy of ``a_indices``: numpy gathers through an int32 index about
+    twice as slowly, and the copy is freed before the product starts.
     """
     if a_indices.shape[0] == 0:
         return 0
-    counts = b_indptr[a_indices + 1] - b_indptr[a_indices]
-    return int(counts.sum())
+    return int(np.diff(b_indptr)[a_indices.astype(np.intp)].sum(dtype=np.int64))

@@ -1,8 +1,13 @@
 """Minimal CSR sparse matrix used for adjacency and score matrices.
 
-Values are nonnegative float64; indices int64, with column indices sorted
-within each row. Matrices are immutable after construction and safe to share
-between threads.
+Values are nonnegative float64, with column indices sorted within each row.
+``indptr`` and ``indices`` share one width, fixed by the constructor: int32
+while the rows, the columns and the stored entries all number below 2**31,
+int64 otherwise. That is the width ``scipy.sparse`` picks itself, so a product
+hands scipy its operands' arrays without a copy and keeps the arrays scipy
+returns. Counts that can pass 2**31 (flop estimates, row-dot totals, ``pick``
+keys, ``row_ids``) are computed in int64. Matrices are immutable after
+construction and safe to share between threads.
 
 ``SparseMatrix`` is the one owner of the CSR format: construction, selection,
 transposition and matrix-vector products run on numpy, and the three
@@ -11,8 +16,9 @@ operands to ``scipy.sparse`` and convert its result back. The tests check the
 products against a pure numpy reference of their own. ``scipy.sparse`` is
 imported on the first product, not with this module: ingest (``from_pairs``,
 ``transpose``), the split and the ``translate`` and ``neighbors`` subcommands
-run on numpy alone, and loading scipy would add about a tenth of a second to
-each of them.
+run on numpy alone. Importing ``scipy.sparse`` after this package costs about
+a tenth of a second and 16 MB of RSS (0.11-0.14 s on a 2-core Xeon), which
+each of them would pay.
 
 :mod:`hinstruct.kernels` keeps only what the benchmark reads: the backend
 name and ``spgemm_flops``, the flop estimate ``matmul`` checks its budget
@@ -36,10 +42,11 @@ class MatrixBlowupError(RuntimeError):
 # ``row_dots`` may gather; read on every call
 FLOP_BUDGET = 50_000_000
 # stored entries ``row_dots`` gathers per chunk, so its working memory stays
-# bounded however many rows it is asked for. The seed-0 demo search's largest
-# call gathers 183,802 entries and peaks at 5.86 MiB under tracemalloc, about
-# 33 bytes per entry, so a full chunk holds about 35 MB.
-DOT_CHUNK = 1 << 20
+# bounded however many rows it is asked for. Under tracemalloc a chunk costs
+# about 33 bytes per gathered entry, so a full one holds about 2 MB: a call
+# gathering 4.2 M entries peaks at 2.3 MiB, and no call of the seed-0 demo
+# search peaks above 1.72 MiB (5.86 MiB in chunks of 2**20).
+DOT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,12 @@ class SparseMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
+
+    def __post_init__(self):
+        # the one index-width rule; an array already that wide is kept as is
+        width = np.int32 if max(self.rows, self.cols, self.indices.shape[0]) < 2**31 else np.int64
+        object.__setattr__(self, "indptr", self.indptr.astype(width, copy=False))
+        object.__setattr__(self, "indices", self.indices.astype(width, copy=False))
 
     # -- constructors -------------------------------------------------
 
@@ -83,7 +96,8 @@ class SparseMatrix:
         return self.indptr.nbytes + self.indices.nbytes + self.data.nbytes
 
     def row_ids(self) -> np.ndarray:
-        """The row of every stored entry, in stored order."""
+        """The row of every stored entry, in stored order, as int64, so keys
+        built from it do not wrap."""
         return np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.indptr))
 
     def pick(self, pairs):
@@ -111,7 +125,7 @@ class SparseMatrix:
             raise ValueError(f"row index out of range for {self.rows}x{self.cols} matrix")
         starts = self.indptr[rows]
         lengths = self.indptr[rows + 1] - starts
-        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        indptr = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
         # stored position of every entry of the chosen rows, row after row
         pos = np.arange(indptr[-1], dtype=np.int64) + np.repeat(starts - indptr[:-1], lengths)
         if keep is not None:
@@ -149,8 +163,9 @@ class SparseMatrix:
         """Dot product of row ``rows[k]`` of this matrix with row
         ``other_rows[k]`` of ``other``, for every k.
 
-        The rows are taken in chunks that gather about ``DOT_CHUNK`` stored
-        entries each; a chunk over ``FLOP_BUDGET`` raises before it is gathered.
+        The rows are taken in chunks; a chunk gathers at most ``DOT_CHUNK``
+        stored entries plus those of its largest pair. A chunk over
+        ``FLOP_BUDGET`` raises before any chunk is gathered.
         """
         if self.cols != other.cols:
             raise ValueError(f"dimension mismatch: {self.cols} vs {other.cols}")
@@ -159,15 +174,18 @@ class SparseMatrix:
         out = np.zeros(rows.size, dtype=np.float64)
         if rows.size == 0:
             return out
-        gathered = np.cumsum(np.diff(self.indptr)[rows] + np.diff(other.indptr)[other_rows])
-        starts = np.concatenate(([0], np.flatnonzero(np.diff(gathered // DOT_CHUNK)) + 1))
+        # entries gathered up to each pair, in int64: two int32 row lengths
+        # can sum past 2**31
+        gathered = np.cumsum(np.diff(self.indptr)[rows].astype(np.int64) + np.diff(other.indptr)[other_rows])
+        ends = np.append(np.flatnonzero(np.diff(gathered // DOT_CHUNK)) + 1, rows.size)
+        totals = np.diff(gathered[ends - 1], prepend=0)
+        over = np.flatnonzero(totals > FLOP_BUDGET)
+        if over.size:
+            raise MatrixBlowupError(
+                f"matrix blowup: row dots gather {totals[over[0]]} entries, budget {FLOP_BUDGET}"
+            )
         left, right = self._scipy(), other._scipy()
-        for lo, hi in zip(starts.tolist(), np.append(starts[1:], rows.size).tolist()):
-            entries = int(gathered[hi - 1] - (gathered[lo - 1] if lo else 0))
-            if entries > FLOP_BUDGET:
-                raise MatrixBlowupError(
-                    f"matrix blowup: row dots gather {entries} entries, budget {FLOP_BUDGET}"
-                )
+        for lo, hi, entries in zip(np.append(0, ends[:-1]).tolist(), ends.tolist(), totals.tolist()):
             if entries:
                 products = left[rows[lo:hi]].multiply(right[other_rows[lo:hi]])
                 out[lo:hi] = np.asarray(products.sum(axis=1), dtype=np.float64).reshape(-1)
@@ -181,16 +199,17 @@ class SparseMatrix:
 
     def divide_rows(self, sums) -> "SparseMatrix":
         """Each row divided by its entry of ``sums`` through ``row_divisors``."""
-        data = self.data / row_divisors(sums)[self.row_ids()]
+        data = self.data / np.repeat(row_divisors(sums), np.diff(self.indptr))
         return SparseMatrix(self.rows, self.cols, self.indptr, self.indices, data)
 
     def transpose(self) -> "SparseMatrix":
-        row_ids = self.row_ids()
-        order = np.lexsort((row_ids, self.indices))
-        new_rows = self.indices[order]
+        # entries are stored row after row, so a stable sort by column keeps
+        # each column's rows ascending; the row of each entry fits the index width
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.repeat(np.arange(self.rows, dtype=self.indices.dtype), np.diff(self.indptr))[order]
         indptr = np.zeros(self.cols + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum(np.bincount(new_rows, minlength=self.cols))
-        return SparseMatrix(self.cols, self.rows, indptr, row_ids[order], self.data[order])
+        indptr[1:] = np.cumsum(np.bincount(self.indices, minlength=self.cols))
+        return SparseMatrix(self.cols, self.rows, indptr, rows, self.data[order])
 
     # -- scipy.sparse ------------------------------------------------------
 
@@ -202,13 +221,10 @@ class SparseMatrix:
 
     @staticmethod
     def _from_scipy(matrix) -> "SparseMatrix":
-        # scipy keeps int32 indices when they fit and may leave columns unsorted
+        # scipy may leave columns unsorted
         matrix.sort_indices()
         return SparseMatrix(
-            *matrix.shape,
-            matrix.indptr.astype(np.int64),
-            matrix.indices.astype(np.int64),
-            matrix.data.astype(np.float64, copy=False),
+            *matrix.shape, matrix.indptr, matrix.indices, matrix.data.astype(np.float64, copy=False)
         )
 
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,11 +32,12 @@ def oracle_args(a, b):
 
 def assert_agrees(got, want, rows, cols):
     """``got`` has shape (rows, cols) and the oracle's (indptr, indices, data)
-    ``want``, in canonical CSR: int64 indices, float64 values, columns
-    strictly increasing within each row."""
+    ``want``, in canonical CSR: int32 indices (the width of a matrix whose
+    rows, columns and entries all number below 2**31), float64 values,
+    columns strictly increasing within each row."""
     assert (got.rows, got.cols) == (rows, cols)
-    assert got.indptr.dtype == np.int64
-    assert got.indices.dtype == np.int64
+    assert got.indptr.dtype == np.int32
+    assert got.indices.dtype == np.int32
     assert got.data.dtype == np.float64
     assert np.array_equal(got.indptr, want[0])
     assert np.array_equal(got.indices, want[1])
@@ -82,11 +84,42 @@ class TestConstruction:
             pairs = np.argwhere(dense)
             want = SparseMatrix.from_pairs(*dense.shape, np.concatenate([pairs, pairs[::-1]]))
             assert (got.rows, got.cols) == (want.rows, want.cols)
+            assert got.indptr.dtype == got.indices.dtype == np.int32
             for a, b in ((got.indptr, want.indptr), (got.indices, want.indices), (got.data, want.data)):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
             assert np.array_equal(to_dense(got), dense)
         with pytest.raises(ValueError, match="negative"):
             from_dense([[0.0, -1.0]])
+
+
+def zeros(n, dtype=np.int64):
+    """``n`` zeros as a zero-stride view, which allocates nothing however
+    large ``n`` is."""
+    return np.broadcast_to(dtype(0), (n,))
+
+
+class TestIndexWidth:
+    def test_int32_below_2_31_else_int64(self):
+        big = 2**31
+        for rows, cols, indptr, width in [
+            (2, big - 1, np.array([0, 1, 1]), np.int32),
+            (2, big, np.array([0, 1, 1]), np.int64),
+            (big, 1, zeros(big + 1), np.int64),
+            (1, 1, np.array([0, big]), np.int64),
+        ]:
+            nnz = int(indptr[-1])
+            m = SparseMatrix(rows, cols, indptr, zeros(nnz), zeros(nnz, np.float64))
+            assert m.indptr.dtype == m.indices.dtype == width
+            assert m.nnz == nnz
+            if width == np.int64:  # already that wide: kept, not copied
+                assert np.shares_memory(m.indptr, indptr)
+        m = SparseMatrix(2, big, np.array([0, 1, 1]), np.array([big - 1]), np.ones(1))
+        assert m.pick([(0, big - 1), (1, big - 1), (0, 0)]).tolist() == [1.0, 0.0, 0.0]
+
+    def test_scipy_view_shares_the_arrays(self):
+        a, _ = random_sparse(np.random.default_rng(41), 6, 7)
+        view = a._scipy()
+        assert np.shares_memory(view.indptr, a.indptr) and np.shares_memory(view.indices, a.indices)
 
 
 class TestMatmul:
@@ -195,6 +228,39 @@ class TestRowDots:
         monkeypatch.setattr(sparse, "FLOP_BUDGET", 11)
         with pytest.raises(MatrixBlowupError, match="row dots gather 12 entries"):
             a.row_dots(a, [0], [1])
+
+    def test_working_memory_stays_small(self):
+        # 512 pairs of full rows gather 4 M entries, four times 2**20
+        a = from_dense(np.ones((64, 4096)))
+        rng = np.random.default_rng(37)
+        rows, other_rows = rng.integers(0, 64, size=(2, 512))
+        a.row_dots(a, rows[:1], other_rows[:1])  # loads scipy.sparse outside the trace
+        tracemalloc.start()
+        try:
+            got = a.row_dots(a, rows, other_rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.full(512, 4096.0))
+        assert peak < 4 << 20, f"row_dots peaked at {peak / 2**20:.1f} MiB"
+
+    def test_counts_past_2_31_stay_exact(self, monkeypatch):
+        # int32 operands built from indptr alone: row 0 of ``wide`` holds
+        # 2**31 - 1 entries, as zero-stride views, which only their counts read
+        n = 2**31 - 1
+        wide = SparseMatrix(2, 1, np.array([0, n, n]), zeros(n, np.int32), zeros(n, np.float64))
+        assert wide.indptr.dtype == np.int32
+        narrow = from_dense(np.ones((4, 2)))
+
+        def gathered(*args):
+            raise AssertionError("entries gathered before the budget check")
+
+        monkeypatch.setattr(SparseMatrix, "_scipy", gathered)
+        assert kernels.spgemm_flops(narrow.indptr, narrow.indices, wide.indptr) == 4 * n
+        with pytest.raises(MatrixBlowupError, match=f"product needs {4 * n} multiplies"):
+            narrow.matmul(wide)
+        with pytest.raises(MatrixBlowupError, match=f"row dots gather {2 * n} entries"):
+            wide.row_dots(wide, [1, 0], [1, 0])
 
     def test_no_rows_and_mismatch(self):
         a = from_dense(np.ones((2, 3)))
