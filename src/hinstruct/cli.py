@@ -14,19 +14,23 @@ directory, and the cap, the three size limits and the seed from the config's
 ``search``, with ``--seed`` overriding the seed as in ``search`` and
 ``evaluate``.
 
-The run config (``--config``) is checked once, when it is loaded, and the
-backend is built then; an http backend's settings are ``HttpChatBackend``'s.
-An unknown key at the top level or in ``task``, ``search`` or ``backend`` is
-rejected by name, so a misspelt setting fails the run instead of silently
-taking its default.
+The run config (``--config``) is read, resolved and checked once, when it
+is loaded: the dataset's schema is read then, the task's target name resolved
+to its schema id, the prompt templates loaded and the backend built; an http
+backend's settings are ``HttpChatBackend``'s. An unknown key at the top level
+or in ``task``, ``search`` or ``backend``, or a target the schema does not
+name, is rejected by name, so a misspelt setting fails the run instead of
+silently taking its default.
 
 Exit codes: 0 success, 1 usage error, 2 data/validation error, 3 backend
 error. Output files are written atomically (temp file plus rename); a file
 that cannot be written is a data error naming it. ``search`` and ``explain``
-refuse an output path that is a directory before they load anything. Log
-messages go to stderr at ``--log-level`` and above (default ``warning``);
-at ``info`` a search logs, per generation, how many agent chains it asked
-the backend and how many it reused.
+refuse an output path that is a directory before they load the dataset or
+the result file, and make the output directory only once their inputs have
+loaded, so a failed set-up leaves none behind. Log messages go to stderr at
+``--log-level`` and above (default ``warning``); at ``info`` a search logs,
+per generation, how many agent chains it asked the backend and how many it
+reused.
 """
 
 from __future__ import annotations
@@ -61,6 +65,7 @@ from .evolution import (
 from .grammar import GrammarError, encode_metastructure
 from .hin import (
     DataError,
+    Schema,
     SchemaError,
     binarize_ratings,
     finite_number,
@@ -110,14 +115,15 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     dataset_dir: Path
+    schema: Schema  # the dataset directory's schema.json
     task_kind: str  # "recommendation" | "classification"
-    target: str  # edge type name or node type name
+    target: int  # schema id of the target: an edge type (recommendation) or node type (classification)
     rating_threshold: int
     split_ratio: tuple
     search: SearchConfig
     backend: object  # the chat backend, from ``make_backend``
     output_dir: Path
-    prompt_dir: Path | None
+    prompts: PromptLibrary  # the templates of prompt_dir, or the packaged set
 
     @classmethod
     def load(cls, path, seed_override=None, out_override=None) -> "RunConfig":
@@ -132,14 +138,15 @@ class RunConfig:
         dataset_dir = _path(payload, "dataset_dir", path)
         if not dataset_dir.is_dir():
             raise DataError(f"config {path}: dataset directory not found: {dataset_dir}")
+        schema = load_schema(dataset_dir / "schema.json")
 
         task = _section(payload, "task", path)
         _reject_unknown(task, _TASK_KEYS, "task.", path)
         kind = task.get("kind")
         if kind == "recommendation":
-            target_field = "target_relation"
+            target_field, by_name = "target_relation", schema.edge_type_by_name
         elif kind == "classification":
-            target_field = "target_type"
+            target_field, by_name = "target_type", schema.node_type_by_name
         else:
             raise DataError(
                 f"config {path}: task.kind must be 'recommendation' or 'classification', not {kind!r}"
@@ -149,6 +156,10 @@ class RunConfig:
             raise DataError(f"config {path}: task.{target_field} is missing; a {kind} task needs it")
         if not (isinstance(target, str) and target):
             raise DataError(f"config {path}: task.{target_field} must be a non-empty name, not {target!r}")
+        try:
+            target = by_name(target).id
+        except SchemaError as exc:
+            raise DataError(f"config {path}: task.{target_field}: {exc}") from exc
 
         search_payload = dict(_section(payload, "search", path))
         if seed_override is not None:
@@ -180,6 +191,7 @@ class RunConfig:
             prompt_dir = _path(payload, "prompt_dir", path)
             if not prompt_dir.is_dir():
                 raise DataError(f"config {path}: prompt directory not found: {prompt_dir}")
+        prompts = PromptLibrary(prompt_dir)
 
         rating_threshold = payload.get("rating_threshold", 2)
         if type(rating_threshold) is not int:
@@ -195,6 +207,7 @@ class RunConfig:
 
         return cls(
             dataset_dir=dataset_dir,
+            schema=schema,
             task_kind=kind,
             target=target,
             rating_threshold=rating_threshold,
@@ -202,26 +215,8 @@ class RunConfig:
             search=search,
             backend=backend,
             output_dir=output_dir,
-            prompt_dir=prompt_dir,
+            prompts=prompts,
         )
-
-    def target_id(self, schema) -> int:
-        """The schema id of the configured target: an edge type id for a
-        recommendation task, a node type id for a classification task."""
-        if self.task_kind == "recommendation":
-            return schema.edge_type_by_name(self.target).id
-        return schema.node_type_by_name(self.target).id
-
-
-def _at_least_one(text: str) -> int:
-    """argparse type of a count flag: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
-    return value
 
 
 def _section(payload: dict, name: str, path) -> dict:
@@ -266,9 +261,8 @@ def make_backend(spec: dict):
 
 def build_task(config: RunConfig, part: str = "val"):
     """Load the dataset and construct (graph, split, evaluator)."""
-    schema = load_schema(config.dataset_dir / "schema.json")
+    schema, target = config.schema, config.target
     graph = load_graph(schema, config.dataset_dir)
-    target = config.target_id(schema)
     if config.task_kind == "recommendation":
         et = schema.edge_type(target)
         ratings_path = config.dataset_dir / "ratings.tsv"
@@ -321,6 +315,11 @@ def _atomic_write(path: Path, text: str):
         raise DataError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_reports(path: Path, reports):
+    """Write the explainer's reports to ``path`` as one JSON list."""
+    _atomic_write(path, json.dumps([dataclasses.asdict(r) for r in reports], indent=2, sort_keys=True) + "\n")
+
+
 def _load_valid_structure(path, schema) -> MetaStructure | None:
     """The structure in the JSON file ``path``, or None when it is invalid
     for ``schema``; each violation is then printed to stderr. A payload that
@@ -347,15 +346,13 @@ def cmd_search(args) -> int:
         config.output_dir,
         ("result.json", "curve.csv", "events.jsonl", "explanations.json", "transcripts.jsonl"),
     )
-    prompts = PromptLibrary(config.prompt_dir)
-    out_dir = _output_dir(config.output_dir)
-
     graph, split, evaluator = build_task(config, part="val")
+    out_dir = _output_dir(config.output_dir)
     transcript = TranscriptLog(out_dir / "transcripts.jsonl")
 
     result = run_search(
         config.search, graph, split, config.backend, evaluator,
-        prompts=prompts, transcript=transcript,
+        prompts=config.prompts, transcript=transcript,
     )
 
     _atomic_write(out_dir / "result.json", json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n")
@@ -366,10 +363,7 @@ def cmd_search(args) -> int:
         out_dir / "events.jsonl",
         "".join(json.dumps(e, sort_keys=True) + "\n" for e in result.events),
     )
-    _atomic_write(
-        out_dir / "explanations.json",
-        json.dumps([dataclasses.asdict(r) for r in result.explanations], indent=2, sort_keys=True) + "\n",
-    )
+    _write_reports(out_dir / "explanations.json", result.explanations)
 
     if result.aborted is not None:
         print(f"search aborted: {result.aborted}; partial results in {out_dir}", file=sys.stderr)
@@ -403,8 +397,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_neighbors(args) -> int:
     config = RunConfig.load(args.config, args.seed)
-    search = config.search
-    schema = load_schema(config.dataset_dir / "schema.json")
+    search, schema = config.search, config.schema
     ms = _load_valid_structure(args.structure, schema)
     if ms is None:
         return EXIT_DATA
@@ -516,10 +509,9 @@ def cmd_explain(args) -> int:
     _check_writable(config.output_dir, ("explain-explanations.json", "explain-transcripts.jsonl"))
     result_path = Path(args.result)
     pool, final_keys, finals = _read_result(result_path)
-    schema = load_schema(config.dataset_dir / "schema.json")
-    endpoints = task_endpoints(schema, config.task_kind, config.target_id(schema))
+    endpoints = task_endpoints(config.schema, config.task_kind, config.target)
     for where, ms in finals.values():
-        violations = validate(ms, schema)
+        violations = validate(ms, config.schema)
         if violations:
             raise DataError(f"{where} field 'structure' is invalid: {violations[0]}")
         try:
@@ -528,22 +520,14 @@ def cmd_explain(args) -> int:
             raise DataError(f"{where} field 'structure': {exc}") from exc
     events = _read_events(result_path.parent / "events.jsonl", pool)
 
-    search = config.search
-    if args.top_k is not None:
-        search = dataclasses.replace(search, explain_top_k=args.top_k)
-
-    prompts = PromptLibrary(config.prompt_dir)
     out_dir = _output_dir(config.output_dir)
     transcript = TranscriptLog(out_dir / "explain-transcripts.jsonl")
     reports = explain_top_structures(
-        search, config.backend, _EVALUATORS[config.task_kind].metric, pool, events, final_keys,
-        prompts, transcript, strict_backend=True,
+        config.search, config.backend, _EVALUATORS[config.task_kind].metric, pool, events, final_keys,
+        config.prompts, transcript, strict_backend=True,
     )
     reports_path = out_dir / "explain-explanations.json"
-    _atomic_write(
-        reports_path,
-        json.dumps([dataclasses.asdict(r) for r in reports], indent=2, sort_keys=True) + "\n",
-    )
+    _write_reports(reports_path, reports)
     print(f"wrote {len(reports)} explanation report(s) to {reports_path}")
     return EXIT_OK
 
@@ -588,7 +572,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("explain", help="re-run the explainer on a search's result and event log")
     p.add_argument("result", help="result JSON from a search run, with its events.jsonl beside it")
     p.add_argument("--config", required=True, help="run configuration JSON")
-    p.add_argument("--top-k", type=_at_least_one, default=None, dest="top_k")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_explain)
 

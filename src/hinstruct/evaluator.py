@@ -13,8 +13,8 @@ Recommendation fitness is AUC over the split's positive/negative pairs;
 node-classification fitness is Macro-F1 of a score-weighted vote over train
 nodes. Each task has one entry point, its evaluator's ``evaluate(graph,
 split, ms)``, which scores the split part the evaluator names. Both
-evaluators are pure functions of their inputs and sit behind the
-``Evaluator`` protocol so a learned fitness can be plugged in instead.
+evaluators are pure functions of their inputs. ``run_search`` needs of an
+evaluator only its ``metric`` name and ``evaluate(graph, split, ms)``.
 
 A metric reads few cells of the score matrix: AUC reads the part's pairs,
 the vote reads the part's rows at the train columns. So neither evaluator
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -74,10 +73,6 @@ class EvalResult:
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
             raise EvaluationError(f"metric value {self.value} outside [0, 1]")
-
-
-class Evaluator(Protocol):
-    def evaluate(self, graph: HinGraph, split, ms: MetaStructure) -> EvalResult: ...
 
 
 def path_commuting_matrix(graph: HinGraph, path: MetaPath) -> SparseMatrix:

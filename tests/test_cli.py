@@ -519,6 +519,53 @@ class TestMalformedInput:
         assert status == EXIT_DATA
         assert f"{data / 'friend.edges'}:" in err and "byte 0xff is not UTF-8" in err
 
+    @pytest.mark.parametrize("case", ["bad-edge", "no-labels"])
+    def test_failed_setup_leaves_no_output_directory(self, workspace, tmp_path, capsys, case):
+        def edit(data):
+            if case == "bad-edge":
+                lines = (data / "friend.edges").read_text().splitlines(keepends=True)
+                lines[2] = "0 x\n"
+                (data / "friend.edges").write_text("".join(lines))
+            else:
+                (data / "labels.tsv").unlink(missing_ok=True)
+
+        task = {"kind": "classification", "target_type": "business"} if case == "no-labels" else None
+        status, data = self.search_copied_data(workspace, tmp_path, edit, task)
+        err = capsys.readouterr().err
+        assert status == EXIT_DATA
+        if case == "bad-edge":
+            assert f"{data / 'friend.edges'}:3:" in err
+        else:
+            assert f"classification task needs label file: {data / 'labels.tsv'}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "task, key",
+        [({"kind": "recommendation", "target_relation": "ratez"}, "task.target_relation: unknown edge type name"),
+         ({"kind": "classification", "target_type": "shop"}, "task.target_type: unknown node type name")],
+        ids=["relation", "type"],
+    )
+    @pytest.mark.parametrize("command", ["search", "evaluate", "neighbors", "explain"])
+    def test_unknown_target_rejected_at_load(
+        self, workspace, run_dir, structure_files, tmp_path, capsys, command, task, key
+    ):
+        payload = json.loads(workspace["config"].read_text())
+        payload["task"] = task
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        argv = {
+            "search": ["search", "--out", str(out)],
+            "evaluate": ["evaluate", str(structure_files["friend"])],
+            "neighbors": ["neighbors", str(structure_files["friend"])],
+            "explain": ["explain", str(run_dir / "result.json"), "--out", str(out)],
+        }[command]
+        assert main([*argv, "--config", str(config)]) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert f"config {config}: {key}" in captured.err
+        assert captured.out == "" and "Traceback" not in captured.err
+        assert not out.exists()
+
     def test_counts_not_json(self, workspace, tmp_path, capsys):
         def edit(data):
             (data / "counts.json").write_text('{"user": 288,')
@@ -589,15 +636,6 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert str(config) in err and "dataset_dir is missing" in err
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    @pytest.mark.parametrize("command, flag", [("explain", "--top-k")])
-    def test_count_flag_below_one(self, workspace, capsys, command, flag, value):
-        argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
-        assert main(argv + [flag, value]) == EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"argument {flag}: must be at least 1, not {value}" in captured.err
-
     @pytest.mark.parametrize(
         "search, message",
         [
@@ -642,7 +680,9 @@ class TestMalformedInput:
             pytest.param("explainer_step2", "\ncosts $5\n", "Invalid placeholder in string", id="invalid"),
         ],
     )
-    def test_bad_prompt_template_is_data_error(self, workspace, run_dir, tmp_path, capsys, name, text, says):
+    def test_bad_prompt_template_is_data_error(
+        self, workspace, run_dir, structure_files, tmp_path, capsys, name, text, says
+    ):
         prompts = tmp_path / "prompts"
         shutil.copytree(Path(agents.__file__).parent / "prompts", prompts)
         with open(prompts / f"{name}.txt", "a", encoding="utf-8") as f:
@@ -652,8 +692,14 @@ class TestMalformedInput:
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))
         out = tmp_path / "out"
-        for argv in (["search"], ["explain", str(run_dir / "result.json")]):
-            assert main([*argv, "--config", str(config), "--out", str(out)]) == EXIT_DATA
+        structure = str(structure_files["friend"])
+        for argv in (
+            ["search", "--out", str(out)],
+            ["explain", str(run_dir / "result.json"), "--out", str(out)],
+            ["evaluate", structure],
+            ["neighbors", structure],
+        ):
+            assert main([*argv, "--config", str(config)]) == EXIT_DATA
             err = capsys.readouterr().err
             assert f"prompt template {prompts / (name + '.txt')}: {says}" in err
             assert "Traceback" not in err
@@ -706,12 +752,8 @@ class TestExplain:
         if not result_path.is_file():
             main(["search", "--config", str(workspace["config"])])
             capsys.readouterr()
-        code = main(
-            [
-                "explain", str(result_path), "--config", str(workspace["config"]),
-                "--out", str(out), "--top-k", "50",
-            ]
-        )
+        config = config_with_search(workspace, tmp_path / "config.json", explain_top_k=50)
+        code = main(["explain", str(result_path), "--config", str(config), "--out", str(out)])
         assert code == EXIT_OK
         reports = json.loads((out / "explain-explanations.json").read_text())
         assert len(reports) <= 5
@@ -855,6 +897,12 @@ class TestExitCodes:
     def test_explain_takes_no_seed_flag(self, workspace, tmp_path, capsys):
         argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
         assert main([*argv, "--seed", "0", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert not (tmp_path / "x").exists()
+
+    def test_explain_takes_its_count_from_the_config(self, workspace, tmp_path, capsys):
+        argv = ["explain", str(workspace["root"] / "result.json"), "--config", str(workspace["config"])]
+        assert main([*argv, "--top-k", "3", "--out", str(tmp_path / "x")]) == EXIT_USAGE
+        assert "unrecognized arguments: --top-k 3" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flag", ["--schema", "--cap", "--max-nodes"])
