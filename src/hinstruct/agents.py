@@ -50,8 +50,10 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import re
 import string
+import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -480,7 +482,9 @@ class HttpChatBackend:
       default ``"gpt-4"``.
     * ``api_key``: sent as a bearer token when set; default None.
     * ``temperature``: a finite number; default 0.0.
-    * ``timeout``: seconds per request, a positive finite number; default 60.0.
+    * ``timeout``: seconds per request, a positive number at most
+      ``threading.TIMEOUT_MAX`` (about 9.2e9 s, the longest wait a socket or
+      ``time.sleep`` takes); default 60.0.
 
     Sends ``{"model", "messages": [{"role", "content"}, ...], "temperature"}``
     and reads the first choice's message content, which must be a string.
@@ -516,8 +520,10 @@ class HttpChatBackend:
             raise ValueError(f"url must be an http or https URL with a host, not {self.url!r}")
         if not finite_number(self.temperature):
             raise ValueError(f"temperature must be a finite number, not {self.temperature!r}")
-        if not (finite_number(self.timeout) and self.timeout > 0):
-            raise ValueError(f"timeout must be a positive number, not {self.timeout!r}")
+        if not (finite_number(self.timeout) and 0 < self.timeout <= threading.TIMEOUT_MAX):
+            raise ValueError(
+                f"timeout must be a positive number at most {threading.TIMEOUT_MAX}, not {self.timeout!r}"
+            )
         self.temperature, self.timeout = float(self.temperature), float(self.timeout)
         # the HTTP stack (urllib.request brings http.client, urllib.error and
         # ssl) loads with the backend, at set-up, so a run without one never
@@ -576,7 +582,7 @@ class HttpChatBackend:
             seconds = int(value)
         except (TypeError, ValueError):
             return None
-        return min(float(seconds), self.timeout) if seconds >= 0 else None
+        return float(min(seconds, self.timeout)) if seconds >= 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +609,7 @@ def _call(backend, agent, user, transcript, retries, backoff, parse=lambda reply
         except BackendError as exc:
             last_error = exc
             log.warning("%s backend call failed (attempt %d): %s", agent, attempt + 1, exc)
-            delay = max(backoff * 2**attempt, exc.retry_after or 0.0)
+            delay = max(math.ldexp(backoff, attempt), exc.retry_after or 0.0)
             if attempt + 1 < retries and delay > 0:
                 time.sleep(delay)
             continue

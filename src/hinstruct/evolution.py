@@ -60,9 +60,11 @@ import functools
 import hashlib
 import logging
 import math
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -102,8 +104,27 @@ AGENT_WORKERS = 8
 CHAIN_MEMO_ENTRIES = 8
 
 
+# Least and most value of each integer field. A structure has at least 2
+# positions, a component at least 2, and an insertion component 2 plus its
+# interior.
+_RANGES = {
+    "generations": (0, sys.maxsize), "population_size": (2, sys.maxsize),
+    "candidate_cap": (1, sys.maxsize), "pool_sample_size": (1, sys.maxsize), "seed": (0, math.inf),
+    "max_structure_nodes": (2, sys.maxsize), "insertion_max_interior": (0, sys.maxsize),
+    "grafting_max_nodes": (2, sys.maxsize), "explain_top_k": (1, sys.maxsize),
+    "explain_neighbors": (1, sys.maxsize), "retries": (1, sys.maxsize),
+}
+
+
 @dataclass(frozen=True)
 class SearchConfig:
+    """Search settings, each checked when made; a bad one raises a ``ValueError``
+    that names it. ``_RANGES`` holds every integer field's range: a count stops
+    at ``sys.maxsize``, the largest size ``itertools.islice`` and numpy take,
+    and the seed has no most, since numpy takes any nonnegative seed.
+    ``backoff``'s longest sleep, ``backoff * 2**(retries - 2)``, may not pass
+    ``threading.TIMEOUT_MAX``, the longest wait ``time.sleep`` takes."""
+
     generations: int = 30
     population_size: int = 5
     elimination_rate: float = 0.2
@@ -119,30 +140,24 @@ class SearchConfig:
     backoff: float = 1.0
 
     def __post_init__(self):
-        # the annotations are strings here; a bool is not a count
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "int" and not (isinstance(value, int) and not isinstance(value, bool)):
-                raise ValueError(f"{f.name} must be an integer, not {value!r}")
-            if f.type == "float" and not finite_number(value):
-                raise ValueError(f"{f.name} must be a finite number, not {value!r}")
-        if self.population_size < 2:
-            raise ValueError("population size must be at least 2")
-        if not (0.0 < self.elimination_rate < 1.0):
-            raise ValueError("elimination rate must lie strictly between 0 and 1")
-        for name in ("generations", "seed", "backoff"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        # a structure has at least 2 positions, a component at least 2, and
-        # an insertion component 2 plus its interior
-        lows = {
-            "candidate_cap": 1, "pool_sample_size": 1, "explain_top_k": 1, "explain_neighbors": 1,
-            "retries": 1, "max_structure_nodes": 2, "insertion_max_interior": 0, "grafting_max_nodes": 2,
-        }
-        for name, low in lows.items():
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be at least {low}, not {getattr(self, name)}")
-        # and no component may outgrow the structures it goes into
+        for name, (least, most) in _RANGES.items():
+            value = getattr(self, name)
+            if type(value) is not int:  # a bool is not a count
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, not {value}")
+            if value > most:
+                raise ValueError(f"{name} must be at most {most}, not {value}")
+        if not (finite_number(self.elimination_rate) and 0 < self.elimination_rate < 1):
+            raise ValueError(
+                f"elimination_rate must lie strictly between 0 and 1, not {self.elimination_rate!r}"
+            )
+        most = math.ldexp(threading.TIMEOUT_MAX, 2 - self.retries)
+        if not (finite_number(self.backoff) and 0 <= self.backoff <= most):
+            raise ValueError(
+                f"backoff must lie between 0 and {most} for {self.retries} retries, not {self.backoff!r}"
+            )
+        # no component may outgrow the structures it goes into
         n = self.max_structure_nodes
         if self.insertion_max_interior + 2 > n:
             raise ValueError(
@@ -250,10 +265,7 @@ def reproduce(survivors, size: int, rng: np.random.Generator):
     deficit = size - len(survivors)
     fitnesses = np.asarray([ind.fitness for ind in survivors], dtype=np.float64)
     total = fitnesses.sum()
-    if total > 0:
-        probs = fitnesses / total
-    else:
-        probs = np.full(len(survivors), 1.0 / len(survivors))
+    probs = fitnesses / total if total > 0 else np.full(len(survivors), 1.0 / len(survivors))
     if deficit <= 0:
         return list(survivors), []
     draws = rng.choice(len(survivors), size=deficit, replace=True, p=probs)
@@ -277,13 +289,7 @@ def evaluate_population(population, evaluator, graph, split, pool, generation, e
             except MatrixBlowupError as exc:
                 pool.rejected[ind.key] = str(exc)
             else:
-                record = PoolRecord(
-                    key=ind.key,
-                    sentence=ind.sentence,
-                    fitness=result.value,
-                    generation=generation,
-                    structure=ind.structure.to_dict(),
-                )
+                record = PoolRecord(ind.key, ind.sentence, result.value, generation, ind.structure.to_dict())
                 pool.insert(record)
         if record is None:
             events.append(
@@ -590,14 +596,7 @@ def run_search(
 
     final_best = min(pool.records(), key=_record_rank) if len(pool) else None
 
-    result = SearchResult(
-        config=config,
-        generations=gen_records,
-        final_best=final_best,
-        pool=pool,
-        events=events,
-        aborted=aborted,
-    )
+    result = SearchResult(config, gen_records, final_best, pool, events, aborted=aborted)
     if aborted is None and gen_records:
         result.explanations = explain_top_structures(
             config, backend, evaluator.metric, pool, events,

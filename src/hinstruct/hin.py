@@ -18,7 +18,7 @@ mapping back to original dataset ids is the preprocessor's concern.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -38,10 +38,11 @@ class DataError(ValueError):
 
 
 def finite_number(value) -> bool:
-    """Whether ``value`` is a finite int or float; a bool is not a number here."""
-    if isinstance(value, bool):
+    """Whether ``value`` is an int or float that ``float`` makes finite; a bool
+    is not a number here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
-    return isinstance(value, int) or isinstance(value, float) and math.isfinite(value)
+    return abs(value) <= sys.float_info.max  # not NaN, an infinity or an int past every float
 
 
 @dataclass(frozen=True)

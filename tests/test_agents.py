@@ -435,6 +435,13 @@ class TestOneRetryLoop:
         lines = (tmp_path / "t.jsonl").read_text().splitlines()
         assert [json.loads(line)["response"] for line in lines] == ["no choice", "CHOICE: 1"]
 
+    def test_many_attempts_without_backoff(self):
+        # from attempt 1024 on, 2**attempt is past every float; a zero backoff still never sleeps
+        backend = FlakyScript([BackendError] * 1100)
+        with pytest.raises(BackendError, match="failed after 1100 attempts"):
+            agents._call(backend, "predictor", "u", None, retries=1100, backoff=0.0)
+        assert backend.calls == 1100
+
     def test_zero_retries_rejected(self, prompts):
         backend = FlakyScript([])
         target, neighbors = self.entries()
@@ -579,8 +586,10 @@ class TestHttpBackend:
         "field, value",
         [("url", 5), ("url", ["x"]), ("url", ""), ("model", [1]), ("model", ""),
          ("temperature", "hot"), ("temperature", None), ("temperature", True),
-         ("temperature", float("nan")), ("timeout", 0), ("timeout", -1), ("timeout", "abc"),
-         ("timeout", float("inf"))],
+         ("temperature", float("nan")), pytest.param("temperature", 10**400, id="temperature-10**400"),
+         ("timeout", 0), ("timeout", -1), ("timeout", "abc"),
+         ("timeout", float("inf")), ("timeout", 1e10),
+         pytest.param("timeout", 10**400, id="timeout-10**400")],
     )
     def test_bad_setting_named(self, field, value):
         settings = {"url": "http://127.0.0.1:9/", field: value}
@@ -722,6 +731,7 @@ class TestHttpReplyChecks:
             ({"Retry-After": "-5"}, None),
             ({"Retry-After": "1.5"}, None),
             ({}, None),
+            pytest.param({"Retry-After": "1" + "0" * 400}, 30.0, id="past-any-float"),
         ],
     )
     def test_429_carries_retry_after(self, monkeypatch, header, expected):

@@ -335,6 +335,10 @@ class TestMalformedInput:
             ("task", {"kind": "classification", "target_type": 5}),
             ("task", {"kind": "classification", "target_type": [1]}),
             ("search.seed", -1),
+            ("search.population_size", 2**70),  # past what itertools.islice takes
+            ("search.generations", 2**70),
+            ("search.backoff", 1e10),  # its longest sleep passes what time.sleep takes
+            ("backend", {"kind": "http", "url": "http://127.0.0.1:9/v1/chat", "timeout": 1e10}),
         ],
     )
     def test_bad_config_field(self, workspace, tmp_path, capsys, field, value):
@@ -669,7 +673,7 @@ class TestMalformedInput:
         }[command]
         assert main([*argv, "--seed", "-1"]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert "invalid search config: seed must be nonnegative" in err and "Traceback" not in err
+        assert "invalid search config: seed must be at least 0, not -1" in err and "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

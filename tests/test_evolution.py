@@ -88,8 +88,57 @@ class TestSearchConfig:
             SearchConfig(elimination_rate=1.0)
         with pytest.raises(ValueError):
             SearchConfig(candidate_cap=0)
-        with pytest.raises(ValueError, match="seed must be nonnegative"):
+        with pytest.raises(ValueError, match="seed must be at least 0, not -1"):
             SearchConfig(seed=-1)
+
+    # field, least, whether sys.maxsize is its most, and the settings beside it
+    # that let its least and most pass the cross-checks
+    @pytest.mark.parametrize(
+        "name, least, counts, companions",
+        [
+            ("generations", 0, True, {}),
+            ("population_size", 2, True, {}),
+            ("candidate_cap", 1, True, {}),
+            ("pool_sample_size", 1, True, {}),
+            ("seed", 0, False, {}),
+            ("max_structure_nodes", 2, True, {"insertion_max_interior": 0, "grafting_max_nodes": 2}),
+            ("insertion_max_interior", 0, True, {"max_structure_nodes": sys.maxsize}),
+            ("grafting_max_nodes", 2, True, {"max_structure_nodes": sys.maxsize}),
+            ("explain_top_k", 1, True, {}),
+            ("explain_neighbors", 1, True, {}),
+            ("retries", 1, True, {"backoff": 0.0}),
+        ],
+    )
+    def test_integer_ranges(self, name, least, counts, companions):
+        assert getattr(SearchConfig(**companions, **{name: least}), name) == least
+        with pytest.raises(ValueError, match=f"^{name} must be at least {least}, not {least - 1}$"):
+            SearchConfig(**companions, **{name: least - 1})
+        if not counts:
+            assert getattr(SearchConfig(**{name: 2**70}), name) == 2**70
+            return
+        most = sys.maxsize
+        if name == "insertion_max_interior":
+            # the range admits sys.maxsize, the structure size cannot hold it plus 2
+            with pytest.raises(ValueError, match="^insertion_max_interior plus 2 must not exceed"):
+                SearchConfig(**companions, **{name: most})
+            most -= 2
+        assert getattr(SearchConfig(**companions, **{name: most}), name) == most
+        with pytest.raises(ValueError, match=f"^{name} must be at most {sys.maxsize}, not {sys.maxsize + 1}$"):
+            SearchConfig(**companions, **{name: sys.maxsize + 1})
+
+    @pytest.mark.parametrize(
+        "retries, backoff, ok",
+        [(3, 1.0, True), (3, threading.TIMEOUT_MAX / 2, True), (3, 1e10, False), (2, 1e10, False),
+         (2, threading.TIMEOUT_MAX, True), (40, 1.0, False), (40, 2.0**-40, True), (1100, 0.0, True),
+         (3, -1, False), (3, float("nan"), False),
+         pytest.param(3, 10**400, False, id="3-10**400-False")],
+    )
+    def test_backoff_longest_sleep_within_platform_wait(self, retries, backoff, ok):
+        if ok:
+            assert SearchConfig(retries=retries, backoff=backoff).backoff == backoff
+        else:
+            with pytest.raises(ValueError, match="^backoff must lie between 0 and "):
+                SearchConfig(retries=retries, backoff=backoff)
 
 
 class TestEliminate:
